@@ -10,37 +10,32 @@ import csv
 import hashlib
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from dataclasses import dataclass, fields, replace
+from itertools import product
+from operator import attrgetter
 
 import numpy as np
 
 from .channel import BscChannel, transmit, transmit_bits
-from .codec import (bch_encode, bch_generator, build_huffman,
-                    decode_or_passthrough, huffman_decode, huffman_encode,
-                    pack_objects)
+from .codec import (FRAME_FIELD_BITS, bch_encode, bch_generator,
+                    build_huffman, decode_or_passthrough, huffman_decode,
+                    huffman_encode, pack_objects)
 from .dataset import load_pointcloud_file, synth_dataset
 from .errors import ParseError, PipelineError
 from .homology import load_pd_file, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)
-from .inference import (CvSchedule, PerslayConfig, evaluate_accuracy,
-                        perslay_vectorize, rasterize_raw, train_classifier)
+from .inference import (AccuracyReport, CvSchedule, PerslayConfig,
+                        evaluate_accuracy, perslay_vectorize, rasterize_raw,
+                        train_classifier)
 from .quantizer import QuantizerGrid, quantize_diagram, quantize_set
 
 PIPELINE_KINDS = ("pd", "raw", "latent")
 CURVE_KINDS = ("dr", "ad", "ar", "ar-coded")
 
 SEED_ENV = "PDSEMCOM_SEED"
-WORKERS_ENV = "PDSEMCOM_WORKERS"
-
-COLUMNS = ("pipeline", "m", "alpha", "code", "status", "schedule", "seed",
-           "entropy_bits", "mean_symbols", "rate_cells", "rate_selfinfo",
-           "huffman_bits", "wire_bits", "avg_codeword_len", "mse",
-           "bottleneck", "acc_mean", "band_low", "band_high", "acc_std",
-           "symbol_error_rate", "decode_failures", "error")
 
 
 def _fmt(x) -> str:
@@ -49,14 +44,19 @@ def _fmt(x) -> str:
     return "%.10g" % float(x)
 
 
+def _text(x) -> str:
+    """A record or config value as file text: strings as they are."""
+    return x if isinstance(x, str) else _fmt(x)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one sweep depends on; hashable as canonical text.
 
     `dataset` is either the literal "synth" or a point-cloud CSV path.
     `codes` lists (n, k, t) block codes swept in addition to the always
-    present uncoded cell. `out` and `workers` are artifact plumbing and do
-    not enter the config hash.
+    present uncoded cell. `out` is artifact plumbing and does not enter the
+    config hash.
     """
 
     pipelines: tuple = ("pd", "raw")
@@ -82,7 +82,6 @@ class ExperimentConfig:
     hidden: tuple = (128, 64)
     drop_essential: bool = False
     collapse_duplicates: bool = False
-    workers: int = 1
     out: str = "results.csv"
 
     def __post_init__(self):
@@ -126,7 +125,7 @@ class ExperimentConfig:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         for name, low in (("per_class", 1), ("n_points", 4), ("partition", 1),
-                          ("T", 1), ("epochs", 1), ("workers", 1)):
+                          ("T", 1), ("epochs", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         for name in ("gamma_max", "box_pd", "box_raw", "box_latent"):
@@ -142,36 +141,10 @@ class ExperimentConfig:
                 "latent": self.box_latent}[pipeline]
 
     def canonical_text(self, include_artifacts: bool = False) -> str:
-        lines = [
-            "pipelines = " + ",".join(self.pipelines),
-            "dataset = " + self.dataset,
-            "latent_file = " + (self.latent_file or "none"),
-            "per_class = %d" % self.per_class,
-            "n_points = %d" % self.n_points,
-            "noise = " + _fmt(self.noise),
-            "dataset_seed = %d" % self.dataset_seed,
-            "gamma_max = " + _fmt(self.gamma_max),
-            "box_pd = " + _fmt(self.box_pd),
-            "box_raw = " + _fmt(self.box_raw),
-            "box_latent = " + _fmt(self.box_latent),
-            "m_values = " + ",".join(str(m) for m in self.m_values),
-            "partition = %d" % self.partition,
-            "T = %d" % self.T,
-            "cv_seed = %d" % self.cv_seed,
-            "train_seed = %d" % self.train_seed,
-            "channel_seed = %d" % self.channel_seed,
-            "alphas = " + ",".join(_fmt(a) for a in self.alphas),
-            "codes = " + (",".join("%d:%d:%d" % c for c in self.codes)
-                          if self.codes else "none"),
-            "epochs = %d" % self.epochs,
-            "hidden = " + ",".join(str(h) for h in self.hidden),
-            "drop_essential = " + ("true" if self.drop_essential else "false"),
-            "collapse_duplicates = " + ("true" if self.collapse_duplicates
-                                        else "false"),
-        ]
-        if include_artifacts:
-            lines += ["workers = %d" % self.workers, "out = " + self.out]
-        return "\n".join(lines) + "\n"
+        return "".join(
+            f"{key} = {fmt(getattr(self, key))}\n"
+            for key, (fmt, _) in _CONFIG_TEXT.items()
+            if include_artifacts or key != "out")
 
     def config_hash(self) -> str:
         return hashlib.sha256(
@@ -209,23 +182,35 @@ def _parse_bool(v: str) -> bool:
     raise ValueError(f"expected a boolean, got {v!r}")
 
 
-_KEY_PARSERS = {
-    "pipelines": lambda v: tuple(s.strip() for s in v.split(",")),
-    "dataset": lambda v: v.strip(),
-    "latent_file": lambda v: None if v.strip().lower() == "none" else v.strip(),
-    "per_class": int, "n_points": int, "dataset_seed": int,
-    "partition": int, "T": int, "cv_seed": int, "train_seed": int,
-    "channel_seed": int, "epochs": int, "workers": int,
-    "noise": float, "gamma_max": float,
-    "box_pd": float, "box_raw": float, "box_latent": float,
-    "m_values": _parse_int_list,
-    "alphas": lambda v: tuple(float(s) for s in v.split(",")),
-    "codes": _parse_codes,
-    "hidden": _parse_int_list,
-    "drop_essential": _parse_bool,
-    "collapse_duplicates": _parse_bool,
-    "out": lambda v: v.strip(),
+def _join(items) -> str:
+    return ",".join(str(x) for x in items)
+
+
+# (format, parse) per config field type, and for the fields whose text
+# needs more than their type says
+_TEXT_BY_TYPE = {
+    int: (lambda v: "%d" % v, int),
+    float: (_fmt, float),
+    str: (str, str.strip),
+    bool: (lambda b: "true" if b else "false", _parse_bool),
 }
+_TEXT_BY_KEY = {
+    "pipelines": (_join, lambda v: tuple(s.strip() for s in v.split(","))),
+    "latent_file": (lambda v: v or "none",
+                    lambda v: None if v.strip().lower() == "none"
+                    else v.strip()),
+    "m_values": (_join, _parse_int_list),
+    "alphas": (lambda xs: ",".join(_fmt(a) for a in xs),
+               lambda v: tuple(float(s) for s in v.split(","))),
+    "codes": (lambda cs: ",".join("%d:%d:%d" % c for c in cs) or "none",
+              _parse_codes),
+    "hidden": (_join, _parse_int_list),
+}
+# key -> (format, parse) in field order; the formatted lines make up the
+# canonical text, so the config hash depends on every entry
+_CONFIG_TEXT = {f.name: _TEXT_BY_KEY.get(f.name) or _TEXT_BY_TYPE[f.type]
+                for f in fields(ExperimentConfig)}
+_KEY_PARSERS = {key: parse for key, (_, parse) in _CONFIG_TEXT.items()}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -253,19 +238,14 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config file and apply the documented env overrides.
-
-    PDSEMCOM_SEED replaces all four seeds (dataset, cv, train, channel get
-    s, s+1, s+2, s+3); PDSEMCOM_WORKERS replaces the worker count.
-    """
+    """Read a config file; PDSEMCOM_SEED=s replaces all four seeds (dataset,
+    cv, train, channel get s, s+1, s+2, s+3)."""
     with open(path) as f:
         config = parse_config(f.read())
     if os.environ.get(SEED_ENV):
         s = int(os.environ[SEED_ENV])
         config = replace(config, dataset_seed=s, cv_seed=s + 1,
                          train_seed=s + 2, channel_seed=s + 3)
-    if os.environ.get(WORKERS_ENV):
-        config = replace(config, workers=int(os.environ[WORKERS_ENV]))
     return config
 
 
@@ -276,7 +256,8 @@ def write_config(path, config: ExperimentConfig) -> None:
 
 @dataclass(frozen=True)
 class TradeoffRecord:
-    """One sweep cell: rates, distortions, accuracy, channel bookkeeping."""
+    """One sweep cell: rates, distortions, accuracy, channel bookkeeping.
+    The fields, in order, are the columns of the results file."""
 
     pipeline: str
     m: int
@@ -306,11 +287,8 @@ class TradeoffRecord:
         if self.status not in ("ok", "error"):
             raise ValueError(f"bad status {self.status!r}")
         if self.status == "ok":
-            numeric = (self.entropy_bits, self.mean_symbols, self.rate_cells,
-                       self.rate_selfinfo, self.huffman_bits, self.wire_bits,
-                       self.avg_codeword_len, self.mse, self.bottleneck,
-                       self.acc_mean, self.band_low, self.band_high,
-                       self.acc_std, self.symbol_error_rate)
+            numeric = [getattr(self, f.name) for f in fields(self)
+                       if f.type is float and f.name != "alpha"]
             if not all(math.isfinite(x) for x in numeric):
                 raise ValueError("ok records must have finite numeric fields")
             if not 0.0 <= self.acc_mean <= 1.0:
@@ -321,48 +299,47 @@ class TradeoffRecord:
         return (self.pipeline, self.m, _fmt(self.alpha), self.code)
 
     def to_row(self) -> list:
-        return [self.pipeline, str(self.m), _fmt(self.alpha), self.code,
-                self.status, self.schedule, str(self.seed),
-                _fmt(self.entropy_bits), _fmt(self.mean_symbols),
-                _fmt(self.rate_cells), _fmt(self.rate_selfinfo),
-                _fmt(self.huffman_bits), _fmt(self.wire_bits),
-                _fmt(self.avg_codeword_len), _fmt(self.mse),
-                _fmt(self.bottleneck), _fmt(self.acc_mean),
-                _fmt(self.band_low), _fmt(self.band_high),
-                _fmt(self.acc_std), _fmt(self.symbol_error_rate),
-                str(self.decode_failures), self.error]
+        return [_text(getattr(self, name)) for name in COLUMNS]
 
     @classmethod
     def from_row(cls, row: dict) -> "TradeoffRecord":
-        return cls(
-            pipeline=row["pipeline"], m=int(row["m"]),
-            alpha=float(row["alpha"]), code=row["code"], status=row["status"],
-            schedule=row["schedule"], seed=int(row["seed"]),
-            entropy_bits=float(row["entropy_bits"]),
-            mean_symbols=float(row["mean_symbols"]),
-            rate_cells=float(row["rate_cells"]),
-            rate_selfinfo=float(row["rate_selfinfo"]),
-            huffman_bits=float(row["huffman_bits"]),
-            wire_bits=float(row["wire_bits"]),
-            avg_codeword_len=float(row["avg_codeword_len"]),
-            mse=float(row["mse"]), bottleneck=float(row["bottleneck"]),
-            acc_mean=float(row["acc_mean"]), band_low=float(row["band_low"]),
-            band_high=float(row["band_high"]), acc_std=float(row["acc_std"]),
-            symbol_error_rate=float(row["symbol_error_rate"]),
-            decode_failures=int(row["decode_failures"]), error=row["error"],
-        )
+        values = [row.get(name) for name in COLUMNS]
+        if None in values or None in row:
+            raise ValueError("row has missing or extra fields")
+        return cls(*(f.type(v) for f, v in zip(fields(cls), values)))
+
+
+COLUMNS = tuple(f.name for f in fields(TradeoffRecord))
 
 
 def read_results(path):
-    """-> (config hash, records). Inverse of the sweep's CSV writer."""
+    """-> (config hash, records). Inverse of the sweep's CSV writer; a row
+    with missing, extra or unparsable fields raises ParseError."""
     with open(path, newline="") as f:
         first = f.readline().strip()
         if not first.startswith("# config_hash="):
             raise ParseError("results file lacks the config hash header",
                              line_number=1)
         config_hash = first.split("=", 1)[1]
-        records = [TradeoffRecord.from_row(row) for row in csv.DictReader(f)]
+        reader = csv.DictReader(f)
+        records = []
+        for row in reader:
+            try:
+                records.append(TradeoffRecord.from_row(row))
+            except ValueError as exc:
+                # the reader counts from the column line, file line 2
+                raise ParseError(f"bad results row: {exc}",
+                                 line_number=reader.line_num + 1) from exc
     return config_hash, records
+
+
+def _drop_partial_line(path, header: bytes = b"") -> None:
+    """Cut a last line that lacks its newline, as a kill mid-append leaves
+    it, from a file that starts with `header`."""
+    with open(path, "rb+") as f:
+        data = f.read()
+        if data.startswith(header) and not data.endswith(b"\n"):
+            f.truncate(data.rfind(b"\n") + 1)
 
 
 def _normalize_latents(point_sets, box_side: float):
@@ -377,7 +354,7 @@ def _normalize_latents(point_sets, box_side: float):
 
 
 class _SweepContext:
-    """Shared immutable state plus lazily built per-(pipeline, m) caches."""
+    """Stage 1: the shared immutable state every cell reads."""
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
@@ -400,201 +377,117 @@ class _SweepContext:
         self.test_multiset = np.concatenate(
             [test for _, test in self.schedule.folds])
         self.unique_test = np.unique(self.test_multiset)
-        # reentrant: prep() holds the lock while calling other accessors
-        self._lock = threading.RLock()
-        self._diagrams = None
-        self._latent_points = None
-        self._clean_points = {}
-        self._clean_features = {}
-        self._classifiers = {}
-        self._density = {}
-        self._prep = {}
-        self._bch = {}
 
-    def diagrams(self):
-        with self._lock:
-            if self._diagrams is None:
-                diags = []
-                for obj in self.dataset.objects:
-                    d = vr_diagram(obj.points, gamma_max=self.config.gamma_max)
-                    diags.append(d.drop_essential()
-                                 if self.config.drop_essential else d)
-                self._diagrams = diags
-            return self._diagrams
 
-    def latent_points(self):
-        with self._lock:
-            if self._latent_points is None:
-                entries = load_pd_file(self.config.latent_file)
-                missing = [i for i in self.object_ids if i not in entries]
-                if missing:
-                    raise ValueError(
-                        f"latent file lacks object {missing[0]} (and "
-                        f"{len(missing) - 1} more)")
-                raw = []
-                for oid in self.object_ids:
-                    d = entries[oid]
-                    raw.append(np.vstack([d.points(0), d.points(1)]))
-                counts = {len(p) for p in raw}
-                if len(counts) != 1:
-                    raise ValueError(
-                        f"latent sets must share one point count, got {sorted(counts)}")
-                self._latent_points = _normalize_latents(
-                    raw, self.config.box_latent)
-            return self._latent_points
+# Stage 2: one pipeline's clean diagrams (pd only), points, density and T
+# fold classifiers
+_PipelineState = namedtuple("_PipelineState",
+                            "diagrams points density classifiers")
 
-    def clean_points(self, pipeline: str):
-        with self._lock:
-            if pipeline not in self._clean_points:
-                if pipeline == "pd":
-                    pts = [np.vstack([d.points(0), d.points(1)])
-                           for d in self.diagrams()]
-                elif pipeline == "raw":
-                    pts = [o.points for o in self.dataset.objects]
-                else:
-                    pts = self.latent_points()
-                self._clean_points[pipeline] = pts
-            return self._clean_points[pipeline]
 
-    def clean_features(self, pipeline: str):
-        with self._lock:
-            if pipeline not in self._clean_features:
-                if pipeline == "pd":
-                    feats = np.array([perslay_vectorize(self.perslay, d)
-                                      for d in self.diagrams()])
-                elif pipeline == "raw":
-                    feats = np.array([
-                        rasterize_raw(o.points, box_side=self.config.box_raw)
-                        for o in self.dataset.objects])
-                else:
-                    feats = np.array([p.ravel()
-                                      for p in self.latent_points()])
-                self._clean_features[pipeline] = feats
-            return self._clean_features[pipeline]
+def _latent_points(ctx):
+    entries = load_pd_file(ctx.config.latent_file)
+    missing = [i for i in ctx.object_ids if i not in entries]
+    if missing:
+        raise ValueError(f"latent file lacks object {missing[0]} (and "
+                         f"{len(missing) - 1} more)")
+    raw = [np.vstack([entries[oid].points(0), entries[oid].points(1)])
+           for oid in ctx.object_ids]
+    counts = {len(p) for p in raw}
+    if len(counts) != 1:
+        raise ValueError(
+            f"latent sets must share one point count, got {sorted(counts)}")
+    return _normalize_latents(raw, ctx.config.box_latent)
 
-    def classifier(self, pipeline: str, t: int):
-        key = (pipeline, t)
-        with self._lock:
-            if key not in self._classifiers:
-                feats = self.clean_features(pipeline)
-                train, _ = self.schedule.folds[t]
-                fold_seed = int(np.random.SeedSequence(
-                    entropy=self.config.train_seed,
-                    spawn_key=(PIPELINE_KINDS.index(pipeline), t),
-                ).generate_state(1)[0])
-                self._classifiers[key] = train_classifier(
-                    feats[train], self.labels[train],
-                    hidden_sizes=self.config.hidden,
-                    epochs=self.config.epochs, seed=fold_seed)
-            return self._classifiers[key]
 
-    def density(self, pipeline: str):
-        with self._lock:
-            if pipeline not in self._density:
-                pts = self.clean_points(pipeline)
-                self._density[pipeline] = estimate_density(
-                    [pts[i] for i in self.test_multiset],
-                    box_side=self.config.box_for(pipeline),
-                    partition=self.config.partition)
-            return self._density[pipeline]
+def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
+    cfg = ctx.config
+    diagrams = None
+    if pipeline == "pd":
+        diagrams = []
+        for obj in ctx.dataset.objects:
+            d = vr_diagram(obj.points, gamma_max=cfg.gamma_max)
+            diagrams.append(d.drop_essential() if cfg.drop_essential else d)
+        points = [np.vstack([d.points(0), d.points(1)]) for d in diagrams]
+        features = np.array([perslay_vectorize(ctx.perslay, d)
+                             for d in diagrams])
+    elif pipeline == "raw":
+        points = [o.points for o in ctx.dataset.objects]
+        features = np.array([rasterize_raw(o.points, box_side=cfg.box_raw)
+                             for o in ctx.dataset.objects])
+    else:
+        points = _latent_points(ctx)
+        features = np.array([p.ravel() for p in points])
+    density = estimate_density([points[i] for i in ctx.test_multiset],
+                               box_side=cfg.box_for(pipeline),
+                               partition=cfg.partition)
+    classifiers = []
+    for t, (train, _) in enumerate(ctx.schedule.folds):
+        fold_seed = int(np.random.SeedSequence(
+            entropy=cfg.train_seed,
+            spawn_key=(PIPELINE_KINDS.index(pipeline), t),
+        ).generate_state(1)[0])
+        classifiers.append(train_classifier(
+            features[train], ctx.labels[train], hidden_sizes=cfg.hidden,
+            epochs=cfg.epochs, seed=fold_seed))
+    return _PipelineState(diagrams=diagrams, points=points, density=density,
+                          classifiers=classifiers)
 
-    def bch(self, spec: tuple):
-        with self._lock:
-            if spec not in self._bch:
-                n, k, t = spec
-                m_gf = (n + 1).bit_length() - 1
-                code = bch_generator(m_gf, t)
-                if code.k != k:
-                    raise ValueError(
-                        f"designed-distance construction at t={t} yields "
-                        f"k={code.k}, config says {k}")
-                self._bch[spec] = code
-            return self._bch[spec]
 
-    def warm(self):
-        """Best-effort prebuild of shared state before parallel cells.
+def _build_bch(spec: tuple):
+    """Stage 3: one BCH code, checked against the configured k."""
+    n, k, t = spec
+    m_gf = (n + 1).bit_length() - 1
+    code = bch_generator(m_gf, t)
+    if code.k != k:
+        raise ValueError(
+            f"designed-distance construction at t={t} yields "
+            f"k={code.k}, config says {k}")
+    return code
 
-        A failing resource is left unbuilt; the cells that need it re-raise
-        through the lazy accessor and are recorded as per-cell errors, so
-        one bad pipeline or code spec cannot take down the whole sweep.
-        """
-        for p in self.config.pipelines:
-            try:
-                self.clean_points(p)
-                self.clean_features(p)
-                self.density(p)
-                for t in range(self.config.T):
-                    self.classifier(p, t)
-            except (PipelineError, ValueError):
-                pass
-        for spec in self.config.codes:
-            try:
-                self.bch(spec)
-            except (PipelineError, ValueError):
-                pass
 
-    def prep(self, pipeline: str, m: int):
-        key = (pipeline, m)
-        with self._lock:
-            if key not in self._prep:
-                self._prep[key] = self._build_prep(pipeline, m)
-            return self._prep[key]
+# Stage 4: what every cell of one (pipeline, m) group shares; `shared` holds
+# the record fields that no channel or classifier changes
+_CellPrep = namedtuple("_CellPrep", "grid streams bits huffman shared")
 
-    def _build_prep(self, pipeline: str, m: int):
-        cfg = self.config
-        grid = QuantizerGrid(box_side=cfg.box_for(pipeline), n_bins=m)
-        pts = self.clean_points(pipeline)
-        streams, bits, counts = {}, {}, {}
-        probs = cell_probabilities(self.density(pipeline), grid)
-        huffman = build_huffman(probs)
-        avg_len = huffman.expected_length(probs[huffman.symbols - 1])
+
+def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
+    cfg = ctx.config
+    grid = QuantizerGrid(box_side=cfg.box_for(pipeline), n_bins=m)
+    probs = cell_probabilities(state.density, grid)
+    huffman = build_huffman(probs)
+    streams, bits = {}, {}
+    for i in ctx.unique_test:
         if pipeline == "pd":
-            diags = self.diagrams()
-            for i in self.unique_test:
-                q = quantize_diagram(grid, diags[i],
-                                     collapse_duplicates=cfg.collapse_duplicates)
-                streams[i] = q
-                counts[i] = q.channel_counts
-        else:
-            for i in self.unique_test:
-                q = quantize_set(grid, pts[i], pipeline,
+            q = quantize_diagram(grid, state.diagrams[i],
                                  collapse_duplicates=cfg.collapse_duplicates)
-                streams[i] = q
-                counts[i] = (len(q.indices),)
-        for i in self.unique_test:
-            bits[i] = huffman_encode(huffman, streams[i].indices)
-        lengths = np.array([len(streams[i].indices) for i in self.unique_test],
-                           dtype=float)
-        by_index = dict(zip(self.unique_test.tolist(), lengths))
-        mean_symbols = float(np.mean(
-            [by_index[i] for i in self.test_multiset]))
-        rate = semantic_rate(quantizer_entropy(probs), pipeline, m,
-                             mean_symbols, cell_probs=probs)
-        mse = mse_distortion(self.density(pipeline), grid)
-        bn = bottleneck_style_distortion(
-            [pts[i] for i in self.test_multiset], grid)
-        return _CellPrep(grid=grid, streams=streams, bits=bits, counts=counts,
-                         huffman=huffman, avg_len=avg_len, rate=rate,
-                         mse=mse, bottleneck=bn)
-
-
-@dataclass
-class _CellPrep:
-    grid: QuantizerGrid
-    streams: dict
-    bits: dict
-    counts: dict
-    huffman: object
-    avg_len: float
-    rate: object
-    mse: float
-    bottleneck: float
+        else:
+            q = quantize_set(grid, state.points[i], pipeline,
+                             collapse_duplicates=cfg.collapse_duplicates)
+        streams[i] = q
+        bits[i] = huffman_encode(huffman, q.indices)
+    mean_symbols = float(np.mean(
+        [len(streams[i].indices) for i in ctx.test_multiset]))
+    rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols,
+                         cell_probs=probs)
+    shared = dict(
+        entropy_bits=rate.entropy_bits_per_symbol,
+        mean_symbols=rate.mean_symbols_per_object,
+        rate_cells=rate.rate_bits_per_object,
+        rate_selfinfo=rate.self_information_bits_per_object,
+        huffman_bits=float(np.mean([len(bits[i]) for i in ctx.test_multiset])),
+        avg_codeword_len=huffman.expected_length(probs[huffman.symbols - 1]),
+        mse=mse_distortion(state.density, grid),
+        bottleneck=bottleneck_style_distortion(
+            [state.points[i] for i in ctx.test_multiset], grid))
+    return _CellPrep(grid=grid, streams=streams, bits=bits, huffman=huffman,
+                     shared=shared)
 
 
 def _decode_uncoded(ctx, prep, alpha):
     channel = BscChannel(alpha=alpha, seed=ctx.config.channel_seed)
-    triples = [(int(ctx.object_ids[i]), prep.bits[i], prep.counts[i])
-               for i in ctx.unique_test]
+    triples = [(int(ctx.object_ids[i]), prep.bits[i],
+                prep.streams[i].channel_counts) for i in ctx.unique_test]
     sent = transmit(channel, pack_objects(triples))
     decoded, wire = {}, {}
     for i, (frame, payload) in zip(ctx.unique_test, sent.payloads()):
@@ -613,7 +506,9 @@ def _decode_coded(ctx, prep, alpha, code):
     for i in ctx.unique_test:
         payload = prep.bits[i]
         oid = int(ctx.object_ids[i])
-        overhead = 16 * (1 + len(prep.counts[i]))
+        counts = prep.streams[i].channel_counts
+        # the same frame fields the uncoded stream charges
+        overhead = FRAME_FIELD_BITS * (1 + len(counts))
         if len(payload) == 0:
             decoded[i] = np.empty(0, dtype=int)
             wire[i] = overhead
@@ -621,44 +516,41 @@ def _decode_coded(ctx, prep, alpha, code):
         blocks = int(np.ceil(len(payload) / k))
         padded = np.zeros(blocks * k, dtype=np.uint8)
         padded[:len(payload)] = payload
-        words = [bch_encode(code, padded[j * k:(j + 1) * k])
-                 for j in range(blocks)]
+        words = [bch_encode(code, msg) for msg in padded.reshape(blocks, k)]
         received = transmit_bits(channel, np.concatenate(words), key=(oid,))
         pieces = []
-        for j in range(blocks):
-            msg, _, failed = decode_or_passthrough(
-                code, received[j * n:(j + 1) * n])
+        for word in received.reshape(blocks, n):
+            msg, _, failed = decode_or_passthrough(code, word)
             failures += int(failed)
             pieces.append(msg)
         out_bits = np.concatenate(pieces)[:len(payload)]
         decoded[i] = huffman_decode(prep.huffman, out_bits,
-                                    max_symbols=sum(prep.counts[i]),
+                                    max_symbols=sum(counts),
                                     strict=False)
         wire[i] = blocks * n + overhead
     return decoded, wire, failures
 
 
-def _cell_features(ctx, prep, pipeline, decoded):
+def _cell_features(ctx, state, prep, pipeline, decoded):
     cfg = ctx.config
     feats = {}
     for i in ctx.unique_test:
         symbols = decoded[i]
         if pipeline == "pd":
-            n0, n1 = prep.counts[i]
-            c0 = min(n0, len(symbols))
-            c1 = len(symbols) - c0
+            c0 = min(prep.streams[i].channel_counts[0], len(symbols))
+            # imported at call time: sweepbench/spans.py wraps it in quantizer
             from .quantizer import diagram_from_symbols
-            diag = diagram_from_symbols(prep.grid, symbols, (c0, c1),
+            diag = diagram_from_symbols(prep.grid, symbols,
+                                        (c0, len(symbols) - c0),
                                         gamma_max=cfg.gamma_max)
             feats[i] = perslay_vectorize(ctx.perslay, diag)
-        elif pipeline == "raw":
-            centers = (prep.grid.centers_of(symbols) if len(symbols)
-                       else np.empty((0, 2)))
+            continue
+        centers = (prep.grid.centers_of(symbols) if len(symbols)
+                   else np.empty((0, 2)))
+        if pipeline == "raw":
             feats[i] = rasterize_raw(centers, box_side=cfg.box_raw)
         else:
-            want = len(ctx.clean_points("latent")[i])
-            centers = (prep.grid.centers_of(symbols) if len(symbols)
-                       else np.empty((0, 2)))
+            want = len(state.points[i])
             padded = np.zeros((want, 2))
             padded[:min(want, len(centers))] = centers[:want]
             feats[i] = padded.ravel()
@@ -676,53 +568,46 @@ def _symbol_error_rate(ctx, prep, decoded) -> float:
     return float(np.mean([rates[i] for i in ctx.test_multiset]))
 
 
-def _run_cell(ctx, pipeline, m, alpha, code_spec):
-    prep = ctx.prep(pipeline, m)
-    if code_spec is None:
+def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
+    if code is None:
         decoded, wire, failures = _decode_uncoded(ctx, prep, alpha)
-        label = "none"
     else:
-        code = ctx.bch(code_spec)
         decoded, wire, failures = _decode_coded(ctx, prep, alpha, code)
-        label = "%d:%d:%d" % code_spec
-    feats = _cell_features(ctx, prep, pipeline, decoded)
+    feats = _cell_features(ctx, state, prep, pipeline, decoded)
     fold_accs = []
     for t, (_, test) in enumerate(ctx.schedule.folds):
         X = np.stack([feats[i] for i in test])
-        fold_accs.append(evaluate_accuracy(ctx.classifier(pipeline, t),
+        fold_accs.append(evaluate_accuracy(state.classifiers[t],
                                            X, ctx.labels[test]))
-    from .inference import AccuracyReport
     report = AccuracyReport.from_folds(fold_accs)
-    wire_mean = float(np.mean([wire[i] for i in ctx.test_multiset]))
-    huff_mean = float(np.mean(
-        [len(prep.bits[i]) for i in ctx.test_multiset]))
     record = TradeoffRecord(
         pipeline=pipeline, m=m, alpha=alpha, code=label, status="ok",
         schedule=ctx.schedule.schedule_hash(), seed=ctx.config.channel_seed,
-        entropy_bits=prep.rate.entropy_bits_per_symbol,
-        mean_symbols=prep.rate.mean_symbols_per_object,
-        rate_cells=prep.rate.rate_bits_per_object,
-        rate_selfinfo=prep.rate.self_information_bits_per_object,
-        huffman_bits=huff_mean, wire_bits=wire_mean,
-        avg_codeword_len=prep.avg_len,
-        mse=prep.mse, bottleneck=prep.bottleneck,
+        wire_bits=float(np.mean([wire[i] for i in ctx.test_multiset])),
         acc_mean=report.mean, band_low=report.band_low,
         band_high=report.band_high, acc_std=report.std,
         symbol_error_rate=_symbol_error_rate(ctx, prep, decoded),
-        decode_failures=failures)
+        decode_failures=failures, **prep.shared)
     return record, report
 
 
 def _error_record(ctx, pipeline, m, alpha, label, exc) -> TradeoffRecord:
-    nan = float("nan")
-    return TradeoffRecord(
-        pipeline=pipeline, m=m, alpha=alpha, code=label, status="error",
-        schedule=ctx.schedule.schedule_hash(), seed=ctx.config.channel_seed,
-        entropy_bits=nan, mean_symbols=nan, rate_cells=nan, rate_selfinfo=nan,
-        huffman_bits=nan, wire_bits=nan, avg_codeword_len=nan, mse=nan,
-        bottleneck=nan, acc_mean=nan, band_low=nan, band_high=nan,
-        acc_std=nan, symbol_error_rate=nan, decode_failures=0,
-        error=f"{type(exc).__name__}: {exc}")
+    nan = {f.name: float("nan") for f in fields(TradeoffRecord)
+           if f.type is float}
+    return TradeoffRecord(**{
+        **nan, "pipeline": pipeline, "m": m, "alpha": alpha, "code": label,
+        "status": "error", "schedule": ctx.schedule.schedule_hash(),
+        "seed": ctx.config.channel_seed, "decode_failures": 0,
+        "error": f"{type(exc).__name__}: {exc}"})
+
+
+def _attempt(build, *args):
+    """Run one stage; a PipelineError or ValueError is returned instead of
+    raised, and every cell that needs the stage records it."""
+    try:
+        return build(*args)
+    except (PipelineError, ValueError) as exc:
+        return exc
 
 
 def folds_path_for(out_path: str) -> str:
@@ -735,72 +620,79 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
 
     Returns the complete record list, previously finished cells included.
     The results file gets one row per cell under a config-hash header; a
-    sibling *_folds.csv holds per-repetition accuracies.
+    sibling *_folds.csv holds per-repetition accuracies. A last line cut
+    short by a kill is dropped from both files before a resume appends.
     """
     ctx = _SweepContext(config)
-    code_specs = [None] + list(config.codes)
-    cells = [(p, m, a, c) for p in config.pipelines for m in config.m_values
-             for a in config.alphas for c in code_specs]
+    # (key, pipeline, m, alpha, code spec) in row order
+    cells = [((p, m, _fmt(a), "none" if c is None else "%d:%d:%d" % c),
+              p, m, a, c)
+             for p, m, a, c in product(config.pipelines, config.m_values,
+                                       config.alphas, (None,) + config.codes)]
 
-    done, existing = {}, []
-    header_needed = True
+    header = "# config_hash=%s\n" % config.config_hash()
+    folds_path = folds_path_for(config.out)
+    existing = []
     if os.path.exists(config.out):
+        _drop_partial_line(config.out, header.encode())
         file_hash, existing = read_results(config.out)
         if file_hash != config.config_hash():
             raise ValueError(
                 f"results file {config.out!r} was produced by a different "
                 f"configuration (hash {file_hash})")
-        done = {r.key: r for r in existing}
-        header_needed = False
+        if os.path.exists(folds_path):
+            _drop_partial_line(folds_path)
+    done = {r.key for r in existing}
+    pending = [c for c in cells if c[0] not in done]
 
-    folds_path = folds_path_for(config.out)
-    ctx.warm()
-
-    def compute(cell):
-        pipeline, m, alpha, spec = cell
-        label = "none" if spec is None else "%d:%d:%d" % spec
-        key = (pipeline, m, _fmt(alpha), label)
-        if key in done:
-            return key, None, None
-        try:
-            record, report = _run_cell(ctx, pipeline, m, alpha, spec)
-            return key, record, report
-        except (PipelineError, ValueError) as exc:
-            return key, _error_record(ctx, pipeline, m, alpha, label, exc), None
+    # stages 2 and 3, each built once, only for the cells still to run
+    states = {p: _attempt(_build_pipeline, ctx, p) for p in config.pipelines
+              if any(c[1] == p for c in pending)}
+    codes = {s: _attempt(_build_bch, s) for s in config.codes
+             if any(c[4] == s for c in pending)}
 
     records = list(existing)
     failed = []
-    out_f = open(config.out, "a", newline="")
-    folds_f = open(folds_path, "a", newline="")
-    try:
-        if header_needed:
-            out_f.write("# config_hash=%s\n" % config.config_hash())
-            out_f.write(",".join(COLUMNS) + "\n")
+    group, prep = None, None
+    with (open(config.out, "a", newline="") as out_f,
+          open(folds_path, "a", newline="") as folds_f):
+        if out_f.tell() == 0:
+            out_f.write(header + ",".join(COLUMNS) + "\n")
             out_f.flush()
         if folds_f.tell() == 0:
             folds_f.write("pipeline,m,alpha,code,t,accuracy\n")
             folds_f.flush()
         out_w = csv.writer(out_f, lineterminator="\n")
         folds_w = csv.writer(folds_f, lineterminator="\n")
-        if config.workers > 1:
-            pool = ThreadPoolExecutor(max_workers=config.workers)
-            results = list(pool.map(compute, cells))
-            pool.shutdown()
-        else:
-            results = map(compute, cells)
-        for idx, (key, record, report) in enumerate(results):
-            if record is None:
+        for idx, (key, pipeline, m, alpha, spec) in enumerate(cells):
+            if key in done:
                 if progress:
                     print(f"[{idx + 1}/{len(cells)}] {key} already done")
                 continue
+            state = states[pipeline]
+            if group != (pipeline, m):
+                # stage 4: drop the finished group's prep, build this one's
+                group, prep = (pipeline, m), None
+                if not isinstance(state, Exception):
+                    prep = _attempt(_build_prep, ctx, state, pipeline, m)
+            code = codes.get(spec)
+            failure = next((s for s in (state, prep, code)
+                            if isinstance(s, Exception)), None)
+            if failure is None:
+                try:
+                    record, report = _run_cell(ctx, state, prep, pipeline, m,
+                                               alpha, key[3], code)
+                except (PipelineError, ValueError) as exc:
+                    failure = exc
+            if failure is not None:
+                record, report = _error_record(ctx, pipeline, m, alpha,
+                                               key[3], failure), None
             records.append(record)
             out_w.writerow(record.to_row())
             out_f.flush()
             if report is not None:
-                for t, acc in enumerate(report.per_fold):
-                    folds_w.writerow([record.pipeline, record.m,
-                                      _fmt(record.alpha), record.code, t,
-                                      _fmt(acc)])
+                folds_w.writerows([*key, t, _fmt(acc)]
+                                  for t, acc in enumerate(report.per_fold))
                 folds_f.flush()
             if record.status == "error":
                 failed.append((key, record.error))
@@ -808,9 +700,6 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
                 tail = (f"acc={record.acc_mean:.4f}"
                         if record.status == "ok" else record.error)
                 print(f"[{idx + 1}/{len(cells)}] {key} {tail}")
-    finally:
-        out_f.close()
-        folds_f.close()
     if progress and failed:
         print(f"{len(failed)} cell(s) failed:")
         for key, err in failed:
@@ -824,22 +713,19 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-def _svg_chart(series, x_label, y_label, title, bands=None, vlines=None,
-               log_x=False):
-    """Hand-rolled line chart. series: [(name, xs, ys)]; bands aligned with
-    series as (lo, hi) arrays or None; vlines: [(label, x)]."""
+def _svg_chart(series, x_label, y_label, title, vlines=(), log_x=False):
+    """Hand-rolled line chart. series: [(name, xs, ys, band)] with band a
+    (lo, hi) pair of arrays or None; vlines: [(label, x)]."""
     width, height = 640, 440
     ml, mr, mt, mb = 64, 16, 28, 48
     pw, ph = width - ml - mr, height - mt - mb
     xs_all = np.concatenate([np.asarray(xs, dtype=float)
-                             for _, xs, _ in series])
-    if vlines:
-        xs_all = np.concatenate([xs_all, [x for _, x in vlines]])
-    ys_all = [np.asarray(ys, dtype=float) for _, _, ys in series]
-    if bands:
-        ys_all += [np.asarray(b, dtype=float) for pair in bands if pair
-                   for b in pair]
-    ys_all = np.concatenate(ys_all)
+                             for _, xs, _, _ in series]
+                            + [[x for _, x in vlines]])
+    ys_all = np.concatenate(
+        [np.asarray(ys, dtype=float) for _, _, ys, _ in series]
+        + [np.asarray(b, dtype=float) for *_, band in series if band
+           for b in band])
     if log_x:
         xs_all = np.log10(xs_all)
     x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))
@@ -878,12 +764,11 @@ def _svg_chart(series, x_label, y_label, title, bands=None, vlines=None,
         ticks = np.linspace(x_lo, x_hi, 5).tolist()
     for tx in ticks:
         x = px(tx)
-        label = "%.3g" % tx
         out.append(f'<line x1="{x:.1f}" y1="{mt + ph}" x2="{x:.1f}" '
                    f'y2="{mt + ph + 4}" stroke="#333"/>')
         out.append(f'<text x="{x:.1f}" y="{mt + ph + 18}" '
                    f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="11">{label}</text>')
+                   f'font-size="11">{"%.3g" % tx}</text>')
     for ty in np.linspace(y_lo, y_hi, 5):
         y = py(ty)
         out.append(f'<line x1="{ml - 4}" y1="{y:.1f}" x2="{ml}" y2="{y:.1f}" '
@@ -897,17 +782,17 @@ def _svg_chart(series, x_label, y_label, title, bands=None, vlines=None,
     out.append(f'<text x="16" y="{mt + ph / 2:.0f}" text-anchor="middle" '
                f'font-family="sans-serif" font-size="12" '
                f'transform="rotate(-90 16 {mt + ph / 2:.0f})">{y_label}</text>')
-    for v_idx, (name, x) in enumerate(vlines or []):
+    for v_idx, (name, x) in enumerate(vlines):
         xp = px(x)
         out.append(f'<line x1="{xp:.1f}" y1="{mt}" x2="{xp:.1f}" '
                    f'y2="{mt + ph}" stroke="#666" stroke-dasharray="4 3"/>')
         out.append(f'<text x="{xp + 3:.1f}" y="{mt + 12 + 12 * v_idx}" '
                    f'font-family="sans-serif" font-size="10" '
                    f'fill="#666">{name}</text>')
-    for s_idx, (name, xs, ys) in enumerate(series):
+    for s_idx, (name, xs, ys, band) in enumerate(series):
         color = _PALETTE[s_idx % len(_PALETTE)]
-        if bands and bands[s_idx]:
-            lo, hi = bands[s_idx]
+        if band:
+            lo, hi = band
             ring = ([(px(x), py(v)) for x, v in zip(xs, hi)] +
                     [(px(x), py(v)) for x, v in zip(xs[::-1], lo[::-1])])
             pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in ring)
@@ -929,6 +814,41 @@ def _svg_chart(series, x_label, y_label, title, bands=None, vlines=None,
     return "\n".join(out) + "\n"
 
 
+# One chart kind. `columns`, `sort`, `x`, `y` and `group` name record fields;
+# each pipeline's cells split into one series per `group` value, sorted by
+# `sort` (stable in record order). `labels` are the x axis, y axis and title;
+# `noisy` plots the cells off the perfect uncoded channel instead of those on
+# it; `band` shades band_low..band_high.
+_Curve = namedtuple("_Curve", "columns sort x y labels noisy band log_x "
+                    "group name", defaults=(False, True, True, (),
+                                            "{pipeline}"))
+
+_RATE, _MSE, _ACC = "rate (bits/object)", "mean squared distortion", "accuracy"
+_BAND = ("acc_mean", "band_low", "band_high")
+
+_CURVES = {
+    "dr": _Curve(("pipeline", "m", "rate_selfinfo", "rate_cells", "mse",
+                  "bottleneck"), sort=("m",), x="rate_selfinfo", y="mse",
+                 labels=(_RATE, _MSE, "distortion vs rate"), band=False),
+    "ad": _Curve(("pipeline", "m", "mse") + _BAND + ("acc_std",),
+                 sort=("mse", "m"), x="mse", y="acc_mean",
+                 labels=(_MSE, _ACC, "accuracy vs distortion"), log_x=False),
+    "ar": _Curve(("pipeline", "m", "rate_selfinfo") + _BAND + ("acc_std",),
+                 sort=("rate_selfinfo", "m"), x="rate_selfinfo", y="acc_mean",
+                 labels=(_RATE, _ACC, "accuracy vs rate")),
+    "ar-coded": _Curve(("pipeline", "code", "alpha", "m", "wire_bits") + _BAND,
+                       sort=("wire_bits",), x="wire_bits", y="acc_mean",
+                       labels=("transmitted bits/object", _ACC,
+                               "accuracy vs coded rate"),
+                       noisy=True, band=False, group=("code", "alpha"),
+                       name="{pipeline} {code} a={alpha}"),
+}
+
+
+def _is_clean(r) -> bool:
+    return r.alpha == 0.0 and r.code == "none"
+
+
 def emit_curves(records, kind: str, out_dir) -> tuple:
     """Write <kind>.csv and <kind>.svg under out_dir; returns both paths.
 
@@ -939,6 +859,7 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     """
     if kind not in CURVE_KINDS:
         raise ValueError(f"unknown curve kind {kind!r}")
+    spec = _CURVES[kind]
     records = [r for r in records if r.status == "ok"]
     if not records:
         raise ValueError("no successful records to plot")
@@ -948,110 +869,37 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     pipelines = [p for p in PIPELINE_KINDS
                  if any(r.pipeline == p for r in records)]
 
-    def base_rows(pipeline):
-        rows = [r for r in records
-                if r.pipeline == pipeline and r.alpha == 0.0
-                and r.code == "none"]
-        return sorted(rows, key=lambda r: r.m)
-
-    series, bands, vlines = [], [], None
+    series, vlines = [], []
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        if kind == "dr":
-            w.writerow(["pipeline", "m", "rate_selfinfo", "rate_cells",
-                        "mse", "bottleneck"])
-            for p in pipelines:
-                rows = base_rows(p)
-                if not rows:
-                    print(f"warning: no perfect-channel rows for {p!r}, "
-                          f"curve omitted")
-                    continue
+        w.writerow(spec.columns)
+        for p in pipelines:
+            clean = [r for r in records if r.pipeline == p and _is_clean(r)]
+            if spec.noisy and clean:
+                ref = min(clean, key=lambda r: r.m)
+                vlines.append((f"{p} rate", ref.rate_selfinfo))
+            groups = {}
+            for r in records:
+                if r.pipeline == p and _is_clean(r) != spec.noisy:
+                    key = tuple(getattr(r, g) for g in spec.group)
+                    groups.setdefault(key, []).append(r)
+            if not groups:
+                which = "coded or noisy" if spec.noisy else "perfect-channel"
+                print(f"warning: no {which} rows for {p!r}, curve omitted")
+                continue
+            for key, rows in sorted(groups.items()):
+                rows.sort(key=attrgetter(*spec.sort))
                 for r in rows:
-                    w.writerow([p, r.m, _fmt(r.rate_selfinfo),
-                                _fmt(r.rate_cells), _fmt(r.mse),
-                                _fmt(r.bottleneck)])
-                series.append((p, [r.rate_selfinfo for r in rows],
-                               [r.mse for r in rows]))
-                bands.append(None)
-            chart_args = ("rate (bits/object)", "mean squared distortion",
-                          "distortion vs rate", True)
-        elif kind == "ad":
-            w.writerow(["pipeline", "m", "mse", "acc_mean", "band_low",
-                        "band_high", "acc_std"])
-            for p in pipelines:
-                rows = base_rows(p)
-                if not rows:
-                    print(f"warning: no perfect-channel rows for {p!r}, "
-                          f"curve omitted")
-                    continue
-                rows = sorted(rows, key=lambda r: r.mse)
-                for r in rows:
-                    w.writerow([p, r.m, _fmt(r.mse), _fmt(r.acc_mean),
-                                _fmt(r.band_low), _fmt(r.band_high),
-                                _fmt(r.acc_std)])
-                series.append((p, [r.mse for r in rows],
-                               [r.acc_mean for r in rows]))
-                bands.append(([r.band_low for r in rows],
-                              [r.band_high for r in rows]))
-            chart_args = ("mean squared distortion", "accuracy",
-                          "accuracy vs distortion", False)
-        elif kind == "ar":
-            w.writerow(["pipeline", "m", "rate_selfinfo", "acc_mean",
-                        "band_low", "band_high", "acc_std"])
-            for p in pipelines:
-                rows = base_rows(p)
-                if not rows:
-                    print(f"warning: no perfect-channel rows for {p!r}, "
-                          f"curve omitted")
-                    continue
-                rows = sorted(rows, key=lambda r: r.rate_selfinfo)
-                for r in rows:
-                    w.writerow([p, r.m, _fmt(r.rate_selfinfo),
-                                _fmt(r.acc_mean), _fmt(r.band_low),
-                                _fmt(r.band_high), _fmt(r.acc_std)])
-                series.append((p, [r.rate_selfinfo for r in rows],
-                               [r.acc_mean for r in rows]))
-                bands.append(([r.band_low for r in rows],
-                              [r.band_high for r in rows]))
-            chart_args = ("rate (bits/object)", "accuracy",
-                          "accuracy vs rate", True)
-        else:  # ar-coded
-            w.writerow(["pipeline", "code", "alpha", "m", "wire_bits",
-                        "acc_mean", "band_low", "band_high"])
-            vlines = []
-            for p in pipelines:
-                base = base_rows(p)
-                if base:
-                    ref = min(base, key=lambda r: r.m)
-                    vlines.append((f"{p} rate", ref.rate_selfinfo))
-                groups = {}
-                for r in records:
-                    if r.pipeline != p:
-                        continue
-                    if r.alpha == 0.0 and r.code == "none":
-                        continue
-                    groups.setdefault((r.code, r.alpha), []).append(r)
-                if not groups:
-                    print(f"warning: no coded or noisy rows for {p!r}, "
-                          f"curve omitted")
-                    continue
-                for (code, alpha), rows in sorted(groups.items()):
-                    rows = sorted(rows, key=lambda r: r.wire_bits)
-                    for r in rows:
-                        w.writerow([p, code, _fmt(alpha), r.m,
-                                    _fmt(r.wire_bits), _fmt(r.acc_mean),
-                                    _fmt(r.band_low), _fmt(r.band_high)])
-                    name = f"{p} {code} a={_fmt(alpha)}"
-                    series.append((name, [r.wire_bits for r in rows],
-                                   [r.acc_mean for r in rows]))
-                    bands.append(None)
-            chart_args = ("transmitted bits/object", "accuracy",
-                          "accuracy vs coded rate", True)
+                    w.writerow([_text(getattr(r, c)) for c in spec.columns])
+                name = spec.name.format(pipeline=p, **{
+                    g: _text(v) for g, v in zip(spec.group, key)})
+                band = ([r.band_low for r in rows],
+                        [r.band_high for r in rows]) if spec.band else None
+                series.append((name, [getattr(r, spec.x) for r in rows],
+                               [getattr(r, spec.y) for r in rows], band))
     if not series:
         raise ValueError("no records matched the requested curve kind")
-    x_label, y_label, title, log_x = chart_args
-    chart = _svg_chart(series, x_label, y_label, title, bands=bands,
-                       vlines=vlines, log_x=log_x)
+    chart = _svg_chart(series, *spec.labels, vlines=vlines, log_x=spec.log_x)
     with open(svg_path, "w") as f:
         f.write(chart)
     return csv_path, svg_path

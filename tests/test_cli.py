@@ -10,7 +10,6 @@ from pdsemcom.homology import load_pd_file
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("PDSEMCOM_SEED", raising=False)
-    monkeypatch.delenv("PDSEMCOM_WORKERS", raising=False)
 
 
 def _bits(path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import shutil
 
 import numpy as np
@@ -32,8 +33,10 @@ def small_sweep(tmp_path_factory):
 
 def test_config_text_round_trip(tmp_path, monkeypatch):
     monkeypatch.delenv("PDSEMCOM_SEED", raising=False)
-    monkeypatch.delenv("PDSEMCOM_WORKERS", raising=False)
-    config = _small_config(tmp_path / "r.csv", workers=2)
+    latent = tmp_path / "latents.csv"
+    latent.write_text("")
+    config = _small_config(tmp_path / "r.csv", latent_file=str(latent),
+                           collapse_duplicates=True)
     path = tmp_path / "cfg.txt"
     write_config(path, config)
     back = load_config(path)
@@ -94,16 +97,22 @@ def test_env_overrides(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     write_config(path, ExperimentConfig(out=str(tmp_path / "r.csv")))
     monkeypatch.setenv("PDSEMCOM_SEED", "99")
-    monkeypatch.setenv("PDSEMCOM_WORKERS", "3")
     cfg = load_config(path)
     assert (cfg.dataset_seed, cfg.cv_seed, cfg.train_seed,
             cfg.channel_seed) == (99, 100, 101, 102)
-    assert cfg.workers == 3
+
+
+def test_config_hashes_are_pinned():
+    assert ExperimentConfig().config_hash() == "e65922132398f5d5"
+    cfg = ExperimentConfig(codes=((1023, 123, 170), (15, 5, 3)),
+                           alphas=(0.0, 0.12), drop_essential=True,
+                           collapse_duplicates=True)
+    assert cfg.config_hash() == "732a0c135e127a37"
 
 
 def test_hash_ignores_artifact_plumbing():
-    a = ExperimentConfig(out="a.csv", workers=1)
-    b = ExperimentConfig(out="b.csv", workers=4)
+    a = ExperimentConfig(out="a.csv")
+    b = ExperimentConfig(out="b.csv")
     assert a.config_hash() == b.config_hash()
     c = ExperimentConfig(noise=0.3)
     assert c.config_hash() != a.config_hash()
@@ -226,6 +235,65 @@ def test_sweep_resume_is_idempotent(small_sweep, tmp_path):
     assert open(partial, "rb").read() == original
 
 
+def test_resume_after_interrupted_append(small_sweep, tmp_path):
+    # a kill mid-append leaves the last results row cut short and none of
+    # that cell's fold rows
+    config, finished = small_sweep
+    results = open(config.out, "rb").read()
+    folds = open(folds_path_for(config.out), "rb").read()
+    last = results[:-1].rsplit(b"\n", 1)[1]
+    out = tmp_path / "cut.csv"
+    out.write_bytes(results[:len(results) - len(last) // 2 - 1])
+    fold_lines = folds.splitlines(keepends=True)
+    cut_folds = tmp_path / "cut_folds.csv"
+    cut_folds.write_bytes(b"".join(fold_lines[:-config.T]))
+    records = run_sweep(ExperimentConfig(**{**config.__dict__,
+                                            "out": str(out)}))
+    assert len(records) == len(finished)
+    assert out.read_bytes() == results
+    assert cut_folds.read_bytes() == folds
+
+
+def test_read_results_rejects_bad_rows(small_sweep, tmp_path):
+    config, _ = small_sweep
+    lines = open(config.out).read().splitlines(keepends=True)
+    path = tmp_path / "r.csv"
+    short = lines[4].rsplit(",", 3)[0] + "\n"
+    path.write_text("".join(lines[:4] + [short] + lines[5:]))
+    with pytest.raises(ParseError) as err:
+        read_results(path)
+    assert err.value.line_number == 5
+    bad = lines[3].replace(",ok,", ",ok?,")
+    path.write_text("".join(lines[:3] + [bad] + lines[4:]))
+    with pytest.raises(ParseError) as err:
+        read_results(path)
+    assert err.value.line_number == 4
+
+
+def test_each_stage_runs_once(tmp_path, monkeypatch):
+    import pdsemcom.harness as harness
+    calls = {}
+
+    def counting(name):
+        fn = getattr(harness, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(harness, name, wrapped)
+
+    for name in ("vr_diagram", "train_classifier", "bch_generator"):
+        counting(name)
+    config = _small_config(tmp_path / "r.csv", epochs=5)
+    run_sweep(config)
+    assert calls == {"vr_diagram": 3 * config.per_class,
+                     "train_classifier": len(config.pipelines) * config.T,
+                     "bch_generator": len(config.codes)}
+    calls.clear()
+    run_sweep(config)  # nothing left to do: no stage is built
+    assert calls == {}
+
+
 def test_sweep_rejects_foreign_results_file(small_sweep):
     config, _ = small_sweep
     other = ExperimentConfig(**{**config.__dict__, "noise": 0.25})
@@ -312,6 +380,68 @@ def test_emit_curves_warns_on_missing_pipeline(small_sweep, tmp_path, capsys):
         emit_curves(clean_only, "ar-coded", tmp_path / "c2")
     out = capsys.readouterr().out
     assert out.count("curve omitted") == 2  # once per pipeline
+
+
+def _curve_record(pipeline, m, alpha, code, rate, mse, acc, wire):
+    return TradeoffRecord(
+        pipeline=pipeline, m=m, alpha=alpha, code=code, status="ok",
+        schedule="s1", seed=11, entropy_bits=rate / 10, mean_symbols=10.0,
+        rate_cells=rate * 2, rate_selfinfo=rate, huffman_bits=rate + 1,
+        wire_bits=wire, avg_codeword_len=2.5, mse=mse,
+        bottleneck=mse * 1.5, acc_mean=acc, band_low=acc - 0.05,
+        band_high=min(1.0, acc + 0.05), acc_std=0.02,
+        symbol_error_rate=0.0 if alpha == 0 else 0.1, decode_failures=0)
+
+
+GOLDEN_CURVES = {
+    "dr": ("pipeline,m,rate_selfinfo,rate_cells,mse,bottleneck\n"
+           "pd,5,25,50,0.75,1.125\n"
+           "pd,8,40,80,0.25,0.375\n"
+           "raw,5,120,240,1.5,2.25\n"
+           "raw,8,180,360,0.5,0.75\n",
+           "68cc9544dfbe46e1c287b823d1007cd846a69e7cf19ca7ad5fbdf760abcb0ced"),
+    "ad": ("pipeline,m,mse,acc_mean,band_low,band_high,acc_std\n"
+           "pd,8,0.25,0.9,0.85,0.95,0.02\n"
+           "pd,5,0.75,0.8,0.75,0.85,0.02\n"
+           "raw,8,0.5,0.85,0.8,0.9,0.02\n"
+           "raw,5,1.5,0.7,0.65,0.75,0.02\n",
+           "366a3cf46a8e56b4cfb95c6529d98c4e9f62fb38bb3227bfb9af48086eeb0177"),
+    "ar": ("pipeline,m,rate_selfinfo,acc_mean,band_low,band_high,acc_std\n"
+           "pd,5,25,0.8,0.75,0.85,0.02\n"
+           "pd,8,40,0.9,0.85,0.95,0.02\n"
+           "raw,5,120,0.7,0.65,0.75,0.02\n"
+           "raw,8,180,0.85,0.8,0.9,0.02\n",
+           "dbfa17cebbd0eb05653e780416e1316c85e77924750cb0b472a494138a4a2e89"),
+    # equal wire_bits keep record order (m=8 before m=5)
+    "ar-coded": ("pipeline,code,alpha,m,wire_bits,acc_mean,band_low,"
+                 "band_high\n"
+                 "pd,none,0.3,5,57,0.55,0.5,0.6\n"
+                 "pd,none,0.3,8,72,0.6,0.55,0.65\n"
+                 "raw,15:5:3,0.3,8,600,0.8,0.75,0.85\n"
+                 "raw,15:5:3,0.3,5,600,0.65,0.6,0.7\n",
+                 "170be1b0df2aef0a36d1142e84ab98f59bbd8b67de9cce96dd239b19"
+                 "56a29160"),
+}
+
+
+def test_golden_curves(tmp_path):
+    # 2 pipelines x 2 m, clean cells out of m order, noisy pd cells and
+    # coded raw cells that tie on wire bits
+    records = [
+        _curve_record("pd", 8, 0.0, "none", 40.0, 0.25, 0.9, 72.0),
+        _curve_record("pd", 5, 0.0, "none", 25.0, 0.75, 0.8, 57.0),
+        _curve_record("raw", 5, 0.0, "none", 120.0, 1.5, 0.7, 152.0),
+        _curve_record("raw", 8, 0.0, "none", 180.0, 0.5, 0.85, 212.0),
+        _curve_record("pd", 8, 0.3, "none", 40.0, 0.25, 0.6, 72.0),
+        _curve_record("pd", 5, 0.3, "none", 25.0, 0.75, 0.55, 57.0),
+        _curve_record("raw", 8, 0.3, "15:5:3", 180.0, 0.5, 0.8, 600.0),
+        _curve_record("raw", 5, 0.3, "15:5:3", 120.0, 1.5, 0.65, 600.0),
+    ]
+    for kind, (text, svg_sha) in GOLDEN_CURVES.items():
+        csv_path, svg_path = emit_curves(records, kind, tmp_path)
+        assert open(csv_path, newline="").read() == text, kind
+        with open(svg_path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == svg_sha, kind
 
 
 def test_emit_curves_validation(small_sweep, tmp_path):
