@@ -10,13 +10,12 @@ caller decides whether to pass the systematic bits through.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
-from ..errors import CapacityExceeded, DecodeFailure, ShapeError
+from ..errors import CapacityExceeded, DecodeFailure, ShapeError, read_table
 from .galois import GaloisField
 
 CODE_TABLE_RESOURCE = "bch_1023_codes.csv"
@@ -250,15 +249,9 @@ def decode_or_passthrough(code: BchCode, received: np.ndarray):
 
 def load_code_table() -> list:
     """The packaged (1023, k, t) rows usable by the sweep."""
-    rows = []
     text = resources.files("pdsemcom.data").joinpath(CODE_TABLE_RESOURCE).read_text()
-    reader = csv.reader(text.strip().splitlines())
-    header = next(reader)
-    if [h.strip() for h in header] != ["n", "k", "t"]:
-        raise ValueError(f"bad code table header {header!r}")
-    for row in reader:
-        rows.append((int(row[0]), int(row[1]), int(row[2])))
-    return rows
+    return [row for _, row in read_table(text.strip().splitlines(),
+                                         ("n", "k", "t"), (int, int, int))]
 
 
 def select_compatible_codes(r_source: float, r_budget: float, n: int = 1023,

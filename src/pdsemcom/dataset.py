@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyObject, InconsistentLabel, ParseError
+from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
+                     one_of, read_table)
 
 RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
@@ -122,26 +123,12 @@ def threshold_grid(grid: GrayscaleGrid, threshold: float, object_id: int = 0,
 def load_pointcloud_file(path) -> LabeledDataset:
     """Read a `object,x,y,label` CSV into a dataset grouped by object id."""
     groups: dict[int, list] = {}
-    labels: dict[int, int | None] = {}
+    labels: dict[int, int] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", line_number=1)
-        if [h.strip().lower() for h in header] != ["object", "x", "y", "label"]:
-            raise ParseError(f"bad header {header!r}", line_number=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            try:
-                obj = int(row[0])
-                x = float(row[1])
-                y = float(row[2])
-                lab = int(row[3]) if row[3].strip() else None
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+        for lineno, (obj, x, y, lab) in read_table(
+                fh, ("object", "x", "y", "label"),
+                (int, nonnegative, nonnegative,
+                 one_of(int, VALID_CLASSES, "label"))):
             if obj in labels and labels[obj] != lab:
                 raise InconsistentLabel(
                     f"object {obj}: label {lab} at line {lineno} "

@@ -1,4 +1,7 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline, and the CSV table reader
+whose every complaint is a ParseError."""
+
+import csv
 
 
 class PipelineError(Exception):
@@ -15,6 +18,59 @@ class ParseError(PipelineError):
             message = f"line {line_number}: {message}"
         super().__init__(message)
         self.line_number = line_number
+
+
+def read_table(lines, header, converters, first_line: int = 1):
+    """Yield (line number, converted fields) for each row of a CSV table.
+
+    `lines` starts with the header line, which must equal `header` up to
+    case and surrounding spaces; it is line `first_line` of its file. Blank
+    rows are skipped. A missing or wrong header, an unreadable row, a row
+    whose field count differs from len(converters), and a field that its
+    converter rejects raise ParseError with the line number.
+    """
+    reader = csv.reader(lines)
+    while True:
+        lineno = first_line + reader.line_num
+        try:
+            row = next(reader, None)
+        except (csv.Error, UnicodeDecodeError) as exc:
+            raise ParseError(f"unreadable row: {exc}", lineno) from exc
+        if lineno == first_line:
+            if row is None or [h.strip().lower() for h in row] != list(header):
+                raise ParseError(
+                    f"expected header {','.join(header)}, got {row!r}", lineno)
+        elif row is None:
+            return
+        elif row and (len(row) > 1 or row[0].strip()):
+            if len(row) != len(converters):
+                raise ParseError(
+                    f"expected {len(converters)} fields, got {len(row)}", lineno)
+            try:
+                fields = tuple(conv(text) for conv, text in zip(converters, row))
+            except (ValueError, OverflowError, PipelineError) as exc:
+                raise ParseError(str(exc), lineno) from exc
+            yield lineno, fields
+
+
+def one_of(convert, allowed, what: str):
+    """A converter for read_table: `convert`, then reject what is not in
+    `allowed` with a ValueError."""
+    def check(text: str):
+        value = convert(text)
+        if value not in allowed:
+            raise ValueError(f"{what} must be one of {allowed}, got {value!r}")
+        return value
+    return check
+
+
+def nonnegative(text: str) -> float:
+    """A finite, nonnegative coordinate; anything else is a ValueError."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise ValueError(
+            f"coordinate must be finite and nonnegative, got {text.strip()!r}")
+    return value
 
 
 class InconsistentLabel(PipelineError):

@@ -342,6 +342,27 @@ def _drop_partial_line(path, header: bytes = b"") -> None:
             f.truncate(data.rfind(b"\n") + 1)
 
 
+def _drop_unfinished_cell(out_path, folds_path, records, T: int) -> list:
+    """A kill after a cell's results row and before its last fold row leaves
+    the last row an ok cell with fewer than T fold rows. Cut that row and
+    its fold rows so that the cell is computed again; -> the kept records."""
+    if not records or records[-1].status != "ok":
+        return records
+    prefix = ",".join(map(str, records[-1].key)).encode() + b","
+    with open(folds_path, "ab+") as f:
+        f.seek(0)
+        lines = f.readlines()
+        kept = len(lines)
+        while kept and lines[kept - 1].startswith(prefix):
+            kept -= 1
+        if len(lines) - kept >= T:
+            return records
+        f.truncate(sum(map(len, lines[:kept])))
+    with open(out_path, "rb+") as f:
+        f.truncate(sum(map(len, f.readlines()[:-1])))
+    return records[:-1]
+
+
 def _normalize_latents(point_sets, box_side: float):
     """Uniform scale + translation of every set into [0, box]^2."""
     allpts = np.vstack(point_sets)
@@ -545,8 +566,7 @@ def _cell_features(ctx, state, prep, pipeline, decoded):
                                         gamma_max=cfg.gamma_max)
             feats[i] = perslay_vectorize(ctx.perslay, diag)
             continue
-        centers = (prep.grid.centers_of(symbols) if len(symbols)
-                   else np.empty((0, 2)))
+        centers = prep.grid.centers_of(symbols)
         if pipeline == "raw":
             feats[i] = rasterize_raw(centers, box_side=cfg.box_raw)
         else:
@@ -621,7 +641,8 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     Returns the complete record list, previously finished cells included.
     The results file gets one row per cell under a config-hash header; a
     sibling *_folds.csv holds per-repetition accuracies. A last line cut
-    short by a kill is dropped from both files before a resume appends.
+    short by a kill is dropped from both files before a resume appends, and
+    so is a last cell whose fold rows did not all land.
     """
     ctx = _SweepContext(config)
     # (key, pipeline, m, alpha, code spec) in row order
@@ -642,6 +663,8 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
                 f"configuration (hash {file_hash})")
         if os.path.exists(folds_path):
             _drop_partial_line(folds_path)
+        existing = _drop_unfinished_cell(config.out, folds_path, existing,
+                                         config.T)
     done = {r.key for r in existing}
     pending = [c for c in cells if c[0] not in done]
 
@@ -863,43 +886,44 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     records = [r for r in records if r.status == "ok"]
     if not records:
         raise ValueError("no successful records to plot")
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, f"{kind}.csv")
-    svg_path = os.path.join(out_dir, f"{kind}.svg")
     pipelines = [p for p in PIPELINE_KINDS
                  if any(r.pipeline == p for r in records)]
 
-    series, vlines = [], []
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(spec.columns)
-        for p in pipelines:
-            clean = [r for r in records if r.pipeline == p and _is_clean(r)]
-            if spec.noisy and clean:
-                ref = min(clean, key=lambda r: r.m)
-                vlines.append((f"{p} rate", ref.rate_selfinfo))
-            groups = {}
-            for r in records:
-                if r.pipeline == p and _is_clean(r) != spec.noisy:
-                    key = tuple(getattr(r, g) for g in spec.group)
-                    groups.setdefault(key, []).append(r)
-            if not groups:
-                which = "coded or noisy" if spec.noisy else "perfect-channel"
-                print(f"warning: no {which} rows for {p!r}, curve omitted")
-                continue
-            for key, rows in sorted(groups.items()):
-                rows.sort(key=attrgetter(*spec.sort))
-                for r in rows:
-                    w.writerow([_text(getattr(r, c)) for c in spec.columns])
-                name = spec.name.format(pipeline=p, **{
-                    g: _text(v) for g, v in zip(spec.group, key)})
-                band = ([r.band_low for r in rows],
-                        [r.band_high for r in rows]) if spec.band else None
-                series.append((name, [getattr(r, spec.x) for r in rows],
-                               [getattr(r, spec.y) for r in rows], band))
+    # rows and series are built before either file is opened, so a call
+    # that raises writes nothing
+    table, series, vlines = [spec.columns], [], []
+    for p in pipelines:
+        clean = [r for r in records if r.pipeline == p and _is_clean(r)]
+        if spec.noisy and clean:
+            ref = min(clean, key=lambda r: r.m)
+            vlines.append((f"{p} rate", ref.rate_selfinfo))
+        groups = {}
+        for r in records:
+            if r.pipeline == p and _is_clean(r) != spec.noisy:
+                key = tuple(getattr(r, g) for g in spec.group)
+                groups.setdefault(key, []).append(r)
+        if not groups:
+            which = "coded or noisy" if spec.noisy else "perfect-channel"
+            print(f"warning: no {which} rows for {p!r}, curve omitted")
+            continue
+        for key, rows in sorted(groups.items()):
+            rows.sort(key=attrgetter(*spec.sort))
+            table.extend([_text(getattr(r, c)) for c in spec.columns]
+                         for r in rows)
+            name = spec.name.format(pipeline=p, **{
+                g: _text(v) for g, v in zip(spec.group, key)})
+            band = ([r.band_low for r in rows],
+                    [r.band_high for r in rows]) if spec.band else None
+            series.append((name, [getattr(r, spec.x) for r in rows],
+                           [getattr(r, spec.y) for r in rows], band))
     if not series:
         raise ValueError("no records matched the requested curve kind")
     chart = _svg_chart(series, *spec.labels, vlines=vlines, log_x=spec.log_x)
+    os.makedirs(out_dir, exist_ok=True)
+    csv_path = os.path.join(out_dir, f"{kind}.csv")
+    svg_path = os.path.join(out_dir, f"{kind}.svg")
+    with open(csv_path, "w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(table)
     with open(svg_path, "w") as f:
         f.write(chart)
     return csv_path, svg_path

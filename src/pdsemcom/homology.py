@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceeded, ParseError, ShapeError
+from .errors import (BudgetExceeded, ShapeError, nonnegative, one_of,
+                     read_table)
 
 DEFAULT_GAMMA_MAX = 16.0
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
@@ -417,35 +418,16 @@ def load_pd_file(path, gamma_max: float | None = None) -> dict:
     """
     rows: dict[int, list] = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty file", line_number=1)
-        if [h.strip().lower() for h in header] != ["object", "dim", "birth", "death"]:
-            raise ParseError(f"bad header {header!r}", line_number=1)
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 4:
-                raise ParseError(f"expected 4 fields, got {len(row)}", lineno)
-            try:
-                obj = int(row[0])
-                dim = int(row[1])
-                birth = float(row[2])
-                death = float(row[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-            rows.setdefault(obj, []).append((dim, birth, death))
+        for _, (obj, *row) in read_table(
+                fh, ("object", "dim", "birth", "death"),
+                (int, one_of(int, (0, 1), "homology degree"), nonnegative,
+                 nonnegative)):
+            rows.setdefault(obj, []).append(row)
     out = {}
     for obj in sorted(rows):
-        arr = np.array(rows[obj])
-        dims = arr[:, 0].astype(int)
-        births = arr[:, 1]
-        deaths = arr[:, 2]
-        if gamma_max is not None:
-            essential = deaths == gamma_max
-        else:
-            essential = np.zeros(len(arr), dtype=bool)
+        dims, births, deaths = np.array(rows[obj]).T
+        essential = (np.zeros(len(dims), dtype=bool) if gamma_max is None
+                     else deaths == gamma_max)
         out[obj] = PersistenceDiagram(
             births=births, deaths=deaths, dims=dims, essential=essential,
             gamma_max=gamma_max, halfplane=bool(np.all(births <= deaths)),

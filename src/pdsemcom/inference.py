@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ParseError, ShapeError, TrainingDiverged
 from .homology import PersistenceDiagram
+from .quantizer import QuantizerGrid
 
 N_CLASSES = 3
 CHECKPOINT_MAGIC = b"PDSC"
@@ -110,22 +111,14 @@ def perslay_vectorize(config: PerslayConfig,
 def rasterize_raw(points: np.ndarray, box_side: float = 28.0,
                   partition: int = 28) -> np.ndarray:
     """Binary occupancy raster of a point set, flattened x-bin major."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    out = np.zeros(partition * partition)
-    if len(pts) == 0:
-        return out
-    if np.any(pts < 0) or np.any(pts > box_side):
-        from .errors import OutOfBox
-        bad = pts[np.any((pts < 0) | (pts > box_side), axis=1)][0]
-        raise OutOfBox(f"point {tuple(bad)} outside [0, {box_side}]^2")
-    w = box_side / partition
-    bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
-    out[bins[:, 0] * partition + bins[:, 1]] = 1.0
+    grid = QuantizerGrid(box_side=box_side, n_bins=partition)
+    out = np.zeros(grid.n_cells)
+    out[grid.quantize_points(points) - 1] = 1.0
     return out
 
 
 class Classifier:
-    """Fully connected ReLU network with a softmax head and ADAM state."""
+    """Fully connected ReLU network with a softmax head."""
 
     def __init__(self, layer_sizes, seed: int = 0):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
@@ -141,7 +134,6 @@ class Classifier:
             self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
         self.step = 0
-        self.moments = None
         self.loss_history = []
 
     def forward(self, X: np.ndarray):
@@ -215,10 +207,10 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     y_index = labels - 1
 
     net = Classifier((X.shape[1], *hidden_sizes, N_CLASSES), seed=seed)
-    m_w = [np.zeros_like(W) for W in net.weights]
-    v_w = [np.zeros_like(W) for W in net.weights]
-    m_b = [np.zeros_like(b) for b in net.biases]
-    v_b = [np.zeros_like(b) for b in net.biases]
+    # weights then biases; each array is updated in place
+    params = net.weights + net.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     for epoch in range(epochs):
         loss, gw, gb = loss_and_gradients(net, X, y_index)
         if not np.isfinite(loss):
@@ -226,18 +218,12 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
         net.loss_history.append(loss)
         net.step += 1
         t = net.step
-        for i in range(len(net.weights)):
-            m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-            v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-            m_hat = m_w[i] / (1 - beta1 ** t)
-            v_hat = v_w[i] / (1 - beta2 ** t)
-            net.weights[i] -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-            m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-            v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-            mb_hat = m_b[i] / (1 - beta1 ** t)
-            vb_hat = v_b[i] / (1 - beta2 ** t)
-            net.biases[i] -= learning_rate * mb_hat / (np.sqrt(vb_hat) + eps)
-    net.moments = (m_w, v_w, m_b, v_b)
+        for i, (p, g) in enumerate(zip(params, gw + gb)):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+            m_hat = m[i] / (1 - beta1 ** t)
+            v_hat = v[i] / (1 - beta2 ** t)
+            p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
     return net
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDensity, OutOfBox, ShapeError
+from .errors import EmptyDensity, ShapeError
 from .quantizer import QuantizerGrid, upper_triangle_cells
 
 DEFAULT_PARTITION = 28
@@ -66,36 +66,32 @@ class EmpiricalDensity:
 def estimate_density(point_sets, box_side: float,
                      partition: int = DEFAULT_PARTITION) -> EmpiricalDensity:
     """Histogram a collection of 2D point multisets and rescale to mass 1."""
-    if partition < 1:
-        raise ValueError("partition must be at least 1")
-    w = box_side / partition
-    counts = np.zeros((partition, partition))
-    total = 0
-    for pts in point_sets:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        if len(pts) == 0:
-            continue
-        if np.any(pts < 0) or np.any(pts > box_side):
-            bad = pts[(np.any((pts < 0) | (pts > box_side), axis=1))][0]
-            raise OutOfBox(f"point {tuple(bad)} outside [0, {box_side}]^2")
-        bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
-        np.add.at(counts, (bins[:, 0], bins[:, 1]), 1)
-        total += len(pts)
+    grid = QuantizerGrid(box_side=box_side, n_bins=partition)
+    cells = [grid.quantize_points(pts) for pts in point_sets]
+    total = sum(len(k) for k in cells)
     if total == 0:
         raise EmptyDensity("no points to estimate a density from")
+    counts = np.bincount(np.concatenate(cells) - 1, minlength=grid.n_cells)
     return EmpiricalDensity(box_side=box_side, partition=partition,
-                            mass=counts / total)
+                            mass=counts.reshape(partition, partition) / total)
 
 
-def _overlap_weights(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
-    """W[a, i] = |partition cell a  intersect  quantizer bin i| / cell width."""
+def _overlap_bounds(density: EmpiricalDensity, grid: QuantizerGrid) -> tuple:
+    """(lo, hi)[a, i]: the ends of partition cell a intersect quantizer bin i
+    on one axis; the intersection is empty where hi <= lo."""
     w = density.cell_width
     d = grid.cell_width
     a = np.arange(density.partition)
     i = np.arange(grid.n_bins)
     lo = np.maximum(a[:, None] * w, i[None, :] * d)
     hi = np.minimum((a[:, None] + 1) * w, (i[None, :] + 1) * d)
-    return np.clip(hi - lo, 0.0, None) / w
+    return lo, hi
+
+
+def _overlap_weights(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
+    """W[a, i] = |partition cell a  intersect  quantizer bin i| / cell width."""
+    lo, hi = _overlap_bounds(density, grid)
+    return np.clip(hi - lo, 0.0, None) / density.cell_width
 
 
 def cell_probabilities(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
@@ -197,18 +193,14 @@ def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
         raise ShapeError(
             f"density box {density.box_side} differs from grid box {grid.box_side}"
         )
-    w = density.cell_width
-    d = grid.cell_width
-    a = np.arange(density.partition)
-    i = np.arange(grid.n_bins)
-    lo = np.maximum(a[:, None] * w, i[None, :] * d)
-    hi = np.minimum((a[:, None] + 1) * w, (i[None, :] + 1) * d)
-    centers = (i + 0.5) * d
+    lo, hi = _overlap_bounds(density, grid)
+    centers = (np.arange(grid.n_bins) + 0.5) * grid.cell_width
     t_hi = np.clip(hi, lo, None) - centers[None, :]
     t_lo = lo - centers[None, :]
     seg = np.where(hi > lo, (t_hi ** 3 - t_lo ** 3) / 3.0, 0.0)
     A = np.sum(seg, axis=1)
-    return float(np.sum(density.mass * (A[:, None] + A[None, :])) / w)
+    return float(np.sum(density.mass * (A[:, None] + A[None, :]))
+                 / density.cell_width)
 
 
 def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:
@@ -216,11 +208,8 @@ def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:
     worst = []
     for pts in point_sets:
         pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        if len(pts) == 0:
-            worst.append(0.0)
-            continue
         centers = grid.centers_of(grid.quantize_points(pts))
-        worst.append(float(np.max(np.abs(pts - centers))))
+        worst.append(float(np.max(np.abs(pts - centers), initial=0.0)))
     if not worst:
         raise EmptyDensity("no objects given")
     return float(np.mean(worst))

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CorruptSymbol, OutOfBox, ParseError, ShapeError
+from .errors import (CorruptSymbol, OutOfBox, ParseError, ShapeError, one_of,
+                     read_table)
 from .homology import PersistenceDiagram
 
 SOURCE_KINDS = ("pd", "raw", "latent")
@@ -33,10 +34,11 @@ class QuantizerGrid:
     n_bins: int
 
     def __post_init__(self):
-        if self.box_side <= 0:
-            raise ValueError(f"box side must be positive, got {self.box_side}")
-        if self.n_bins < 2:
-            raise ValueError(f"need at least 2 bins per dim, got {self.n_bins}")
+        if not 0 < self.box_side < np.inf:
+            raise ValueError(
+                f"box side must be positive and finite, got {self.box_side}")
+        if self.n_bins < 1:
+            raise ValueError(f"need at least 1 bin per dim, got {self.n_bins}")
 
     @property
     def cell_width(self) -> float:
@@ -47,12 +49,10 @@ class QuantizerGrid:
         return self.n_bins * self.n_bins
 
     def _bins(self, coords: np.ndarray) -> np.ndarray:
-        bad = (coords < 0) | (coords > self.box_side)
+        bad = ~((coords >= 0) & (coords <= self.box_side))
         if np.any(bad):
-            idx = np.argwhere(bad)[0]
             raise OutOfBox(
-                f"coordinate {coords[tuple(idx)]} outside [0, {self.box_side}]"
-            )
+                f"coordinate {coords[bad][0]} outside [0, {self.box_side}]")
         bins = np.floor(coords / self.cell_width).astype(int)
         # closed final cell: points on the far boundary stay in bin m-1
         return np.minimum(bins, self.n_bins - 1)
@@ -66,16 +66,19 @@ class QuantizerGrid:
     def quantize_point(self, s) -> int:
         return int(self.quantize_points(np.asarray(s).reshape(1, 2))[0])
 
-    def centers_of(self, indices: np.ndarray) -> np.ndarray:
-        """Cell centers for 1-based indices; invalid index -> CorruptSymbol."""
+    def bins_of(self, indices: np.ndarray) -> tuple:
+        """(x bins, y bins) of 1-based indices; invalid index -> CorruptSymbol."""
         idx = np.asarray(indices, dtype=int).ravel()
         bad = (idx < 1) | (idx > self.n_cells)
         if np.any(bad):
             raise CorruptSymbol(
                 f"cell index {idx[bad][0]} outside 1..{self.n_cells}"
             )
-        x_bin = (idx - 1) // self.n_bins
-        y_bin = (idx - 1) % self.n_bins
+        return (idx - 1) // self.n_bins, (idx - 1) % self.n_bins
+
+    def centers_of(self, indices: np.ndarray) -> np.ndarray:
+        """Cell centers for 1-based indices; invalid index -> CorruptSymbol."""
+        x_bin, y_bin = self.bins_of(indices)
         w = self.cell_width
         return np.column_stack([(x_bin + 0.5) * w, (y_bin + 0.5) * w])
 
@@ -103,11 +106,7 @@ class QuantizedPointSet:
         if self.source_kind not in SOURCE_KINDS:
             raise ValueError(f"source_kind must be one of {SOURCE_KINDS}")
         idx = np.asarray(self.indices, dtype=int).ravel()
-        bad = (idx < 1) | (idx > self.grid.n_cells)
-        if np.any(bad):
-            raise CorruptSymbol(
-                f"cell index {idx[bad][0]} outside 1..{self.grid.n_cells}"
-            )
+        x_bin, y_bin = self.grid.bins_of(idx)
         if not self.channel_counts:
             object.__setattr__(self, "channel_counts", (len(idx),))
         if sum(self.channel_counts) != len(idx):
@@ -115,15 +114,11 @@ class QuantizedPointSet:
                 f"channel counts {self.channel_counts} do not partition "
                 f"{len(idx)} symbols"
             )
-        if self.source_kind == "pd" and self.check_halfplane and len(idx):
-            x_bin = (idx - 1) // self.grid.n_bins
-            y_bin = (idx - 1) % self.grid.n_bins
-            if np.any(x_bin > y_bin):
-                k = idx[x_bin > y_bin][0]
-                raise ValueError(
-                    f"cell {k} lies strictly below the diagonal; "
-                    "not reachable from birth <= death input"
-                )
+        if (self.source_kind == "pd" and self.check_halfplane
+                and np.any(x_bin > y_bin)):
+            raise ValueError(
+                f"cell {idx[x_bin > y_bin][0]} lies strictly below the "
+                "diagonal; not reachable from birth <= death input")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -135,38 +130,31 @@ class QuantizedPointSet:
         return self.indices[start:start + self.channel_counts[c]]
 
 
+def _cells(grid: QuantizerGrid, points, collapse_duplicates: bool):
+    idx = grid.quantize_points(points)
+    return np.unique(idx) if collapse_duplicates else idx
+
+
 def quantize_set(grid: QuantizerGrid, points: np.ndarray, source_kind: str,
                  collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a point multiset; multiplicity kept unless collapsing."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    idx = grid.quantize_points(pts) if len(pts) else np.empty(0, dtype=int)
-    if collapse_duplicates:
-        idx = np.unique(idx)
-    return QuantizedPointSet(indices=idx, grid=grid, source_kind=source_kind)
+    return QuantizedPointSet(indices=_cells(grid, points, collapse_duplicates),
+                             grid=grid, source_kind=source_kind)
 
 
 def dequantize(grid: QuantizerGrid, q: QuantizedPointSet) -> np.ndarray:
     """Representation points (cell centers), preserving order and multiplicity."""
-    if len(q) == 0:
-        return np.empty((0, 2))
     return grid.centers_of(q.indices)
 
 
 def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram,
                      collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a diagram's (birth, death) points, degree 0 then degree 1."""
-    parts = []
-    counts = []
-    for dim in (0, 1):
-        pts = diagram.points(dim)
-        idx = grid.quantize_points(pts) if len(pts) else np.empty(0, dtype=int)
-        if collapse_duplicates:
-            idx = np.unique(idx)
-        parts.append(idx)
-        counts.append(len(idx))
+    parts = [_cells(grid, diagram.points(dim), collapse_duplicates)
+             for dim in (0, 1)]
     return QuantizedPointSet(
-        indices=np.concatenate(parts) if parts else np.empty(0, dtype=int),
-        grid=grid, source_kind="pd", channel_counts=tuple(counts),
+        indices=np.concatenate(parts), grid=grid, source_kind="pd",
+        channel_counts=tuple(len(p) for p in parts),
         check_halfplane=diagram.halfplane,
     )
 
@@ -180,7 +168,7 @@ def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
         raise ShapeError(
             f"channel counts {channel_counts} do not partition {len(idx)} symbols"
         )
-    centers = grid.centers_of(idx) if len(idx) else np.empty((0, 2))
+    centers = grid.centers_of(idx)
     dims = np.repeat(np.arange(len(channel_counts)),
                      np.array(channel_counts, dtype=int))
     return PersistenceDiagram.from_received(
@@ -205,6 +193,13 @@ def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
                     writer.writerow([object_id, c, int(k)])
 
 
+def _symbol(grid: QuantizerGrid, text: str) -> int:
+    """A cell index of `grid`; bins_of raises CorruptSymbol for any other."""
+    k = int(text)
+    grid.bins_of(k)
+    return k
+
+
 def load_symbol_stream(path):
     """Read a symbol stream file -> (grid, source_kind, {id: QuantizedPointSet}).
 
@@ -212,35 +207,22 @@ def load_symbol_stream(path):
     post-channel stream.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        h1 = next(reader, None)
-        if h1 is None or [s.strip().lower() for s in h1] != \
-                ["box_side", "n_bins", "source_kind"]:
-            raise ParseError(f"bad stream header {h1!r}", line_number=1)
-        vals = next(reader, None)
-        if vals is None or len(vals) != 3:
+        preamble = next(read_table(fh, ("box_side", "n_bins", "source_kind"),
+                                   (float, int, one_of(str.strip, SOURCE_KINDS,
+                                                       "source kind"))), None)
+        if preamble is None:
             raise ParseError("missing grid parameters", line_number=2)
+        lineno, (box_side, n_bins, source_kind) = preamble
         try:
-            grid = QuantizerGrid(box_side=float(vals[0]), n_bins=int(vals[1]))
+            grid = QuantizerGrid(box_side=box_side, n_bins=n_bins)
         except ValueError as exc:
-            raise ParseError(str(exc), line_number=2) from exc
-        source_kind = vals[2].strip()
-        if source_kind not in SOURCE_KINDS:
-            raise ParseError(f"unknown source kind {source_kind!r}", 2)
-        h2 = next(reader, None)
-        if h2 is None or [s.strip().lower() for s in h2] != \
-                ["object", "channel", "symbol"]:
-            raise ParseError(f"bad record header {h2!r}", line_number=3)
+            raise ParseError(str(exc), lineno) from exc
         per_object: dict[int, dict[int, list]] = {}
-        for lineno, row in enumerate(reader, start=4):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(f"expected 3 fields, got {len(row)}", lineno)
-            try:
-                obj, chan, sym = int(row[0]), int(row[1]), int(row[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
+        for _, (obj, chan, sym) in read_table(
+                fh, ("object", "channel", "symbol"),
+                (int, one_of(int, (0, 1), "channel"),
+                 lambda text: _symbol(grid, text)),
+                first_line=lineno + 1):
             per_object.setdefault(obj, {}).setdefault(chan, []).append(sym)
     out = {}
     for obj in sorted(per_object):

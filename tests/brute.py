@@ -2,7 +2,9 @@
 
 Everything here is the slow-but-obviously-correct version of something the
 package computes cleverly: GF(2) Betti numbers straight from boundary-matrix
-ranks, and bottleneck distance by enumerating every partial matching.
+ranks, bottleneck distance by enumerating every partial matching, and the
+density histogram and occupancy raster by their own floor-and-clamp binning
+rather than through the quantizer grid.
 """
 
 import itertools
@@ -99,3 +101,32 @@ def bottleneck_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
                     if cost < best:
                         best = cost
     return best
+
+
+def density_mass_loop(point_sets, box_side: float, partition: int):
+    """Cell masses of the empirical density, binned set by set."""
+    w = box_side / partition
+    counts = np.zeros((partition, partition))
+    total = 0
+    for pts in point_sets:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        if len(pts) == 0:
+            continue
+        assert np.all((pts >= 0) & (pts <= box_side))
+        bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
+        np.add.at(counts, (bins[:, 0], bins[:, 1]), 1)
+        total += len(pts)
+    return counts / total
+
+
+def rasterize_loop(points, box_side: float, partition: int):
+    """Binary occupancy raster, flattened x-bin major."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    out = np.zeros(partition * partition)
+    if len(pts) == 0:
+        return out
+    assert np.all((pts >= 0) & (pts <= box_side))
+    w = box_side / partition
+    bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
+    out[bins[:, 0] * partition + bins[:, 1]] = 1.0
+    return out

@@ -66,6 +66,16 @@ def test_loader_reports_line_numbers(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("row", ["1,2.0,3.0,7", "1,-2.0,3.0,1",
+                                 "1,nan,3.0,1"])
+def test_loader_reports_bad_values_with_line_numbers(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"object,x,y,label\n1,2.0,3.0,1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_pointcloud_file(path)
+    assert err.value.line_number == 3
+
+
 def test_loader_rejects_inconsistent_labels(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("object,x,y,label\n1,2.0,3.0,1\n1,4.0,5.0,2\n")

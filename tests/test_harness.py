@@ -254,6 +254,29 @@ def test_resume_after_interrupted_append(small_sweep, tmp_path):
     assert cut_folds.read_bytes() == folds
 
 
+@pytest.mark.parametrize("cut", [1, 2])
+def test_resume_recomputes_cell_with_missing_fold_rows(tmp_path, cut):
+    # a kill after a cell's results row and before its fold rows: the
+    # resume recomputes that cell instead of leaving its folds short
+    config = _small_config(tmp_path / "full.csv", pipelines=("raw",),
+                           m_values=(5,), alphas=(0.0, 0.3), codes=(),
+                           epochs=5)
+    run_sweep(config)
+    results = open(config.out, "rb").read()
+    folds = open(folds_path_for(config.out), "rb").read()
+    out = tmp_path / "cut.csv"
+    out.write_bytes(results)
+    fold_lines = folds.splitlines(keepends=True)
+    assert len(fold_lines) == 1 + 2 * config.T
+    cut_folds = tmp_path / "cut_folds.csv"
+    cut_folds.write_bytes(b"".join(fold_lines[:-cut]))
+    records = run_sweep(ExperimentConfig(**{**config.__dict__,
+                                            "out": str(out)}))
+    assert len(records) == 2
+    assert out.read_bytes() == results
+    assert cut_folds.read_bytes() == folds
+
+
 def test_read_results_rejects_bad_rows(small_sweep, tmp_path):
     config, _ = small_sweep
     lines = open(config.out).read().splitlines(keepends=True)
@@ -442,6 +465,15 @@ def test_golden_curves(tmp_path):
         assert open(csv_path, newline="").read() == text, kind
         with open(svg_path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == svg_sha, kind
+
+
+def test_failed_emit_curves_writes_nothing(small_sweep, tmp_path):
+    _, records = small_sweep
+    clean_only = [r for r in records if r.alpha == 0.0 and r.code == "none"]
+    with pytest.raises(ValueError):
+        emit_curves(clean_only, "ar-coded", tmp_path)
+    assert not (tmp_path / "ar-coded.csv").exists()
+    assert not (tmp_path / "ar-coded.svg").exists()
 
 
 def test_emit_curves_validation(small_sweep, tmp_path):

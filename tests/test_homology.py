@@ -132,3 +132,12 @@ def test_pd_loader_errors(tmp_path):
     bad.write_text("wrong,header\n")
     with pytest.raises(ParseError):
         load_pd_file(bad)
+
+
+@pytest.mark.parametrize("row", ["1,5,0.0,1.0", "1,0,-1.0,1.0"])
+def test_pd_loader_reports_bad_values_with_line_numbers(tmp_path, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"object,dim,birth,death\n1,0,0.0,2.0\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_pd_file(bad)
+    assert err.value.line_number == 3

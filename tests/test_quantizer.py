@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdsemcom.errors import CorruptSymbol, OutOfBox, ShapeError
+from pdsemcom.errors import CorruptSymbol, OutOfBox, ParseError, ShapeError
 from pdsemcom.homology import vr_diagram
 from pdsemcom.quantizer import (QuantizedPointSet, QuantizerGrid, dequantize,
                                 diagram_from_symbols, load_symbol_stream,
@@ -121,3 +121,22 @@ def test_symbol_stream_round_trip(tmp_path):
     for oid, q in objects.items():
         assert np.array_equal(back[oid].indices, q.indices)
         assert back[oid].channel_counts == q.channel_counts
+
+
+@pytest.mark.parametrize("row", ["3,-1,5", "3,0,0"])
+def test_symbol_stream_reports_bad_values_with_line_numbers(tmp_path, row):
+    path = tmp_path / "stream.csv"
+    path.write_text("box_side,n_bins,source_kind\n16,4,pd\n"
+                    f"object,channel,symbol\n3,0,1\n{row}\n")
+    with pytest.raises(ParseError) as err:
+        load_symbol_stream(path)
+    assert err.value.line_number == 5
+
+
+def test_single_bin_grid_holds_the_whole_box():
+    grid = QuantizerGrid(box_side=16.0, n_bins=1)
+    pts = np.array([[0.0, 0.0], [7.5, 16.0], [16.0, 3.0]])
+    assert np.array_equal(grid.quantize_points(pts), [1, 1, 1])
+    assert np.allclose(grid.center(1), [8.0, 8.0])
+    with pytest.raises(ValueError):
+        QuantizerGrid(box_side=16.0, n_bins=0)
