@@ -33,7 +33,7 @@ from .inference import (AccuracyReport, Classifier, CvSchedule,
                         load_checkpoint, loss_and_gradients,
                         perslay_vectorize, rasterize_raw, run_cv,
                         save_checkpoint, train_classifier)
-from .infotheory import (DistortionReport, EmpiricalDensity, RateReport,
+from .infotheory import (EmpiricalDensity, RateReport,
                          bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)

@@ -62,10 +62,9 @@ def _cmd_pd_compute(args) -> int:
     ds = load_pointcloud_file(getattr(args, "in"))
     entries = {}
     for obj in ds.objects:
-        entries[obj.id] = vr_diagram(obj.points, gamma_max=args.gamma_max,
-                                     max_dim=args.max_dim,
-                                     drop_essential=args.drop_essential,
-                                     budget=args.budget)
+        d = vr_diagram(obj.points, gamma_max=args.gamma_max,
+                       max_dim=args.max_dim, budget=args.budget)
+        entries[obj.id] = d.drop_essential() if args.drop_essential else d
     write_pd_file(args.out, entries)
     total = sum(len(d) for d in entries.values())
     print(f"wrote {total} diagram points for {len(entries)} objects "

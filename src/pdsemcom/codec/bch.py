@@ -103,14 +103,14 @@ class BchCode:
             raise ValueError("generator must divide x^n + 1")
 
 
-def bch_generator(m_gf: int, t: int, primitive_poly: int = 0) -> BchCode:
+def bch_generator(m_gf: int, t: int) -> BchCode:
     """Designed-distance construction: g = lcm of the minimal polynomials
     of alpha, alpha^2, ..., alpha^2t."""
     if not 2 <= m_gf <= 10:
         raise ValueError(f"extension degree must be in 2..10, got {m_gf}")
     if t < 1:
         raise ValueError(f"capability must be at least 1, got {t}")
-    field = GaloisField(m_gf, primitive_poly)
+    field = GaloisField(m_gf)
     n = field.order
     cosets = []
     seen = set()
@@ -127,15 +127,14 @@ def bch_generator(m_gf: int, t: int, primitive_poly: int = 0) -> BchCode:
         raise CapacityExceeded(
             f"capability {t} leaves no message bits (degree {g.bit_length() - 1} >= {n})"
         )
-    # every power alpha^1..alpha^2t must be a root of g
-    g_degs = np.nonzero(int_to_bits(g, g.bit_length()))[0]
-    for i in range(1, 2 * t + 1):
-        val = 0
-        for d in g_degs:
-            val ^= field.pow_alpha(i * int(d))
-        if val != 0:
-            raise AssertionError(f"alpha^{i} is not a root of the generator")
-    return BchCode(field=field, n=n, k=k, t=t, generator=g)
+    code = BchCode(field=field, n=n, k=k, t=t, generator=g)
+    # every power alpha^1..alpha^2t must be a root of g: g's syndromes vanish
+    s = _syndromes(code, np.nonzero(int_to_bits(g, g.bit_length()))[0])
+    not_roots = np.nonzero(s[1:])[0]
+    if len(not_roots):
+        raise AssertionError(
+            f"alpha^{not_roots[0] + 1} is not a root of the generator")
+    return code
 
 
 def bch_encode(code: BchCode, message: np.ndarray) -> np.ndarray:
@@ -254,15 +253,14 @@ def load_code_table() -> list:
                                          ("n", "k", "t"), (int, int, int))]
 
 
-def select_compatible_codes(r_source: float, r_budget: float, n: int = 1023,
-                            table=None) -> list:
+def select_compatible_codes(r_source: float, r_budget: float,
+                            n: int = 1023) -> list:
     """Table codes with enough message bits: k >= n * r_source / r_budget."""
     if r_source <= 0 or r_budget <= 0:
         raise ValueError("rates must be positive")
-    if table is None:
-        table = load_code_table()
     threshold = n * r_source / r_budget
-    return [(k, t) for (tn, k, t) in table if tn == n and k >= threshold]
+    return [(k, t) for (tn, k, t) in load_code_table()
+            if tn == n and k >= threshold]
 
 
 def coded_rate(info_bits: float, n: int, k: int, exact: bool = False) -> float:

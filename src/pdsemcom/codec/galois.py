@@ -82,10 +82,3 @@ class GaloisField:
 
     def pow_alpha(self, e: int) -> int:
         return int(self.exp[e % self.order])
-
-    def square_vec(self, v: np.ndarray) -> np.ndarray:
-        """Elementwise Frobenius square of a vector of field elements."""
-        out = np.zeros_like(v)
-        nz = v != 0
-        out[nz] = self.exp[(2 * self.log[v[nz]]) % self.order]
-        return out

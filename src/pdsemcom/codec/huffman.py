@@ -60,39 +60,28 @@ def _codeword_lengths(p: np.ndarray) -> np.ndarray:
     n = len(p)
     if n == 1:
         return np.array([1])
-    heap = [(float(p[i]), i, i) for i in range(n)]
+    # heap entries are (probability, node id); ties go to the older node
+    heap = [(float(p[i]), i) for i in range(n)]
     heapq.heapify(heap)
-    parent = {}
-    next_id = n
-    while len(heap) > 1:
-        pa, _, a = heapq.heappop(heap)
-        pb, _, b = heapq.heappop(heap)
-        parent[a] = next_id
-        parent[b] = next_id
-        heapq.heappush(heap, (pa + pb, next_id, next_id))
-        next_id += 1
+    leaves = [[i] for i in range(n)]  # node id -> the symbols below it
     lengths = np.zeros(n, dtype=int)
-    for i in range(n):
-        d, node = 0, i
-        while node in parent:
-            node = parent[node]
-            d += 1
-        lengths[i] = d
+    while len(heap) > 1:
+        pa, a = heapq.heappop(heap)
+        pb, b = heapq.heappop(heap)
+        merged = leaves[a] + leaves[b]
+        lengths[merged] += 1
+        heapq.heappush(heap, (pa + pb, len(leaves)))
+        leaves.append(merged)
     return lengths
 
 
-def build_huffman(p: np.ndarray, symbols: np.ndarray | None = None) -> HuffmanCode:
+def build_huffman(p: np.ndarray) -> HuffmanCode:
     """Optimal canonical prefix code over the positive-probability alphabet.
 
-    `symbols` defaults to 1-based positions in `p` (matching quantizer cell
-    indices when `p` is a full cell-probability vector).
+    Symbols are 1-based positions in `p` (matching quantizer cell indices
+    when `p` is a full cell-probability vector).
     """
     p = np.asarray(p, dtype=float).ravel()
-    if symbols is None:
-        symbols = np.arange(1, len(p) + 1)
-    symbols = np.asarray(symbols, dtype=int).ravel()
-    if len(symbols) != len(p):
-        raise ShapeError("symbols and probabilities differ in length")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
     if abs(float(np.sum(p)) - 1.0) > 1e-9:
@@ -100,10 +89,8 @@ def build_huffman(p: np.ndarray, symbols: np.ndarray | None = None) -> HuffmanCo
     keep = p > 0
     if not np.any(keep):
         raise ValueError("no symbol has positive probability")
-    sym = symbols[keep]
-    order = np.argsort(sym)
-    sym = sym[order]
-    lengths = _codeword_lengths(p[keep][order])
+    sym = np.nonzero(keep)[0] + 1
+    lengths = _codeword_lengths(p[keep])
 
     # canonical reassignment: consecutive codewords in (length, symbol) order
     rank = np.lexsort((sym, lengths))

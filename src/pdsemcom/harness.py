@@ -489,8 +489,7 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
         bits[i] = huffman_encode(huffman, q.indices)
     mean_symbols = float(np.mean(
         [len(streams[i].indices) for i in ctx.test_multiset]))
-    rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols,
-                         cell_probs=probs)
+    rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols)
     shared = dict(
         entropy_bits=rate.entropy_bits_per_symbol,
         mean_symbols=rate.mean_symbols_per_object,
@@ -599,7 +598,7 @@ def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
         X = np.stack([feats[i] for i in test])
         fold_accs.append(evaluate_accuracy(state.classifiers[t],
                                            X, ctx.labels[test]))
-    report = AccuracyReport.from_folds(fold_accs)
+    report = AccuracyReport(fold_accs)
     record = TradeoffRecord(
         pipeline=pipeline, m=m, alpha=alpha, code=label, status="ok",
         schedule=ctx.schedule.schedule_hash(), seed=ctx.config.channel_seed,

@@ -2,11 +2,12 @@
 
 The filtration truncates at a scale cap: simplices enter when all pairwise
 distances among their vertices are at most the cap. Classes still alive at
-the cap are either truncated (death set to the cap, flagged essential) or
-dropped. Homology is computed over GF(2): degree 0 by union-find over the
-sorted edges, degree 1 by reducing triangle columns against edge rows with
-Python-int bitmasks (only top-dimension columns need reduction once degree
-0 is handled combinatorially).
+the cap are truncated (death set to the cap, flagged essential);
+`PersistenceDiagram.drop_essential` removes them. Homology is computed over
+GF(2): degree 0 by union-find over the sorted edges, degree 1 by reducing
+triangle columns against edge rows with Python-int bitmasks (only
+top-dimension columns need reduction once degree 0 is handled
+combinatorially).
 """
 
 from __future__ import annotations
@@ -207,12 +208,13 @@ class _UnionFind:
         return True
 
 
-def compute_persistence(filtration: Filtration,
-                        drop_essential: bool = False) -> PersistenceDiagram:
+def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     """Degree-0 and degree-1 persistence of a truncated VR filtration.
 
-    Zero-persistence pairs are dropped. Essential classes get death =
-    gamma_max unless `drop_essential` removes them outright.
+    Degree-1 pairs of zero persistence are dropped; degree-0 pairs of
+    duplicate points (birth 0, death 0) stay, one per extra copy. Classes
+    still alive at the cap get death = gamma_max and are flagged essential;
+    `PersistenceDiagram.drop_essential` removes them.
     """
     n = filtration.n_vertices
     edges = filtration.edges
@@ -233,21 +235,20 @@ def compute_persistence(filtration: Filtration,
         else:
             positive[pos] = True
     n_components = len({uf.find(v) for v in range(n)})
-    if not drop_essential:
-        for _ in range(n_components):
-            births.append(0.0)
-            deaths.append(gmax)
-            dims.append(0)
-            ess.append(True)
+    for _ in range(n_components):
+        births.append(0.0)
+        deaths.append(gmax)
+        dims.append(0)
+        ess.append(True)
 
     # degree 1: reduce triangle columns over edge rows; a column's surviving
     # lowest one pairs that edge's cycle with this triangle
+    paired = np.zeros(len(edges), dtype=bool)
     if len(filtration.triangles):
         edge_pos = {}
         for pos, (a, b) in enumerate(edges):
             edge_pos[(int(a), int(b))] = pos
         pivots: dict[int, int] = {}
-        paired = np.zeros(len(edges), dtype=bool)
         tvals = filtration.triangle_values
         for t in range(len(filtration.triangles)):
             i, j, k = (int(v) for v in filtration.triangles[t])
@@ -266,19 +267,14 @@ def compute_persistence(filtration: Filtration,
                         ess.append(False)
                     break
                 col ^= other
-    else:
-        paired = np.zeros(len(edges), dtype=bool)
 
-    if not drop_essential:
-        for pos in np.nonzero(positive & ~paired)[0]:
-            if evals[pos] < gmax:
-                births.append(float(evals[pos]))
-                deaths.append(gmax)
-                dims.append(1)
-                ess.append(True)
+    for pos in np.nonzero(positive & ~paired)[0]:
+        if evals[pos] < gmax:
+            births.append(float(evals[pos]))
+            deaths.append(gmax)
+            dims.append(1)
+            ess.append(True)
 
-    if not births:
-        return PersistenceDiagram.empty(gamma_max=gmax)
     b = np.array(births)
     d = np.array(deaths)
     dm = np.array(dims, dtype=int)
@@ -289,12 +285,12 @@ def compute_persistence(filtration: Filtration,
 
 
 def vr_diagram(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
-               max_dim: int = 2, drop_essential: bool = False,
+               max_dim: int = 2,
                budget: int = DEFAULT_SIMPLEX_BUDGET) -> PersistenceDiagram:
     """Convenience wrapper: filtration construction plus reduction."""
     filt = build_vr_filtration(points, gamma_max=gamma_max, max_dim=max_dim,
                                budget=budget)
-    return compute_persistence(filt, drop_essential=drop_essential)
+    return compute_persistence(filt)
 
 
 def _kuhn_max_matching(adj: np.ndarray) -> int:
@@ -357,32 +353,18 @@ def bottleneck_distance(a: np.ndarray, b: np.ndarray,
         a, b = a[~inf_a], b[~inf_b]
 
     na, nb = len(a), len(b)
-    if strict_bijection:
-        if na != nb:
-            raise ShapeError(
-                f"strict matching needs equal sizes, got {na} and {nb}"
-            )
-        if na == 0:
-            return inf_part
-        dist = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-        cands = np.unique(dist)
-        lo, hi = 0, len(cands) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _kuhn_max_matching(dist <= cands[mid]) == na:
-                hi = mid
-            else:
-                lo = mid + 1
-        return max(float(cands[lo]), inf_part)
-
+    if strict_bijection and na != nb:
+        raise ShapeError(
+            f"strict matching needs equal sizes, got {na} and {nb}"
+        )
     if na == 0 and nb == 0:
         return inf_part
     diag_a = (a[:, 1] - a[:, 0]) / 2.0
     diag_b = (b[:, 1] - b[:, 0]) / 2.0
-    if na and nb:
-        dist = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
-    else:
-        dist = np.zeros((na, nb))
+    if strict_bijection:
+        # a closed diagonal leaves only point-to-point pairings (na == nb)
+        diag_a = diag_b = np.full(na, np.inf)
+    dist = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
     cands = np.unique(np.concatenate([dist.ravel(), diag_a, diag_b, [0.0]]))
     lo, hi = 0, len(cands) - 1
     while lo < hi:

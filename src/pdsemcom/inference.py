@@ -23,6 +23,11 @@ from .quantizer import QuantizerGrid
 N_CLASSES = 3
 CHECKPOINT_MAGIC = b"PDSC"
 CHECKPOINT_VERSION = 1
+# ADAM step size, moment decay rates and denominator guard
+LEARNING_RATE = 0.001
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -192,8 +197,6 @@ def loss_and_gradients(classifier: Classifier, X: np.ndarray, y_index: np.ndarra
 
 def train_classifier(features: np.ndarray, labels: np.ndarray,
                      hidden_sizes=(64, 32), epochs: int = 300,
-                     learning_rate: float = 0.001, beta1: float = 0.9,
-                     beta2: float = 0.999, eps: float = 1e-8,
                      seed: int = 0) -> Classifier:
     """Full-batch ADAM on categorical cross-entropy for a fixed budget."""
     X = np.asarray(features, dtype=float)
@@ -207,10 +210,13 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     y_index = labels - 1
 
     net = Classifier((X.shape[1], *hidden_sizes, N_CLASSES), seed=seed)
-    # weights then biases; each array is updated in place
+    # weights then biases; parameters, moments and the bias-corrected
+    # moments are updated in place, so the update allocates no arrays
     params = net.weights + net.biases
     m = [np.zeros_like(p) for p in params]
     v = [np.zeros_like(p) for p in params]
+    m_hat = [np.empty_like(p) for p in params]
+    v_hat = [np.empty_like(p) for p in params]
     for epoch in range(epochs):
         loss, gw, gb = loss_and_gradients(net, X, y_index)
         if not np.isfinite(loss):
@@ -218,12 +224,20 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
         net.loss_history.append(loss)
         net.step += 1
         t = net.step
-        for i, (p, g) in enumerate(zip(params, gw + gb)):
-            m[i] = beta1 * m[i] + (1 - beta1) * g
-            v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
-            m_hat = m[i] / (1 - beta1 ** t)
-            v_hat = v[i] / (1 - beta2 ** t)
-            p -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        for p, g, mi, vi, mh, vh in zip(params, gw + gb, m, v, m_hat, v_hat):
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the
+            # hat arrays as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
+            mi *= BETA1
+            mi += np.multiply(g, 1 - BETA1, out=mh)
+            vi *= BETA2
+            vi += np.multiply(np.square(g, out=vh), 1 - BETA2, out=vh)
+            np.divide(mi, 1 - BETA1 ** t, out=mh)
+            np.divide(vi, 1 - BETA2 ** t, out=vh)
+            mh *= LEARNING_RATE
+            np.sqrt(vh, out=vh)
+            vh += ADAM_EPS
+            mh /= vh
+            p -= mh
     return net
 
 
@@ -267,27 +281,26 @@ class CvSchedule:
     n_objects: int
     T: int = 25
     seed: int = 0
-    folds: tuple = field(default=(), repr=False)
+    folds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_objects % 2 != 0:
             raise ValueError("dataset size must be even for half/half folds")
         if self.T < 1:
             raise ValueError("need at least one repetition")
-        if not self.folds:
-            half = self.n_objects // 2
-            folds = []
-            for t in range(self.T):
-                rng = np.random.Generator(np.random.Philox(
-                    np.random.SeedSequence(entropy=self.seed, spawn_key=(t,))
-                ))
-                perm = rng.permutation(self.n_objects)
-                train = np.sort(perm[:half])
-                test = np.sort(perm[half:])
-                train.setflags(write=False)
-                test.setflags(write=False)
-                folds.append((train, test))
-            object.__setattr__(self, "folds", tuple(folds))
+        half = self.n_objects // 2
+        folds = []
+        for t in range(self.T):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=self.seed, spawn_key=(t,))
+            ))
+            perm = rng.permutation(self.n_objects)
+            train = np.sort(perm[:half])
+            test = np.sort(perm[half:])
+            train.setflags(write=False)
+            test.setflags(write=False)
+            folds.append((train, test))
+        object.__setattr__(self, "folds", tuple(folds))
 
     def schedule_hash(self) -> str:
         import hashlib
@@ -300,29 +313,23 @@ class CvSchedule:
 
 @dataclass(frozen=True)
 class AccuracyReport:
-    """Per-repetition accuracies with their exact mean and spread."""
+    """Per-repetition accuracies with their mean, range and spread."""
 
     per_fold: np.ndarray
-    mean: float
-    band_low: float
-    band_high: float
-    std: float
+    mean: float = field(init=False)
+    band_low: float = field(init=False)
+    band_high: float = field(init=False)
+    std: float = field(init=False)
 
     def __post_init__(self):
         a = np.asarray(self.per_fold, dtype=float).ravel()
         if np.any(a < 0) or np.any(a > 1):
             raise ValueError("accuracies must lie in [0, 1]")
-        if abs(self.mean - float(np.mean(a))) > 1e-12:
-            raise ValueError("mean must equal the average of per-fold values")
         a.setflags(write=False)
         object.__setattr__(self, "per_fold", a)
-
-    @classmethod
-    def from_folds(cls, per_fold) -> "AccuracyReport":
-        a = np.asarray(per_fold, dtype=float).ravel()
-        return cls(per_fold=a, mean=float(np.mean(a)),
-                   band_low=float(np.min(a)), band_high=float(np.max(a)),
-                   std=float(np.std(a)))
+        for name, stat in (("mean", np.mean), ("band_low", np.min),
+                           ("band_high", np.max), ("std", np.std)):
+            object.__setattr__(self, name, float(stat(a)))
 
 
 def evaluate_accuracy(classifier: Classifier, features: np.ndarray,
@@ -333,8 +340,7 @@ def evaluate_accuracy(classifier: Classifier, features: np.ndarray,
 
 def run_cv(clean_features: np.ndarray, labels: np.ndarray,
            schedule: CvSchedule, processed_features: np.ndarray | None = None,
-           hidden_sizes=(64, 32), epochs: int = 300,
-           learning_rate: float = 0.001, seed: int = 0,
+           hidden_sizes=(64, 32), epochs: int = 300, seed: int = 0,
            train_equals_test: bool = False) -> AccuracyReport:
     """Train on clean features per repetition, test on processed ones.
 
@@ -353,7 +359,7 @@ def run_cv(clean_features: np.ndarray, labels: np.ndarray,
             entropy=seed, spawn_key=(t,)).generate_state(1)[0])
         net = train_classifier(X[train], labels[train],
                                hidden_sizes=hidden_sizes, epochs=epochs,
-                               learning_rate=learning_rate, seed=fold_seed)
+                               seed=fold_seed)
         idx = train if train_equals_test else test
         accs.append(evaluate_accuracy(net, P[idx], labels[idx]))
-    return AccuracyReport.from_folds(accs)
+    return AccuracyReport(accs)

@@ -58,10 +58,6 @@ class EmpiricalDensity:
         """Density values per cell (mass / cell area)."""
         return self.mass / (self.cell_width ** 2)
 
-    @property
-    def zero_mass_fraction(self) -> float:
-        return float(np.mean(self.mass == 0.0))
-
 
 def estimate_density(point_sets, box_side: float,
                      partition: int = DEFAULT_PARTITION) -> EmpiricalDensity:
@@ -79,6 +75,10 @@ def estimate_density(point_sets, box_side: float,
 def _overlap_bounds(density: EmpiricalDensity, grid: QuantizerGrid) -> tuple:
     """(lo, hi)[a, i]: the ends of partition cell a intersect quantizer bin i
     on one axis; the intersection is empty where hi <= lo."""
+    if abs(density.box_side - grid.box_side) > 1e-12:
+        raise ShapeError(
+            f"density box {density.box_side} differs from grid box {grid.box_side}"
+        )
     w = density.cell_width
     d = grid.cell_width
     a = np.arange(density.partition)
@@ -88,19 +88,11 @@ def _overlap_bounds(density: EmpiricalDensity, grid: QuantizerGrid) -> tuple:
     return lo, hi
 
 
-def _overlap_weights(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
-    """W[a, i] = |partition cell a  intersect  quantizer bin i| / cell width."""
-    lo, hi = _overlap_bounds(density, grid)
-    return np.clip(hi - lo, 0.0, None) / density.cell_width
-
-
 def cell_probabilities(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
     """Integral of the density over each quantizer cell, k-ordered (length m^2)."""
-    if abs(density.box_side - grid.box_side) > 1e-12:
-        raise ShapeError(
-            f"density box {density.box_side} differs from grid box {grid.box_side}"
-        )
-    W = _overlap_weights(density, grid)
+    # W[a, i] = |partition cell a  intersect  quantizer bin i| / cell width
+    lo, hi = _overlap_bounds(density, grid)
+    W = np.clip(hi - lo, 0.0, None) / density.cell_width
     p = W.T @ density.mass @ W
     return p.ravel()
 
@@ -121,7 +113,8 @@ def quantizer_entropy(p: np.ndarray) -> float:
 class RateReport:
     """Both rate notions for one (source kind, m) cell.
 
-    `rate_bits_per_object` is cell count x entropy; the self-information
+    `M` is the admissible cell count: the upper triangle for diagrams, m^2
+    otherwise. `rate_bits_per_object` is M x entropy; the self-information
     variant is mean symbols per object x entropy, which equals the average
     per-object -sum log2 p over its symbols when the density was estimated
     from those same symbols.
@@ -130,55 +123,33 @@ class RateReport:
     source_kind: str
     m: int
     entropy_bits_per_symbol: float
-    M: int
     mean_symbols_per_object: float
-    rate_bits_per_object: float
-    self_information_bits_per_object: float
-    cell_probs: np.ndarray = field(default_factory=lambda: np.empty(0))
+    M: int = field(init=False)
+    rate_bits_per_object: float = field(init=False)
+    self_information_bits_per_object: float = field(init=False)
 
     def __post_init__(self):
-        if self.entropy_bits_per_symbol < 0:
+        if self.source_kind == "pd":
+            M = upper_triangle_cells(self.m)
+        elif self.source_kind in ("raw", "latent"):
+            M = self.m * self.m
+        else:
+            raise ValueError(f"unknown source kind {self.source_kind!r}")
+        h = self.entropy_bits_per_symbol
+        if h < 0:
             raise ValueError("entropy must be nonnegative")
-        if self.M >= 1 and self.entropy_bits_per_symbol > np.log2(self.M) + 1e-9:
-            raise ValueError(
-                f"entropy {self.entropy_bits_per_symbol} exceeds log2({self.M})"
-            )
-        p = np.asarray(self.cell_probs, dtype=float).ravel()
-        if p.size and abs(float(np.sum(p)) - 1.0) > 1e-9:
-            raise ValueError("cell probabilities must sum to 1")
-        p.setflags(write=False)
-        object.__setattr__(self, "cell_probs", p)
+        if M >= 1 and h > np.log2(M) + 1e-9:
+            raise ValueError(f"entropy {h} exceeds log2({M})")
+        for name, value in (("M", M), ("rate_bits_per_object", M * h),
+                            ("self_information_bits_per_object",
+                             self.mean_symbols_per_object * h)):
+            object.__setattr__(self, name, value)
 
 
 def semantic_rate(entropy: float, source_kind: str, m: int,
-                  mean_symbols: float,
-                  cell_probs: np.ndarray | None = None) -> RateReport:
+                  mean_symbols: float) -> RateReport:
     """Rate per object: upper-triangle cell count for diagrams, m^2 otherwise."""
-    if source_kind == "pd":
-        M = upper_triangle_cells(m)
-    elif source_kind in ("raw", "latent"):
-        M = m * m
-    else:
-        raise ValueError(f"unknown source kind {source_kind!r}")
-    return RateReport(
-        source_kind=source_kind, m=m, entropy_bits_per_symbol=float(entropy),
-        M=M, mean_symbols_per_object=float(mean_symbols),
-        rate_bits_per_object=M * float(entropy),
-        self_information_bits_per_object=float(mean_symbols) * float(entropy),
-        cell_probs=np.empty(0) if cell_probs is None else cell_probs,
-    )
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    mse: float
-    bottleneck_style: float
-    m: int
-    source_kind: str
-
-    def __post_init__(self):
-        if self.mse < 0 or self.bottleneck_style < 0:
-            raise ValueError("distortions must be nonnegative")
+    return RateReport(source_kind, m, float(entropy), float(mean_symbols))
 
 
 def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
@@ -189,10 +160,6 @@ def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
     (1/w) * sum_ab mass[a,b] * (A[a] + A[b]). A uniform density gives
     exactly cell_width^2 / 6 for any m.
     """
-    if abs(density.box_side - grid.box_side) > 1e-12:
-        raise ShapeError(
-            f"density box {density.box_side} differs from grid box {grid.box_side}"
-        )
     lo, hi = _overlap_bounds(density, grid)
     centers = (np.arange(grid.n_bins) + 0.5) * grid.cell_width
     t_hi = np.clip(hi, lo, None) - centers[None, :]

@@ -18,7 +18,6 @@ from .errors import (CorruptSymbol, OutOfBox, ParseError, ShapeError, one_of,
 from .homology import PersistenceDiagram
 
 SOURCE_KINDS = ("pd", "raw", "latent")
-DEFAULT_BOX_SIDES = {"pd": 16.0, "raw": 28.0, "latent": 1.0}
 
 
 def upper_triangle_cells(m: int) -> int:
@@ -179,9 +178,16 @@ def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
 
 def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
                         objects) -> None:
-    """Persist per-object symbol records under a (B, m, source_kind) header."""
-    if isinstance(objects, dict):
-        objects = sorted(objects.items())
+    """Persist per-object symbol records under a (B, m, source_kind) header.
+
+    The format has one row per symbol, so an object without symbols cannot
+    be written and raises ValueError.
+    """
+    objects = (sorted(objects.items()) if isinstance(objects, dict)
+               else list(objects))
+    for object_id, q in objects:
+        if len(q) == 0:
+            raise ValueError(f"object {object_id} has no symbols to write")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["box_side", "n_bins", "source_kind"])
@@ -204,7 +210,8 @@ def load_symbol_stream(path):
     """Read a symbol stream file -> (grid, source_kind, {id: QuantizedPointSet}).
 
     Indices are accepted as-is (no halfplane check): the file may hold a
-    post-channel stream.
+    post-channel stream. Diagram streams have channels 0 and 1 (either may be
+    empty), raw and latent streams channel 0 only.
     """
     with open(path, newline="") as fh:
         preamble = next(read_table(fh, ("box_side", "n_bins", "source_kind"),
@@ -217,18 +224,18 @@ def load_symbol_stream(path):
             grid = QuantizerGrid(box_side=box_side, n_bins=n_bins)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        per_object: dict[int, dict[int, list]] = {}
+        n_chan = 2 if source_kind == "pd" else 1
+        per_object: dict[int, list] = {}
         for _, (obj, chan, sym) in read_table(
                 fh, ("object", "channel", "symbol"),
-                (int, one_of(int, (0, 1), "channel"),
+                (int, one_of(int, tuple(range(n_chan)), "channel"),
                  lambda text: _symbol(grid, text)),
                 first_line=lineno + 1):
-            per_object.setdefault(obj, {}).setdefault(chan, []).append(sym)
+            chans = per_object.setdefault(obj, [[] for _ in range(n_chan)])
+            chans[chan].append(sym)
     out = {}
     for obj in sorted(per_object):
-        chans = per_object[obj]
-        n_chan = max(chans) + 1
-        parts = [np.array(chans.get(c, []), dtype=int) for c in range(n_chan)]
+        parts = [np.array(c, dtype=int) for c in per_object[obj]]
         out[obj] = QuantizedPointSet(
             indices=np.concatenate(parts), grid=grid, source_kind=source_kind,
             channel_counts=tuple(len(p) for p in parts),

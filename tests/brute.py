@@ -2,9 +2,10 @@
 
 Everything here is the slow-but-obviously-correct version of something the
 package computes cleverly: GF(2) Betti numbers straight from boundary-matrix
-ranks, bottleneck distance by enumerating every partial matching, and the
-density histogram and occupancy raster by their own floor-and-clamp binning
-rather than through the quantizer grid.
+ranks, bottleneck distance by enumerating every partial matching (or every
+bijection, for the strict mode), and the density histogram and occupancy
+raster by their own floor-and-clamp binning rather than through the
+quantizer grid.
 """
 
 import itertools
@@ -101,6 +102,17 @@ def bottleneck_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
                     if cost < best:
                         best = cost
     return best
+
+
+def bottleneck_strict_permutations(a: np.ndarray, b: np.ndarray) -> float:
+    """Point-to-point bottleneck distance: the best of every bijection
+    between two equal-size diagrams (<= 6 points)."""
+    a = np.asarray(a, dtype=float).reshape(-1, 2)
+    b = np.asarray(b, dtype=float).reshape(-1, 2)
+    assert len(a) == len(b)
+    return min((max((float(np.max(np.abs(a[i] - b[j])))
+                     for i, j in enumerate(perm)), default=0.0)
+                for perm in itertools.permutations(range(len(b)))))
 
 
 def density_mass_loop(point_sets, box_side: float, partition: int):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -41,6 +42,19 @@ def test_classic_15_5_generator():
     assert (code.n, code.k, code.t) == (15, 5, 3)
     # x^10 + x^8 + x^5 + x^4 + x^2 + x + 1
     assert code.generator == 0b10100110111
+
+
+@pytest.mark.parametrize("t, k, digest", [
+    (170, 123,
+     "f6ee3cac9e80c69a9ec3a2b68ec74f20490c055def4b0e2cee33d6563d475486"),
+    (115, 208,
+     "dafe1fb0e9b4da60defceaa0f5569504b8972b9b3d0dc1bb0ffeb2086b6c211e"),
+])
+def test_golden_1023_generators(t, k, digest):
+    code = bch_generator(10, t)
+    assert code.k == k
+    text = str(code.generator).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
 
 
 def test_standard_length_31_dimensions():

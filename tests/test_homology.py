@@ -50,10 +50,9 @@ def test_truncation_drops_merges_beyond_cap():
 
 def test_drop_essential_flag_and_method():
     pd = vr_diagram(SQUARE, gamma_max=16.0)
-    lean = vr_diagram(SQUARE, gamma_max=16.0, drop_essential=True)
+    lean = pd.drop_essential()
     assert not np.any(lean.essential)
     assert len(lean) == len(pd) - int(np.sum(pd.essential))
-    assert len(pd.drop_essential()) == len(lean)
 
 
 def test_max_dim_one_leaves_cycles_unfilled():

@@ -41,6 +41,15 @@ def test_canonical_assignment_is_deterministic_and_ordered():
     assert vals == sorted(vals) and len(set(vals)) == len(vals)
 
 
+def test_golden_table_with_ties_and_zeros():
+    # equal probabilities merge in node order; zero-probability positions
+    # get no codeword
+    p = np.array([0.2, 0.0, 0.1, 0.1, 0.2, 0.0, 0.15, 0.15, 0.05, 0.05])
+    assert build_huffman(p).table() == {
+        1: "010", 3: "011", 4: "100", 5: "00", 7: "101", 8: "110",
+        9: "1110", 10: "1111"}
+
+
 def test_prefix_free():
     rng = np.random.default_rng(17)
     p = _random_dist(rng, 30)
@@ -114,8 +123,6 @@ def test_validation():
         build_huffman(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         build_huffman(np.array([0.0, 0.0]))
-    with pytest.raises(ShapeError):
-        build_huffman(np.array([0.5, 0.5]), symbols=np.array([1]))
     code = build_huffman(np.array([0.5, 0.5]))
     with pytest.raises(ShapeError):
         code.expected_length(np.array([1.0]))

@@ -133,7 +133,7 @@ def test_self_information_identity_on_aligned_grid():
     p = cell_probabilities(dens, grid)
     entropy = quantizer_entropy(p)
     mean_symbols = float(np.mean([len(s) for s in sets]))
-    report = semantic_rate(entropy, "raw", 28, mean_symbols, cell_probs=p)
+    report = semantic_rate(entropy, "raw", 28, mean_symbols)
 
     per_object = []
     for pts in sets:

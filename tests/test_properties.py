@@ -1,15 +1,23 @@
-"""Property tests: the CSV loaders on random rows, and the grid-based
-binning against the floor-and-clamp loops it replaced."""
+"""Property tests: the CSV loaders on random rows, the grid-based binning
+against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
+the bottleneck search against brute-force matchings, and degree-0 counts of
+Rips diagrams."""
+
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import density_mass_loop, rasterize_loop
+from brute import (bottleneck_exhaustive, bottleneck_strict_permutations,
+                   density_mass_loop, rasterize_loop)
+from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
+                            build_huffman, huffman_decode, huffman_encode)
 from pdsemcom.dataset import load_pointcloud_file
-from pdsemcom.errors import EmptyDensity, InconsistentLabel, ParseError
-from pdsemcom.homology import load_pd_file
+from pdsemcom.errors import (CapacityExceeded, DecodeError, DecodeFailure,
+                             EmptyDensity, InconsistentLabel, ParseError)
+from pdsemcom.homology import bottleneck_distance, load_pd_file, vr_diagram
 from pdsemcom.inference import rasterize_raw
 from pdsemcom.infotheory import estimate_density
 from pdsemcom.quantizer import load_symbol_stream
@@ -110,3 +118,117 @@ def test_raster_binning_matches_loop(case):
         assert np.array_equal(rasterize_raw(pts, box_side=box,
                                             partition=partition),
                               rasterize_loop(pts, box, partition))
+
+
+@st.composite
+def _huffman_case(draw):
+    """(code, symbols from its alphabet) for a random distribution."""
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                            min_size=1, max_size=40))
+    p = np.array(weights)
+    if not np.any(p > 0):
+        p[0] = 1.0
+    code = build_huffman(p / p.sum())
+    symbols = draw(st.lists(st.sampled_from(code.symbols.tolist()),
+                            max_size=50))
+    return code, np.array(symbols, dtype=int)
+
+
+@PROPERTY
+@given(case=_huffman_case())
+def test_huffman_strict_round_trip(case):
+    code, symbols = case
+    back = huffman_decode(code, huffman_encode(code, symbols))
+    assert np.array_equal(back, symbols)
+
+
+@PROPERTY
+@given(case=_huffman_case(),
+       bits=st.lists(st.integers(0, 1), max_size=120))
+def test_huffman_random_bits(case, bits):
+    code, _ = case
+    bits = np.array(bits, dtype=np.uint8)
+    try:
+        huffman_decode(code, bits)
+    except DecodeError:
+        pass
+    out = huffman_decode(code, bits, strict=False)
+    assert np.all(np.isin(out, code.symbols))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_bch(m_gf: int, t: int):
+    try:
+        return bch_generator(m_gf, t)
+    except CapacityExceeded:
+        return None
+
+
+@st.composite
+def _small_code(draw):
+    """A BCH code over GF(2^3)..GF(2^6) that has message bits."""
+    m_gf = draw(st.integers(3, 6))
+    code = _small_bch(m_gf, draw(st.integers(1, (1 << m_gf) // 4)))
+    if code is None:
+        code = _small_bch(m_gf, 1)
+    return code
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bch_corrects_every_pattern_within_capability(data):
+    code = data.draw(_small_code())
+    message = np.array(data.draw(st.lists(st.integers(0, 1), min_size=code.k,
+                                          max_size=code.k)), dtype=np.uint8)
+    flips = data.draw(st.sets(st.integers(0, code.n - 1), max_size=code.t))
+    word = bch_encode(code, message)
+    word[list(flips)] ^= 1
+    decoded, corrected = bch_decode(code, word)
+    assert np.array_equal(decoded, message)
+    assert corrected == len(flips)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_bch_random_words_fail_only_by_decode_failure(data):
+    code = data.draw(_small_code())
+    word = np.array(data.draw(st.lists(st.integers(0, 1), min_size=code.n,
+                                       max_size=code.n)), dtype=np.uint8)
+    try:
+        decoded, corrected = bch_decode(code, word)
+    except DecodeFailure:
+        return
+    assert len(decoded) == code.k and 0 <= corrected <= code.t
+
+
+def _diagram(min_points: int, max_points: int):
+    """(birth, death) pairs on a coarse grid, so ties and diagonal points
+    are common."""
+    pair = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+        lambda bp: (bp[0] / 2, (bp[0] + bp[1]) / 2))
+    return st.lists(pair, min_size=min_points, max_size=max_points).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, 2))
+
+
+@PROPERTY
+@given(a=_diagram(0, 4), b=_diagram(0, 4))
+def test_bottleneck_matches_exhaustive(a, b):
+    assert bottleneck_distance(a, b) == bottleneck_exhaustive(a, b)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_strict_bottleneck_matches_permutations(data):
+    a = data.draw(_diagram(0, 5))
+    b = data.draw(_diagram(len(a), len(a)))
+    assert (bottleneck_distance(a, b, strict_bijection=True)
+            == bottleneck_strict_permutations(a, b))
+
+
+@PROPERTY
+@given(points=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                       max_size=14),
+       copies=st.integers(0, 3))
+def test_degree0_count_is_the_point_count(points, copies):
+    pts = np.array(points + points[:copies], dtype=float).reshape(-1, 2)
+    assert vr_diagram(pts).count(0) == len(pts)

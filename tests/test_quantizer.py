@@ -123,6 +123,46 @@ def test_symbol_stream_round_trip(tmp_path):
         assert back[oid].channel_counts == q.channel_counts
 
 
+def test_symbol_stream_keeps_empty_channels(tmp_path):
+    grid = QuantizerGrid(box_side=16.0, n_bins=4)
+    objects = {
+        1: QuantizedPointSet(indices=np.array([1, 2, 6]), grid=grid,
+                             source_kind="pd", channel_counts=(3, 0)),
+        2: QuantizedPointSet(indices=np.array([4, 16]), grid=grid,
+                             source_kind="pd", channel_counts=(0, 2)),
+    }
+    path = tmp_path / "stream.csv"
+    write_symbol_stream(path, grid, "pd", objects)
+    _, _, back = load_symbol_stream(path)
+    assert {oid: q.channel_counts for oid, q in back.items()} == {
+        1: (3, 0), 2: (0, 2)}
+    assert np.array_equal(back[2].indices, [4, 16])
+
+
+def test_symbol_stream_rejects_empty_objects(tmp_path):
+    grid = QuantizerGrid(box_side=16.0, n_bins=4)
+    empty = QuantizedPointSet(indices=np.empty(0, dtype=int), grid=grid,
+                              source_kind="pd", channel_counts=(0, 0))
+    full = quantize_set(grid, np.array([[1.0, 2.0]]), "pd")
+    path = tmp_path / "stream.csv"
+    with pytest.raises(ValueError, match="object 9"):
+        write_symbol_stream(path, grid, "pd", {3: full, 9: empty})
+    assert not path.exists()
+
+
+def test_symbol_stream_channels_follow_source_kind(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text("box_side,n_bins,source_kind\n16,4,raw\n"
+                    "object,channel,symbol\n3,0,1\n3,1,5\n")
+    with pytest.raises(ParseError) as err:
+        load_symbol_stream(path)
+    assert err.value.line_number == 5
+    path.write_text("box_side,n_bins,source_kind\n16,4,raw\n"
+                    "object,channel,symbol\n3,0,1\n3,0,5\n")
+    _, _, back = load_symbol_stream(path)
+    assert back[3].channel_counts == (2,)
+
+
 @pytest.mark.parametrize("row", ["3,-1,5", "3,0,0"])
 def test_symbol_stream_reports_bad_values_with_line_numbers(tmp_path, row):
     path = tmp_path / "stream.csv"
