@@ -29,15 +29,14 @@ from .homology import (Filtration, PersistenceDiagram, bottleneck_distance,
                        build_vr_filtration, compute_persistence, load_pd_file,
                        vr_diagram, write_pd_file)
 from .inference import (AccuracyReport, Classifier, CvSchedule,
-                        PerslayConfig, classify, evaluate_accuracy,
-                        load_checkpoint, loss_and_gradients,
-                        perslay_vectorize, rasterize_raw, run_cv,
+                        evaluate_accuracy, load_checkpoint,
+                        loss_and_gradients, perslay_vectorize, rasterize_raw,
                         save_checkpoint, train_classifier)
 from .infotheory import (EmpiricalDensity, RateReport,
                          bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)
-from .quantizer import (QuantizedPointSet, QuantizerGrid, dequantize,
+from .quantizer import (QuantizedPointSet, QuantizerGrid,
                         diagram_from_symbols, load_symbol_stream,
                         quantize_diagram, quantize_set, upper_triangle_cells,
                         write_symbol_stream)

@@ -15,7 +15,7 @@ from .codec import (bch_generator, build_huffman, decode_or_passthrough,
                     bch_encode, load_code_table)
 from .dataset import (LabeledDataset, load_grid_file, load_pointcloud_file,
                       synth_dataset, threshold_grid, write_pointcloud_file)
-from .errors import ParseError, PipelineError
+from .errors import ParseError
 from .harness import CURVE_KINDS, emit_curves, load_config, read_results, run_sweep
 from .homology import vr_diagram, write_pd_file
 from .infotheory import quantizer_entropy
@@ -228,7 +228,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PipelineError, ValueError, OSError) as exc:
+    except Exception as exc:
+        # the command line boundary: every failure, expected or not (a
+        # corrupt .npz raises zipfile.BadZipFile), ends as one error line
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -263,15 +263,9 @@ def select_compatible_codes(r_source: float, r_budget: float,
             if tn == n and k >= threshold]
 
 
-def coded_rate(info_bits: float, n: int, k: int, exact: bool = False) -> float:
-    """Transmitted bits per object under an (n, k) block code.
-
-    Default is fractional-block averaging info_bits * n / k; `exact` pads
-    the last block with zeros and counts whole codewords.
-    """
+def coded_rate(info_bits: float, n: int, k: int) -> float:
+    """Transmitted bits per object under an (n, k) block code, averaged over
+    fractional blocks: info_bits * n / k."""
     if info_bits < 0:
         raise ValueError("information bits must be nonnegative")
-    if exact:
-        blocks = int(np.ceil(info_bits / k))
-        return float(blocks * n)
     return info_bits * n / k

@@ -67,10 +67,6 @@ class BitStream:
     def __len__(self):
         return len(self.bits)
 
-    @property
-    def framing_bits(self) -> int:
-        return sum(f.overhead_bits for f in self.frames)
-
     def payloads(self):
         """Yield (frame, payload bits) in stream order."""
         start = 0

@@ -48,12 +48,6 @@ class PointCloud:
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    def max_coordinate(self) -> float:
-        return float(np.max(self.points))
-
-    def fits_in_box(self, box_side: float) -> bool:
-        return self.max_coordinate() <= box_side
-
 
 @dataclass(frozen=True)
 class GrayscaleGrid:
@@ -226,13 +220,27 @@ def synth_dataset(per_class: int = 200, n_points: int = 36, noise: float = 0.25,
 
 
 def load_grid_file(path) -> list:
-    """Read a `.npz` of grayscale grids: array `grids` (N,H,W), optional `labels`."""
-    data = np.load(path)
-    if "grids" not in data:
-        raise ParseError("npz file must contain a 'grids' array")
-    grids = data["grids"]
-    labels = data["labels"] if "labels" in data else [None] * len(grids)
-    return [
-        (GrayscaleGrid.from_array(g), None if lab is None else int(lab))
-        for g, lab in zip(grids, labels)
-    ]
+    """Read a `.npz` of grayscale grids: array `grids` (N,H,W), optional
+    whole-number `labels` (N,)."""
+    # numpy leaves a file it opened itself open when the zip is corrupt
+    with open(path, "rb") as f:
+        data = np.load(f)
+        if "grids" not in data:
+            raise ParseError("npz file must contain a 'grids' array")
+        grids = data["grids"]
+        labels = data["labels"] if "labels" in data else None
+    if grids.ndim != 3:
+        raise ParseError(
+            f"'grids' must be 3-D (N, H, W), got shape {grids.shape}")
+    if labels is None:
+        labels = [None] * len(grids)
+    else:
+        if labels.shape != (len(grids),):
+            raise ParseError(f"'labels' must have shape ({len(grids)},), "
+                             f"got {labels.shape}")
+        if labels.dtype.kind not in "iuf" or not np.all(
+                np.isfinite(labels) & (labels == np.floor(labels))):
+            raise ParseError("labels must be whole numbers")
+        labels = [int(lab) for lab in labels]
+    return [(GrayscaleGrid.from_array(g), lab)
+            for g, lab in zip(grids, labels)]

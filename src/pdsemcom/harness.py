@@ -18,18 +18,17 @@ from operator import attrgetter
 import numpy as np
 
 from .channel import BscChannel, transmit, transmit_bits
-from .codec import (FRAME_FIELD_BITS, bch_encode, bch_generator,
-                    build_huffman, decode_or_passthrough, huffman_decode,
-                    huffman_encode, pack_objects)
+from .codec import (Frame, bch_encode, bch_generator, build_huffman,
+                    decode_or_passthrough, huffman_decode, huffman_encode,
+                    pack_objects)
 from .dataset import load_pointcloud_file, synth_dataset
 from .errors import ParseError, PipelineError
 from .homology import load_pd_file, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)
-from .inference import (AccuracyReport, CvSchedule, PerslayConfig,
-                        evaluate_accuracy, perslay_vectorize, rasterize_raw,
-                        train_classifier)
+from .inference import (AccuracyReport, CvSchedule, evaluate_accuracy,
+                        perslay_vectorize, rasterize_raw, train_classifier)
 from .quantizer import QuantizerGrid, quantize_diagram, quantize_set
 
 PIPELINE_KINDS = ("pd", "raw", "latent")
@@ -393,7 +392,6 @@ class _SweepContext:
         self.object_ids = np.array([o.id for o in self.dataset.objects])
         self.schedule = CvSchedule(n_objects=n, T=config.T,
                                    seed=config.cv_seed)
-        self.perslay = PerslayConfig(box_side=config.box_pd)
         # every index that ever lands in a test fold, plus its multiplicity
         self.test_multiset = np.concatenate(
             [test for _, test in self.schedule.folds])
@@ -430,7 +428,7 @@ def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
             d = vr_diagram(obj.points, gamma_max=cfg.gamma_max)
             diagrams.append(d.drop_essential() if cfg.drop_essential else d)
         points = [np.vstack([d.points(0), d.points(1)]) for d in diagrams]
-        features = np.array([perslay_vectorize(ctx.perslay, d)
+        features = np.array([perslay_vectorize(d, cfg.box_pd)
                              for d in diagrams])
     elif pipeline == "raw":
         points = [o.points for o in ctx.dataset.objects]
@@ -527,8 +525,8 @@ def _decode_coded(ctx, prep, alpha, code):
         payload = prep.bits[i]
         oid = int(ctx.object_ids[i])
         counts = prep.streams[i].channel_counts
-        # the same frame fields the uncoded stream charges
-        overhead = FRAME_FIELD_BITS * (1 + len(counts))
+        # the same frame, with its field limits, that uncoded streams charge
+        overhead = Frame(oid, len(payload), counts).overhead_bits
         if len(payload) == 0:
             decoded[i] = np.empty(0, dtype=int)
             wire[i] = overhead
@@ -563,7 +561,7 @@ def _cell_features(ctx, state, prep, pipeline, decoded):
             diag = diagram_from_symbols(prep.grid, symbols,
                                         (c0, len(symbols) - c0),
                                         gamma_max=cfg.gamma_max)
-            feats[i] = perslay_vectorize(ctx.perslay, diag)
+            feats[i] = perslay_vectorize(diag, cfg.box_pd)
             continue
         centers = prep.grid.centers_of(symbols)
         if pipeline == "raw":

@@ -172,12 +172,6 @@ class PersistenceDiagram:
         )
 
     @classmethod
-    def empty(cls, gamma_max: float | None = None) -> "PersistenceDiagram":
-        z = np.empty(0)
-        return cls(births=z, deaths=z.copy(), dims=np.empty(0, dtype=int),
-                   essential=np.empty(0, dtype=bool), gamma_max=gamma_max)
-
-    @classmethod
     def from_received(cls, births, deaths, dims,
                       gamma_max: float | None = None) -> "PersistenceDiagram":
         """Build a diagram from decoded points without the halfplane check."""

@@ -1,12 +1,16 @@
-"""Diagram vectorization, a small numpy MLP classifier, and repeated
-2-fold cross-validation.
+"""Diagram vectorization, a small numpy MLP classifier, and the pieces of
+repeated 2-fold cross-validation: the seeded fold schedule, per-fold
+accuracy and the report over the repetitions. The fold loop itself is the
+sweep's (harness.py), which trains on clean features and tests on received
+ones.
 
 The vectorization follows the fixed (non-learnable) recipe: tent functions
-on a uniform grid over the (birth, persistence) rectangle, persistence-power
-weights, and a top-2 permutation-invariant reduction per tent. Degree-0 and
-degree-1 points are vectorized separately and concatenated so loop features
-are not drowned by component mass. Training runs full-batch ADAM for a
-fixed epoch budget; everything is deterministic given the seed.
+on a uniform 8 x 4 grid over the (birth, persistence) rectangle,
+persistence-power weights, and a top-2 permutation-invariant reduction per
+tent. Degree-0 and degree-1 points are vectorized separately and
+concatenated (2 x 64 features) so loop features are not drowned by
+component mass. Training runs full-batch ADAM for a fixed epoch budget;
+everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -28,95 +32,64 @@ LEARNING_RATE = 0.001
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Tent grid: N_BIRTH x N_PERS tents over the [0, box_side]^2 (birth,
+# persistence) rectangle; the TOP_K largest weighted values per tent form
+# the output, so one channel yields TOP_K * N_BIRTH * N_PERS features
+N_BIRTH = 8
+N_PERS = 4
+# wide enough that one-cell quantizer displacements (m >= 10 over a 16-unit
+# box) move tent responses only fractionally
+BANDWIDTH = 8.0
+WEIGHT_EXPONENT = 1.0
+TOP_K = 2
+# raw rasters have one cell per pixel of a 28 x 28 image
+RASTER_BINS = 28
 
 
-@dataclass(frozen=True)
-class PerslayConfig:
-    """Fixed tent-grid vectorization parameters.
+def _channel_features(points: np.ndarray, box_side: float) -> np.ndarray:
+    """Top-k reduction of weighted tent evaluations for one channel.
 
-    Tents live at the centers of an n_birth x n_pers grid over the
-    [0, box_side] x [0, box_side] (birth, persistence) rectangle; each
-    evaluates max(0, bandwidth - ||(b, d - b) - center||_inf). Per diagram
-    point the tent vector is scaled by persistence^weight_exponent; the
-    top_k largest values per tent across points (zero-padded) form the
-    output, so one channel yields top_k * n_tents features.
+    Each tent evaluates max(0, BANDWIDTH - ||(b, d - b) - center||_inf) and
+    is scaled by persistence^WEIGHT_EXPONENT; a channel with fewer than
+    TOP_K points is padded with zeros.
     """
-
-    n_birth: int = 8
-    n_pers: int = 4
-    box_side: float = 16.0
-    # wide enough that one-cell quantizer displacements (m >= 10 over a
-    # 16-unit box) move tent responses only fractionally
-    bandwidth: float = 8.0
-    weight_exponent: float = 1.0
-    top_k: int = 2
-
-    def __post_init__(self):
-        if self.n_birth < 1 or self.n_pers < 1:
-            raise ValueError("tent grid must have at least one cell per axis")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
-
-    @property
-    def n_tents(self) -> int:
-        return self.n_birth * self.n_pers
-
-    @property
-    def features_per_channel(self) -> int:
-        return self.top_k * self.n_tents
-
-    @property
-    def output_dim(self) -> int:
-        """Two channels (degree 0 and degree 1) concatenated."""
-        return 2 * self.features_per_channel
-
-    def centers(self) -> np.ndarray:
-        """(n_tents, 2) tent centers in (birth, persistence) coordinates."""
-        wb = self.box_side / self.n_birth
-        wp = self.box_side / self.n_pers
-        b = (np.arange(self.n_birth) + 0.5) * wb
-        p = (np.arange(self.n_pers) + 0.5) * wp
-        bb, pp = np.meshgrid(b, p, indexing="ij")
-        return np.column_stack([bb.ravel(), pp.ravel()])
-
-
-def _channel_features(config: PerslayConfig, points: np.ndarray) -> np.ndarray:
-    """Top-k reduction of weighted tent evaluations for one channel."""
-    k = config.top_k
-    n = config.n_tents
+    n = N_BIRTH * N_PERS
     if len(points) == 0:
-        return np.zeros(k * n)
+        return np.zeros(TOP_K * n)
     birth = points[:, 0]
     pers = points[:, 1] - points[:, 0]
-    centers = config.centers()
+    # tent centers in (birth, persistence), birth-major
+    b = (np.arange(N_BIRTH) + 0.5) * (box_side / N_BIRTH)
+    p = (np.arange(N_PERS) + 0.5) * (box_side / N_PERS)
+    bb, pp = np.meshgrid(b, p, indexing="ij")
+    centers = np.column_stack([bb.ravel(), pp.ravel()])
     d_inf = np.maximum(
         np.abs(birth[:, None] - centers[None, :, 0]),
         np.abs(pers[:, None] - centers[None, :, 1]),
     )
-    tents = np.maximum(0.0, config.bandwidth - d_inf)
-    weighted = (pers ** config.weight_exponent)[:, None] * tents
-    if len(points) < k:
-        weighted = np.vstack([weighted, np.zeros((k - len(points), n))])
+    tents = np.maximum(0.0, BANDWIDTH - d_inf)
+    weighted = (pers ** WEIGHT_EXPONENT)[:, None] * tents
+    if len(points) < TOP_K:
+        weighted = np.vstack([weighted, np.zeros((TOP_K - len(points), n))])
     # descending sort per tent, keep the k largest
-    top = -np.sort(-weighted, axis=0)[:k]
+    top = -np.sort(-weighted, axis=0)[:TOP_K]
     return top.reshape(-1)
 
 
-def perslay_vectorize(config: PerslayConfig,
-                      diagram: PersistenceDiagram) -> np.ndarray:
-    """Permutation-invariant feature vector; empty channels map to zeros."""
+def perslay_vectorize(diagram: PersistenceDiagram,
+                      box_side: float) -> np.ndarray:
+    """Permutation-invariant feature vector, degree 0 then degree 1; empty
+    channels map to zeros."""
     return np.concatenate([
-        _channel_features(config, diagram.points(0)),
-        _channel_features(config, diagram.points(1)),
+        _channel_features(diagram.points(0), box_side),
+        _channel_features(diagram.points(1), box_side),
     ])
 
 
-def rasterize_raw(points: np.ndarray, box_side: float = 28.0,
-                  partition: int = 28) -> np.ndarray:
-    """Binary occupancy raster of a point set, flattened x-bin major."""
-    grid = QuantizerGrid(box_side=box_side, n_bins=partition)
+def rasterize_raw(points: np.ndarray, box_side: float = 28.0) -> np.ndarray:
+    """Binary RASTER_BINS^2 occupancy raster of a point set, flattened
+    x-bin major."""
+    grid = QuantizerGrid(box_side=box_side, n_bins=RASTER_BINS)
     out = np.zeros(grid.n_cells)
     out[grid.quantize_points(points) - 1] = 1.0
     return out
@@ -168,12 +141,6 @@ class Classifier:
     def predict(self, X: np.ndarray) -> np.ndarray:
         """1-based class labels."""
         return np.argmax(self.predict_proba(X), axis=1) + 1
-
-
-def classify(classifier: Classifier, x: np.ndarray):
-    """-> (class label, probability vector) for a single feature vector."""
-    probs = classifier.predict_proba(np.asarray(x, dtype=float).reshape(1, -1))[0]
-    return int(np.argmax(probs)) + 1, probs
 
 
 def loss_and_gradients(classifier: Classifier, X: np.ndarray, y_index: np.ndarray):
@@ -336,30 +303,3 @@ def evaluate_accuracy(classifier: Classifier, features: np.ndarray,
                       labels: np.ndarray) -> float:
     pred = classifier.predict(features)
     return float(np.mean(pred == np.asarray(labels, dtype=int).ravel()))
-
-
-def run_cv(clean_features: np.ndarray, labels: np.ndarray,
-           schedule: CvSchedule, processed_features: np.ndarray | None = None,
-           hidden_sizes=(64, 32), epochs: int = 300, seed: int = 0,
-           train_equals_test: bool = False) -> AccuracyReport:
-    """Train on clean features per repetition, test on processed ones.
-
-    `processed_features` defaults to the clean matrix (noiseless pipeline);
-    `train_equals_test` is the degenerate sanity mode where the test fold is
-    the training fold itself.
-    """
-    X = np.asarray(clean_features, dtype=float)
-    labels = np.asarray(labels, dtype=int).ravel()
-    P = X if processed_features is None else np.asarray(processed_features, dtype=float)
-    if len(X) != schedule.n_objects or len(P) != schedule.n_objects:
-        raise ShapeError("feature matrices must cover the whole dataset")
-    accs = []
-    for t, (train, test) in enumerate(schedule.folds):
-        fold_seed = int(np.random.SeedSequence(
-            entropy=seed, spawn_key=(t,)).generate_state(1)[0])
-        net = train_classifier(X[train], labels[train],
-                               hidden_sizes=hidden_sizes, epochs=epochs,
-                               seed=fold_seed)
-        idx = train if train_equals_test else test
-        accs.append(evaluate_accuracy(net, P[idx], labels[idx]))
-    return AccuracyReport(accs)

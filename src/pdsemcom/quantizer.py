@@ -62,9 +62,6 @@ class QuantizerGrid:
         bins = self._bins(pts)
         return bins[:, 0] * self.n_bins + bins[:, 1] + 1
 
-    def quantize_point(self, s) -> int:
-        return int(self.quantize_points(np.asarray(s).reshape(1, 2))[0])
-
     def bins_of(self, indices: np.ndarray) -> tuple:
         """(x bins, y bins) of 1-based indices; invalid index -> CorruptSymbol."""
         idx = np.asarray(indices, dtype=int).ravel()
@@ -80,9 +77,6 @@ class QuantizerGrid:
         x_bin, y_bin = self.bins_of(indices)
         w = self.cell_width
         return np.column_stack([(x_bin + 0.5) * w, (y_bin + 0.5) * w])
-
-    def center(self, k: int) -> np.ndarray:
-        return self.centers_of(np.array([k]))[0]
 
 
 @dataclass(frozen=True)
@@ -139,11 +133,6 @@ def quantize_set(grid: QuantizerGrid, points: np.ndarray, source_kind: str,
     """Quantize a point multiset; multiplicity kept unless collapsing."""
     return QuantizedPointSet(indices=_cells(grid, points, collapse_duplicates),
                              grid=grid, source_kind=source_kind)
-
-
-def dequantize(grid: QuantizerGrid, q: QuantizedPointSet) -> np.ndarray:
-    """Representation points (cell centers), preserving order and multiplicity."""
-    return grid.centers_of(q.indices)
 
 
 def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram,

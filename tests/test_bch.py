@@ -184,7 +184,6 @@ def test_select_compatible_codes():
 
 def test_coded_rate():
     assert coded_rate(30.58, 1023, 208) == pytest.approx(150.41, abs=0.01)
-    assert coded_rate(30.58, 1023, 208, exact=True) == 1023.0
     assert coded_rate(0.0, 1023, 208) == 0.0
     with pytest.raises(ValueError):
         coded_rate(-1.0, 1023, 208)

@@ -27,7 +27,8 @@ def test_pack_and_slice():
         triples.append((oid, bits, (len(bits),)))
     stream = pack_objects(triples)
     assert len(stream) == sum(len(b) for _, b, _ in triples)
-    assert stream.framing_bits == 3 * 2 * FRAME_FIELD_BITS
+    assert [f.overhead_bits for f in stream.frames] == [
+        2 * FRAME_FIELD_BITS] * 3
     for (oid, bits, _), (frame, payload) in zip(triples, stream.payloads()):
         assert frame.object_id == oid
         assert np.array_equal(payload, bits)
@@ -45,5 +46,5 @@ def test_payload_length_mismatch_rejected():
 def test_empty_stream():
     stream = pack_objects([])
     assert len(stream) == 0
-    assert stream.framing_bits == 0
+    assert stream.frames == ()
     assert list(stream.payloads()) == []

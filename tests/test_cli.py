@@ -129,6 +129,16 @@ def test_missing_input_is_exit_1(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unexpected_failure_is_exit_1(tmp_path, capsys):
+    # a truncated zip raises zipfile.BadZipFile inside numpy
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(b"PK\x03\x04garbage")
+    rc = main(["dataset", "from-grid", "--in", str(bad),
+               "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_run_and_curves(tmp_path, capsys):
     out = tmp_path / "results.csv"
     config = ExperimentConfig(pipelines=("raw",), per_class=6, n_points=16,

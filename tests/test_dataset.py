@@ -25,12 +25,6 @@ def test_pointcloud_rejects_empty_and_bad_values():
         PointCloud(points=np.array([[-0.5, 1.0]]), id=1)
 
 
-def test_fits_in_box():
-    cloud = PointCloud(points=np.array([[3.0, 27.5]]), id=1)
-    assert cloud.fits_in_box(28.0)
-    assert not cloud.fits_in_box(16.0)
-
-
 def test_threshold_grid_pixel_coordinates():
     values = np.zeros((28, 28))
     values[0, 0] = 1.0   # row 0, col 0 -> (x, y) = (1, 1)
@@ -101,7 +95,7 @@ def test_synth_dataset_shape_and_determinism():
 def test_synth_points_stay_in_pixel_box():
     ds = synth_dataset(per_class=10, n_points=40, noise=0.5, seed=1)
     for obj in ds.objects:
-        assert obj.fits_in_box(28.0)
+        assert np.all(obj.points <= 28.0)
 
 
 def test_synth_classes_differ_geometrically():
@@ -133,3 +127,16 @@ def test_load_grid_file(tmp_path):
     np.savez(tmp_path / "bad.npz", other=grids)
     with pytest.raises(ParseError):
         load_grid_file(tmp_path / "bad.npz")
+
+
+@pytest.mark.parametrize("grids, labels, message", [
+    (np.zeros((2, 4, 4)), np.array([1.5, 2.7]), "whole numbers"),
+    (np.zeros((2, 4, 4)), np.array([1.0, np.nan]), "whole numbers"),
+    (np.zeros((2, 4, 4)), np.array([1, 2, 3]), "(2,)"),
+    (np.zeros((4, 4)), np.array([1, 2, 3, 1]), "(4, 4)"),
+])
+def test_load_grid_file_rejects_bad_arrays(tmp_path, grids, labels, message):
+    np.savez(tmp_path / "g.npz", grids=grids, labels=labels)
+    with pytest.raises(ParseError) as err:
+        load_grid_file(tmp_path / "g.npz")
+    assert message in str(err.value)

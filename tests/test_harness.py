@@ -1,15 +1,19 @@
 import csv
 import hashlib
+import importlib.util
 import shutil
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pdsemcom.errors import ParseError
+from pdsemcom.codec import bch_generator
+from pdsemcom.errors import CapacityExceeded, ParseError
 from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
                               emit_curves, folds_path_for, load_config,
                               parse_config, read_results, run_sweep,
-                              write_config, _normalize_latents)
+                              write_config, _decode_coded, _normalize_latents)
 from pdsemcom.quantizer import upper_triangle_cells
 
 
@@ -315,6 +319,33 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     calls.clear()
     run_sweep(config)  # nothing left to do: no stage is built
     assert calls == {}
+
+
+def test_traced_names_still_resolve():
+    # the sweep benchmark's tracer (sweepbench/spans.py) replaces these names
+    # where the harness looks them up; a renamed or dropped one must fail
+    # here and not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "sweepbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("sweepbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    targets = spans._targets()
+    assert targets
+    for module, attr, _, _ in targets:
+        assert callable(getattr(module, attr, None)), (
+            f"{module.__name__}.{attr}")
+
+
+def test_coded_cell_checks_frame_capacity():
+    # a payload of 2^16 bits overflows the 16-bit length field of its frame,
+    # on the coded path as on the uncoded one
+    ctx = SimpleNamespace(config=SimpleNamespace(channel_seed=0),
+                          unique_test=[0], object_ids=np.array([1]))
+    prep = SimpleNamespace(
+        bits={0: np.zeros(1 << 16, dtype=np.uint8)},
+        streams={0: SimpleNamespace(channel_counts=(3, 1))}, huffman=None)
+    with pytest.raises(CapacityExceeded):
+        _decode_coded(ctx, prep, 0.0, bch_generator(4, 1))
 
 
 def test_sweep_rejects_foreign_results_file(small_sweep):

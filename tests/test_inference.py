@@ -1,14 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from pdsemcom.errors import (OutOfBox, ParseError, ShapeError,
-                             TrainingDiverged)
-from pdsemcom.homology import PersistenceDiagram
+from pdsemcom.dataset import synth_dataset
+from pdsemcom.errors import OutOfBox, ParseError, TrainingDiverged
+from pdsemcom.homology import PersistenceDiagram, vr_diagram
 from pdsemcom.inference import (AccuracyReport, Classifier, CvSchedule,
-                                PerslayConfig, classify, evaluate_accuracy,
-                                load_checkpoint, loss_and_gradients,
-                                perslay_vectorize, rasterize_raw, run_cv,
-                                save_checkpoint, train_classifier)
+                                evaluate_accuracy, load_checkpoint,
+                                loss_and_gradients, perslay_vectorize,
+                                rasterize_raw, save_checkpoint,
+                                train_classifier)
 
 
 def _diagram(pairs, dims):
@@ -20,25 +22,21 @@ def _diagram(pairs, dims):
 
 
 def test_output_dimension():
-    cfg = PerslayConfig()
-    assert cfg.n_tents == 32
-    assert cfg.output_dim == 128
+    # two channels of top-2 values over 8 x 4 tents
     pd = _diagram([[1.0, 3.0]], [1])
-    assert perslay_vectorize(cfg, pd).shape == (128,)
+    assert perslay_vectorize(pd, 16.0).shape == (128,)
 
 
 def test_empty_channels_map_to_zeros():
-    cfg = PerslayConfig()
     pd = _diagram([[1.0, 3.0]], [0])  # no degree-1 points
-    vec = perslay_vectorize(cfg, pd)
+    vec = perslay_vectorize(pd, 16.0)
     assert np.any(vec[:64] != 0)
     assert np.all(vec[64:] == 0)
-    empty = PersistenceDiagram.empty(gamma_max=16.0)
-    assert np.all(perslay_vectorize(cfg, empty) == 0)
+    empty = _diagram(np.empty((0, 2)), [])
+    assert np.all(perslay_vectorize(empty, 16.0) == 0)
 
 
 def test_permutation_invariance_exact():
-    cfg = PerslayConfig()
     rng = np.random.default_rng(3)
     births = rng.uniform(0, 8, size=9)
     deaths = births + rng.uniform(0, 6, size=9)
@@ -46,32 +44,44 @@ def test_permutation_invariance_exact():
     pd = _diagram(np.column_stack([births, deaths]), dims)
     perm = rng.permutation(9)
     pd2 = _diagram(np.column_stack([births, deaths])[perm], dims[perm])
-    assert np.array_equal(perslay_vectorize(cfg, pd),
-                          perslay_vectorize(cfg, pd2))
+    assert np.array_equal(perslay_vectorize(pd, 16.0),
+                          perslay_vectorize(pd2, 16.0))
 
 
 def test_hand_computed_tent_value():
-    # single tent over the whole box: center (8, 8), bandwidth 4
-    cfg = PerslayConfig(n_birth=1, n_pers=1, box_side=16.0, bandwidth=4.0,
-                        weight_exponent=1.0, top_k=1)
+    # box 16: tent (i, j) sits at birth 2i + 1, persistence 4j + 2, has
+    # half-width 8 and is feature i * 4 + j; features 32..63 hold the
+    # second largest values and 64..127 the degree-1 channel
     pd = _diagram([[7.0, 13.0]], [0])  # birth 7, persistence 6
-    # d_inf((7, 6), (8, 8)) = 2, tent = 2, weight = persistence = 6
-    vec = perslay_vectorize(cfg, pd)
+    vec = perslay_vectorize(pd, 16.0)
+    # tent (3, 1) at (7, 6): d_inf 0, tent 8, weight = persistence = 6
+    assert vec[13] == pytest.approx(48.0)
+    # tent (0, 0) at (1, 2): d_inf max(6, 4) = 6, tent 2
     assert vec[0] == pytest.approx(12.0)
-    assert vec[1] == 0.0  # empty degree-1 channel
-    # outside the tent support the feature vanishes
-    far = _diagram([[0.5, 1.0]], [0])
-    assert perslay_vectorize(cfg, far)[0] == 0.0
+    # tent (7, 3) at (15, 14): d_inf 8, on the edge of the support
+    assert vec[31] == 0.0
+    # one point, top-2: the second row is zero padding; no degree-1 points
+    assert np.all(vec[32:] == 0.0)
+    # box 12: tent (4, 1) at (6.75, 4.5), d_inf max(0.25, 1.5) = 1.5
+    assert perslay_vectorize(pd, 12.0)[17] == pytest.approx(39.0)
+    # outside the support the feature vanishes: tent (0, 0) at d_inf 14.5,
+    # tent (7, 0) at (15, 2) has d_inf 1.5 and weight 0.5
+    far = _diagram([[15.5, 16.0]], [1])
+    vec = perslay_vectorize(far, 16.0)
+    assert vec[64] == 0.0
+    assert vec[64 + 28] == pytest.approx(3.25)
 
 
 def test_top_k_reduction():
-    cfg = PerslayConfig(n_birth=1, n_pers=1, box_side=16.0, bandwidth=16.0,
-                        weight_exponent=0.0, top_k=2)
-    # weight exponent 0: tent values alone; three points at d_inf 1, 2, 3
-    pd = _diagram([[7.0, 14.0], [6.0, 12.0], [5.0, 10.0]], [0, 0, 0])
-    vec = perslay_vectorize(cfg, pd)
-    assert vec[0] >= vec[1] > 0
-    assert vec[0] == pytest.approx(15.0)
+    pd = _diagram([[7.0, 13.0], [6.0, 12.0], [5.0, 10.0]], [0, 0, 0])
+    vec = perslay_vectorize(pd, 16.0)
+    # tent (3, 1) at (7, 6): values 8 * 6, 7 * 6 and 6 * 5; the top two stay
+    assert vec[13] == pytest.approx(48.0)
+    assert vec[32 + 13] == pytest.approx(42.0)
+    # tent (0, 0) at (1, 2): values 2 * 6, 3 * 6 and 4 * 5, sorted by value
+    # and not by point order
+    assert vec[0] == pytest.approx(20.0)
+    assert vec[32] == pytest.approx(18.0)
 
 
 def test_rasterize_raw():
@@ -82,6 +92,38 @@ def test_rasterize_raw():
     assert rasterize_raw(np.empty((0, 2))).sum() == 0.0
     with pytest.raises(OutOfBox):
         rasterize_raw(np.array([[30.0, 2.0]]))
+
+
+def _digest(vectors):
+    h = hashlib.sha256()
+    for v in vectors:
+        h.update(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_golden_vectorizer_outputs():
+    # tent features and rasters of seeded inputs, hashed: an empty diagram,
+    # an empty degree-1 channel, a channel with fewer points than top-k,
+    # boundary points and diagrams of synthetic clouds
+    rng = np.random.default_rng(2024)
+    births = rng.uniform(0, 12, size=20)
+    pairs = np.column_stack([births, births + rng.uniform(0, 8, size=20)])
+    ds = synth_dataset(per_class=1, n_points=24, noise=0.2, seed=5)
+    diagrams = [
+        _diagram(pairs, rng.integers(0, 2, size=20)),
+        _diagram(pairs[:6], [0] * 6),
+        _diagram(pairs[:5], [0, 0, 0, 0, 1]),
+        _diagram(np.empty((0, 2)), []),
+    ] + [vr_diagram(o.points, gamma_max=16.0) for o in ds.objects]
+    assert _digest([perslay_vectorize(d, 16.0) for d in diagrams]) == (
+        "1f92aa4de69ae6f017747a99fe71fda7030daaf8c69247bdb5bb569446065251")
+    assert _digest([perslay_vectorize(d, 12.0) for d in diagrams]) == (
+        "3fe1db78f45a64c0ca7e6dd0bc6cdc326d1461fa61b00fe3b9d658cae8417fe2")
+    clouds = [rng.uniform(0, 28, size=(40, 2)),
+              np.array([[0.0, 0.0], [28.0, 28.0], [14.0, 0.0]]),
+              np.empty((0, 2))] + [o.points for o in ds.objects]
+    assert _digest([rasterize_raw(c) for c in clouds]) == (
+        "64f196cbabecb1443e407d1d01f082779d00fe71837b2c456476980e43b5a58b")
 
 
 def _blobs(rng, n_per=40, d=6):
@@ -127,8 +169,8 @@ def test_training_separates_blobs():
     net = train_classifier(X, y, hidden_sizes=(16,), epochs=200, seed=1)
     assert evaluate_accuracy(net, X, y) >= 0.95
     assert net.loss_history[-1] < net.loss_history[0]
-    label, probs = classify(net, X[0])
-    assert label == 1 and probs.shape == (3,)
+    probs = net.predict_proba(X[:1])
+    assert net.predict(X[:1])[0] == 1 and probs.shape == (1, 3)
 
 
 def test_training_is_deterministic():
@@ -196,27 +238,6 @@ def test_cv_schedule_properties():
     assert sched.schedule_hash() != other.schedule_hash()
     with pytest.raises(ValueError):
         CvSchedule(n_objects=31, T=4, seed=5)
-
-
-def test_run_cv_modes():
-    rng = np.random.default_rng(6)
-    X, y = _blobs(rng, n_per=10)
-    sched = CvSchedule(n_objects=30, T=3, seed=2)
-    report = run_cv(X, y, sched, hidden_sizes=(16,), epochs=150, seed=3)
-    assert report.per_fold.shape == (3,)
-    assert 0.8 <= report.mean <= 1.0
-    assert report.band_low <= report.mean <= report.band_high
-    # degenerate mode: evaluating on the training fold itself
-    easy = run_cv(X, y, sched, hidden_sizes=(16,), epochs=150, seed=3,
-                  train_equals_test=True)
-    assert easy.mean >= report.mean - 1e-9
-    # processed features with destroyed signal drag accuracy to chance
-    noise = rng.normal(size=X.shape) * 100.0
-    hurt = run_cv(X, y, sched, processed_features=noise,
-                  hidden_sizes=(16,), epochs=150, seed=3)
-    assert hurt.mean < report.mean
-    with pytest.raises(ShapeError):
-        run_cv(X[:-2], y[:-2], sched)
 
 
 def test_accuracy_report_validation():

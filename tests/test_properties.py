@@ -83,11 +83,11 @@ def test_symbol_stream_loader_raises_only_parse_errors(tmp_path, text):
 
 
 @st.composite
-def _binning_case(draw):
+def _binning_case(draw, partitions=st.integers(1, 30)):
     """(box side, partition, point sets) with points on 0, the box side and
     exact cell edges as well as anywhere in the box."""
     box = draw(st.sampled_from([0.3, 1.0, 16.0, 28.0]))
-    partition = draw(st.integers(1, 30))
+    partition = draw(partitions)
     w = box / partition
     coord = st.one_of(st.floats(0.0, box), st.sampled_from([0.0, box]),
                       st.integers(0, partition).map(lambda j: min(j * w, box)))
@@ -111,12 +111,11 @@ def test_density_binning_matches_loop(case):
 
 
 @PROPERTY
-@given(case=_binning_case())
+@given(case=_binning_case(st.just(28)))
 def test_raster_binning_matches_loop(case):
     box, partition, sets = case
     for pts in sets:
-        assert np.array_equal(rasterize_raw(pts, box_side=box,
-                                            partition=partition),
+        assert np.array_equal(rasterize_raw(pts, box_side=box),
                               rasterize_loop(pts, box, partition))
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from pdsemcom.errors import CorruptSymbol, OutOfBox, ParseError, ShapeError
 from pdsemcom.homology import vr_diagram
-from pdsemcom.quantizer import (QuantizedPointSet, QuantizerGrid, dequantize,
+from pdsemcom.quantizer import (QuantizedPointSet, QuantizerGrid,
                                 diagram_from_symbols, load_symbol_stream,
                                 quantize_diagram, quantize_set,
                                 upper_triangle_cells, write_symbol_stream)
@@ -13,12 +13,11 @@ def test_worked_cell_indexing():
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
     assert grid.cell_width == 4.0
     # x_bin-major, 1-based: (0, 0) -> 1; (1, 2) -> 1*4 + 2 + 1 = 7
-    assert grid.quantize_point((0.5, 0.5)) == 1
-    assert grid.quantize_point((5.0, 9.0)) == 7
-    assert np.allclose(grid.center(7), [6.0, 10.0])
-    # boundary ties go up, the far edge stays inside
-    assert grid.quantize_point((4.0, 0.0)) == 5
-    assert grid.quantize_point((16.0, 16.0)) == 16
+    pts = np.array([[0.5, 0.5], [5.0, 9.0],
+                    # boundary ties go up, the far edge stays inside
+                    [4.0, 0.0], [16.0, 16.0]])
+    assert np.array_equal(grid.quantize_points(pts), [1, 7, 5, 16])
+    assert np.allclose(grid.centers_of([7]), [[6.0, 10.0]])
 
 
 def test_out_of_box_rejected():
@@ -35,7 +34,7 @@ def test_round_trip_error_bounded_by_half_cell():
         grid = QuantizerGrid(box_side=16.0, n_bins=m)
         pts = rng.uniform(0.0, 16.0, size=(2000, 2))
         q = quantize_set(grid, pts, "raw")
-        back = dequantize(grid, q)
+        back = grid.centers_of(q.indices)
         err = np.max(np.abs(back - pts))
         assert err <= grid.cell_width / 2.0 + 1e-12
 
@@ -177,6 +176,6 @@ def test_single_bin_grid_holds_the_whole_box():
     grid = QuantizerGrid(box_side=16.0, n_bins=1)
     pts = np.array([[0.0, 0.0], [7.5, 16.0], [16.0, 3.0]])
     assert np.array_equal(grid.quantize_points(pts), [1, 1, 1])
-    assert np.allclose(grid.center(1), [8.0, 8.0])
+    assert np.allclose(grid.centers_of([1]), [[8.0, 8.0]])
     with pytest.raises(ValueError):
         QuantizerGrid(box_side=16.0, n_bins=0)
