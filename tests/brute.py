@@ -2,16 +2,20 @@
 
 Everything here is the slow-but-obviously-correct version of something the
 package computes cleverly: GF(2) Betti numbers straight from boundary-matrix
-ranks, bottleneck distance by enumerating every partial matching (or every
-bijection, for the strict mode), and the density histogram and occupancy
-raster by their own floor-and-clamp binning rather than through the
-quantizer grid.
+ranks, the persistence diagram of a filtration by reducing every triangle
+column against edge rows (homology, where the package reduces edge
+coboundaries), bottleneck distance by enumerating every partial matching (or
+every bijection, for the strict mode), and the density histogram and
+occupancy raster by their own floor-and-clamp binning rather than through
+the quantizer grid.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from pdsemcom.homology import PersistenceDiagram
 
 
 def rank_gf2(mat: np.ndarray) -> int:
@@ -61,6 +65,104 @@ def betti_bruteforce(points: np.ndarray, gamma: float) -> tuple:
     r1 = rank_gf2(d1)
     r2 = rank_gf2(d2)
     return n - r1, len(edges) - r1 - r2
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = np.arange(n)
+
+    def find(self, x: int) -> int:
+        root = x
+        parent = self.parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:
+    """Degree-0 and degree-1 persistence of a truncated VR filtration, with
+    every triangle column reduced against edge rows in Python-int bitmasks.
+
+    Degree-1 pairs of zero persistence are dropped; degree-0 pairs of
+    duplicate points (birth 0, death 0) stay, one per extra copy. Classes
+    still alive at the cap get death = gamma_max and are flagged essential;
+    `PersistenceDiagram.drop_essential` removes them.
+    """
+    n = filtration.n_vertices
+    edges = filtration.edges
+    evals = filtration.edge_values
+    gmax = filtration.gamma_max
+
+    births, deaths, dims, ess = [], [], [], []
+
+    uf = _UnionFind(n)
+    positive = np.zeros(len(edges), dtype=bool)
+    for pos in range(len(edges)):
+        a, b = edges[pos]
+        if uf.union(int(a), int(b)):
+            births.append(0.0)
+            deaths.append(float(evals[pos]))
+            dims.append(0)
+            ess.append(False)
+        else:
+            positive[pos] = True
+    n_components = len({uf.find(v) for v in range(n)})
+    for _ in range(n_components):
+        births.append(0.0)
+        deaths.append(gmax)
+        dims.append(0)
+        ess.append(True)
+
+    # degree 1: reduce triangle columns over edge rows; a column's surviving
+    # lowest one pairs that edge's cycle with this triangle
+    paired = np.zeros(len(edges), dtype=bool)
+    if len(filtration.triangles):
+        edge_pos = {}
+        for pos, (a, b) in enumerate(edges):
+            edge_pos[(int(a), int(b))] = pos
+        pivots: dict[int, int] = {}
+        tvals = filtration.triangle_values
+        for t in range(len(filtration.triangles)):
+            i, j, k = (int(v) for v in filtration.triangles[t])
+            col = ((1 << edge_pos[(i, j)]) | (1 << edge_pos[(i, k)])
+                   | (1 << edge_pos[(j, k)]))
+            while col:
+                low = col.bit_length() - 1
+                other = pivots.get(low)
+                if other is None:
+                    pivots[low] = col
+                    paired[low] = True
+                    if evals[low] < tvals[t]:
+                        births.append(float(evals[low]))
+                        deaths.append(float(tvals[t]))
+                        dims.append(1)
+                        ess.append(False)
+                    break
+                col ^= other
+
+    for pos in np.nonzero(positive & ~paired)[0]:
+        if evals[pos] < gmax:
+            births.append(float(evals[pos]))
+            deaths.append(gmax)
+            dims.append(1)
+            ess.append(True)
+
+    b = np.array(births)
+    d = np.array(deaths)
+    dm = np.array(dims, dtype=int)
+    es = np.array(ess, dtype=bool)
+    order = np.lexsort((es, d, b, dm))
+    return PersistenceDiagram(births=b[order], deaths=d[order], dims=dm[order],
+                              essential=es[order], gamma_max=gmax)
 
 
 def betti_from_diagram(pd, gamma: float) -> tuple:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ def _clean_env(monkeypatch):
 
 
 def _bits(path):
-    return [c for c in open(path).read() if c in "01"]
+    return [c for c in Path(path).read_text() if c in "01"]
 
 
 def test_dataset_synth_and_pd_compute(tmp_path, capsys):

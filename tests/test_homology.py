@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from brute import betti_bruteforce, betti_from_diagram
+from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import BudgetExceeded, ParseError, ShapeError
 from pdsemcom.homology import (PersistenceDiagram, build_vr_filtration,
                                compute_persistence, load_pd_file, vr_diagram,
@@ -102,6 +105,40 @@ def test_determinism():
     assert np.array_equal(a.deaths, b.deaths)
     assert np.array_equal(a.dims, b.dims)
     assert np.array_equal(a.essential, b.essential)
+
+
+def _diagram_digest(diagrams):
+    h = hashlib.sha256()
+    for pd in diagrams:
+        for arr, dtype in ((pd.births, "<f8"), (pd.deaths, "<f8"),
+                           (pd.dims, "<i8"), (pd.essential, "?")):
+            h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_golden_diagrams():
+    # corpus objects as the default sweep sees them, an integer grid with
+    # duplicate points and tied distances, two rings wider than a cap of 4
+    # (essential H1 classes) and a run without triangles
+    ds = synth_dataset(per_class=200, n_points=48, noise=0.2, seed=7)
+    corpus = [vr_diagram(o.points) for o in ds.objects[::10]]
+    assert _diagram_digest(corpus) == (
+        "3eb7349e7f2c6a004c780ed004dad8a1a99d1d85884e570367f79ecf623526c7")
+    rng = np.random.default_rng(17)
+    grid = rng.integers(0, 6, size=(24, 2)).astype(float)
+    grid = np.vstack([grid, grid[:5]])
+    # two rings of radius about 4 around (5, 5) and (15, 5)
+    angles = (np.linspace(0.0, 4.0 * np.pi, 40, endpoint=False)
+              + rng.uniform(0.0, 0.2, 40))
+    radii = rng.uniform(3.6, 4.4, size=(40, 1))
+    ring = np.column_stack([np.cos(angles), np.sin(angles)]) * radii + 5.0
+    ring[20:, 0] += 10.0
+    capped = vr_diagram(ring, gamma_max=4.0)
+    assert np.sum(capped.essential & (capped.dims == 1)) == 2
+    others = [vr_diagram(grid), vr_diagram(grid, gamma_max=2.0), capped,
+              vr_diagram(rng.uniform(0.0, 8.0, size=(20, 2)), max_dim=1)]
+    assert _diagram_digest(others) == (
+        "71531a49487492ca939b4e6bb7440a449f3948f377d262e62fd343690ece3c42")
 
 
 def test_pd_file_round_trip(tmp_path):

@@ -1,7 +1,7 @@
 """Property tests: the CSV loaders on random rows, the grid-based binning
 against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
-the bottleneck search against brute-force matchings, and degree-0 counts of
-Rips diagrams."""
+the bottleneck search against brute-force matchings, degree-0 counts of
+Rips diagrams, and Rips diagrams against the triangle-column reduction."""
 
 import functools
 
@@ -11,13 +11,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute import (bottleneck_exhaustive, bottleneck_strict_permutations,
-                   density_mass_loop, rasterize_loop)
+                   density_mass_loop, persistence_by_triangle_columns,
+                   rasterize_loop)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, huffman_decode, huffman_encode)
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeError, DecodeFailure,
                              EmptyDensity, InconsistentLabel, ParseError)
-from pdsemcom.homology import bottleneck_distance, load_pd_file, vr_diagram
+from pdsemcom.homology import (bottleneck_distance, build_vr_filtration,
+                               compute_persistence, load_pd_file, vr_diagram)
 from pdsemcom.inference import rasterize_raw
 from pdsemcom.infotheory import estimate_density
 from pdsemcom.quantizer import load_symbol_stream
@@ -231,3 +233,27 @@ def test_strict_bottleneck_matches_permutations(data):
 def test_degree0_count_is_the_point_count(points, copies):
     pts = np.array(points + points[:copies], dtype=float).reshape(-1, 2)
     assert vr_diagram(pts).count(0) == len(pts)
+
+
+def _cloud(coordinate):
+    """0-25 points, the count drawn first so that larger clouds are common."""
+    return st.integers(0, 25).flatmap(lambda m: st.lists(
+        st.tuples(coordinate, coordinate), min_size=m, max_size=m)).map(
+        lambda rows: np.array(rows, dtype=float).reshape(-1, 2))
+
+
+# a 6 x 6 integer grid ties many distances and repeats points, and ties
+# decide the pairing order; float clouds have distinct distances
+_CLOUD = st.one_of(_cloud(st.integers(0, 5)), _cloud(st.floats(0, 6)))
+
+
+@PROPERTY
+@given(points=_CLOUD, cap=st.sampled_from([1.0, 2.0, 3.0, 16.0]),
+       max_dim=st.sampled_from([1, 2]))
+def test_persistence_matches_triangle_columns(points, cap, max_dim):
+    filt = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
+    got = compute_persistence(filt)
+    want = persistence_by_triangle_columns(filt)
+    for name in ("births", "deaths", "dims", "essential"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
