@@ -1,5 +1,5 @@
 """Binary BCH codes: generator construction, systematic encode, and
-syndrome decoding (Berlekamp-Massey plus Chien search).
+syndrome decoding (the t-step binary Berlekamp-Massey plus Chien search).
 
 Bit arrays are uint8 with index i holding the coefficient of x^i, so the
 systematic message occupies the top k positions of a codeword. Decoding
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
+from itertools import zip_longest
 
 import numpy as np
 
@@ -106,11 +107,9 @@ class BchCode:
 def bch_generator(m_gf: int, t: int) -> BchCode:
     """Designed-distance construction: g = lcm of the minimal polynomials
     of alpha, alpha^2, ..., alpha^2t."""
-    if not 2 <= m_gf <= 10:
-        raise ValueError(f"extension degree must be in 2..10, got {m_gf}")
+    field = GaloisField(m_gf)
     if t < 1:
         raise ValueError(f"capability must be at least 1, got {t}")
-    field = GaloisField(m_gf)
     n = field.order
     cosets = []
     seen = set()
@@ -163,44 +162,33 @@ def _syndromes(code: BchCode, positions: np.ndarray) -> np.ndarray:
 
 
 def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
-    """Error locator polynomial from syndromes s[1..2t] (index = degree)."""
-    field = code.field
+    """Error locator polynomial from syndromes s[1..2t] (index = degree), as
+    L + 1 coefficients for linear complexity L. Binary form: s_2i = s_i^2
+    zeroes every even-step discrepancy, so only the odd steps r = 1, 3, ...,
+    2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
+    binary BCH chapter)."""
     n = code.n
-    # beyond-capability patterns can push L up to 2t before the degree
-    # check rejects them, so the register must hold that many coefficients
-    C = np.zeros(2 * code.t + 1, dtype=np.int64)
-    B = np.zeros(2 * code.t + 1, dtype=np.int64)
-    C[0] = B[0] = 1
-    L, shift, b = 0, 1, 1
-    for r in range(1, 2 * code.t + 1):
+    exp = code.field.exp.tolist()
+    log = code.field.log.tolist()  # log[0] = -1
+    log_s = code.field.log[s].tolist()
+    # C, the locator, always holds L + 1 coefficients (the top one may be
+    # 0); B is its value before L last grew
+    C, B = [1], [1]
+    L, shift, log_b = 0, 1, 0
+    for r in range(1, 2 * code.t, 2):
         d = int(s[r])
-        if L:
-            cj = C[1:L + 1]
-            sj = s[r - 1:r - L - 1:-1] if r - L - 1 >= 0 else s[r - 1::-1]
-            nz = (cj != 0) & (sj != 0)
-            if np.any(nz):
-                prods = field.exp[(field.log[cj[nz]] + field.log[sj[nz]]) % n]
-                d ^= int(np.bitwise_xor.reduce(prods))
-        if d == 0:
-            shift += 1
-            continue
-        coef = field.mult(d, field.inv(b))
-        log_coef = field.log[coef]
-        scaled = np.zeros_like(C)
-        nz = np.nonzero(B)[0]
-        nz = nz[nz + shift < len(scaled)]
-        scaled[nz + shift] = field.exp[(field.log[B[nz]] + log_coef) % n]
-        if 2 * L <= r - 1:
-            T = C.copy()
-            C = C ^ scaled
-            L = r - L
-            B = T
-            b = d
-            shift = 1
-        else:
-            C = C ^ scaled
-            shift += 1
-    return C[:L + 1]
+        for c, e in zip(C[1:], reversed(log_s[r - L:r])):
+            if c and e >= 0:
+                d ^= exp[(log[c] + e) % n]
+        if d:
+            log_coef = log[d] - log_b
+            term = [0] * shift + [exp[(log[x] + log_coef) % n] if x else 0
+                                  for x in B]
+            C, prev = [a ^ b for a, b in zip_longest(C, term, fillvalue=0)], C
+            if 2 * L <= r - 1:
+                B, L, log_b, shift = prev, r - L, log[d], 0
+        shift += 2
+    return np.array(C, dtype=np.int64)
 
 
 def bch_decode(code: BchCode, received: np.ndarray):

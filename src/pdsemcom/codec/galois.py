@@ -29,21 +29,15 @@ PRIMITIVE_POLYS = {
 
 @dataclass(frozen=True)
 class GaloisField:
-    """GF(2^m) with exp/log tables; raises if the polynomial is not primitive."""
+    """GF(2^m) over PRIMITIVE_POLYS[m], with exp/log tables; raises if that
+    polynomial is not primitive."""
 
     m: int
-    primitive_poly: int = 0
 
     def __post_init__(self):
         if not 2 <= self.m <= 10:
             raise ValueError(f"extension degree must be in 2..10, got {self.m}")
-        poly = self.primitive_poly or PRIMITIVE_POLYS[self.m]
-        if poly.bit_length() != self.m + 1:
-            raise ValueError(
-                f"defining polynomial must have degree {self.m}, "
-                f"got degree {poly.bit_length() - 1}"
-            )
-        object.__setattr__(self, "primitive_poly", poly)
+        poly = PRIMITIVE_POLYS[self.m]
         size = (1 << self.m) - 1
         exp = np.zeros(size, dtype=np.int64)
         log = np.full(size + 1, -1, dtype=np.int64)
@@ -74,11 +68,6 @@ class GaloisField:
         if a == 0 or b == 0:
             return 0
         return int(self.exp[(self.log[a] + self.log[b]) % self.order])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return int(self.exp[(self.order - self.log[a]) % self.order])
 
     def pow_alpha(self, e: int) -> int:
         return int(self.exp[e % self.order])

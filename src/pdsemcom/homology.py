@@ -410,10 +410,12 @@ def write_pd_file(path, entries) -> None:
                 ])
 
 
-def load_pd_file(path, gamma_max: float | None = None) -> dict:
+def load_pd_file(path) -> dict:
     """Read a diagram CSV back into {object id: PersistenceDiagram}.
 
-    With `gamma_max` given, rows whose death equals it are flagged essential.
+    The format has no essential flag, and a finite pair can die exactly at
+    the cap, so every loaded row is non-essential (`pd compute
+    --drop-essential` drops the essential classes before writing).
     Rows below the diagonal are accepted (received diagrams can contain them)
     and mark the whole object's diagram as halfplane=False.
     """
@@ -427,10 +429,9 @@ def load_pd_file(path, gamma_max: float | None = None) -> dict:
     out = {}
     for obj in sorted(rows):
         dims, births, deaths = np.array(rows[obj]).T
-        essential = (np.zeros(len(dims), dtype=bool) if gamma_max is None
-                     else deaths == gamma_max)
         out[obj] = PersistenceDiagram(
-            births=births, deaths=deaths, dims=dims, essential=essential,
-            gamma_max=gamma_max, halfplane=bool(np.all(births <= deaths)),
+            births=births, deaths=deaths, dims=dims,
+            essential=np.zeros(len(dims), dtype=bool),
+            halfplane=bool(np.all(births <= deaths)),
         )
     return out

@@ -5,9 +5,12 @@ package computes cleverly: GF(2) Betti numbers straight from boundary-matrix
 ranks, the persistence diagram of a filtration by reducing every triangle
 column against edge rows (homology, where the package reduces edge
 coboundaries), bottleneck distance by enumerating every partial matching (or
-every bijection, for the strict mode), and the density histogram and
+every bijection, for the strict mode), the density histogram and
 occupancy raster by their own floor-and-clamp binning rather than through
-the quantizer grid.
+the quantizer grid, and the BCH error locator by the general 2t-step
+Berlekamp-Massey (the package runs the t-step binary form). That last one
+is the package's former `_berlekamp_massey`, moved here verbatim except
+that the field inverse of b is inlined as exp[(n - log[b]) % n].
 """
 
 import itertools
@@ -244,3 +247,44 @@ def rasterize_loop(points, box_side: float, partition: int):
     bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
     out[bins[:, 0] * partition + bins[:, 1]] = 1.0
     return out
+
+
+def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:
+    """Error locator polynomial from syndromes s[1..2t] (index = degree)."""
+    field = code.field
+    n = code.n
+    # beyond-capability patterns can push L up to 2t before the degree
+    # check rejects them, so the register must hold that many coefficients
+    C = np.zeros(2 * code.t + 1, dtype=np.int64)
+    B = np.zeros(2 * code.t + 1, dtype=np.int64)
+    C[0] = B[0] = 1
+    L, shift, b = 0, 1, 1
+    for r in range(1, 2 * code.t + 1):
+        d = int(s[r])
+        if L:
+            cj = C[1:L + 1]
+            sj = s[r - 1:r - L - 1:-1] if r - L - 1 >= 0 else s[r - 1::-1]
+            nz = (cj != 0) & (sj != 0)
+            if np.any(nz):
+                prods = field.exp[(field.log[cj[nz]] + field.log[sj[nz]]) % n]
+                d ^= int(np.bitwise_xor.reduce(prods))
+        if d == 0:
+            shift += 1
+            continue
+        coef = field.mult(d, int(field.exp[(n - field.log[b]) % n]))
+        log_coef = field.log[coef]
+        scaled = np.zeros_like(C)
+        nz = np.nonzero(B)[0]
+        nz = nz[nz + shift < len(scaled)]
+        scaled[nz + shift] = field.exp[(field.log[B[nz]] + log_coef) % n]
+        if 2 * L <= r - 1:
+            T = C.copy()
+            C = C ^ scaled
+            L = r - L
+            B = T
+            b = d
+            shift = 1
+        else:
+            C = C ^ scaled
+            shift += 1
+    return C[:L + 1]

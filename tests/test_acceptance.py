@@ -13,6 +13,7 @@ import functools
 import itertools
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,11 +374,11 @@ def test_criterion_12_reproducibility(default_run, tmp_path_factory):
     config, _ = default_run
     out2 = tmp_path_factory.mktemp("repro") / "results.csv"
     run_sweep(dataclasses.replace(config, out=str(out2)))
-    first = open(config.out, "rb").read()
-    second = open(out2, "rb").read()
+    first = Path(config.out).read_bytes()
+    second = Path(out2).read_bytes()
     assert first == second, "results files differ between identical runs"
-    folds1 = open(folds_path_for(config.out), "rb").read()
-    folds2 = open(folds_path_for(str(out2)), "rb").read()
+    folds1 = Path(folds_path_for(config.out)).read_bytes()
+    folds2 = Path(folds_path_for(str(out2))).read_bytes()
     assert folds1 == folds2, "fold files differ between identical runs"
     return (f"two sweeps byte-identical ({len(first)} result bytes, "
             f"{len(folds1)} fold bytes)")

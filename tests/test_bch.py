@@ -7,7 +7,7 @@ import pytest
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator, bits_to_int,
                             coded_rate, decode_or_passthrough, int_to_bits,
                             load_code_table, select_compatible_codes)
-from pdsemcom.codec.galois import GaloisField
+from pdsemcom.codec.galois import PRIMITIVE_POLYS, GaloisField
 from pdsemcom.errors import DecodeFailure, ShapeError
 
 
@@ -17,16 +17,15 @@ def test_field_tables_are_consistent():
     assert sorted(gf.exp) == list(range(1, 16))
     for a in range(1, 16):
         assert gf.exp[gf.log[a]] == a
-        assert gf.mult(a, gf.inv(a)) == 1
+        assert gf.mult(a, gf.pow_alpha(-int(gf.log[a]))) == 1
     assert gf.mult(0, 7) == 0
 
 
-def test_non_primitive_polynomial_rejected():
+def test_non_primitive_polynomial_rejected(monkeypatch):
     # x^4 + x^3 + x^2 + x + 1 is irreducible but has order 5, not 15
+    monkeypatch.setitem(PRIMITIVE_POLYS, 4, 0b11111)
     with pytest.raises(ValueError):
-        GaloisField(4, 0b11111)
-    with pytest.raises(ValueError):
-        GaloisField(4, 0b1011)  # degree 3, not 4
+        GaloisField(4)
 
 
 def test_bit_packing_round_trip():
@@ -55,6 +54,31 @@ def test_golden_1023_generators(t, k, digest):
     assert code.k == k
     text = str(code.generator).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+@pytest.mark.parametrize("t, digest, failures", [
+    (170, "6d80e9b140f27db496ec5cd7f9e7de984d423ca97a2337c69d15bf651e7970e8",
+     0),
+    (115, "8f57bde4d1f3500e09b02612cea4e0a1804e714f6ccc83152e17b0990b04776d",
+     156),
+])
+def test_golden_bch_decodes(t, digest, failures):
+    # 200 seeded codewords through a BSC at alpha = 0.12 (about 123 flips
+    # per block): every output bit, corrected count and failure flag
+    code = bch_generator(10, t)
+    rng = np.random.default_rng(t)
+    h = hashlib.sha256()
+    failed_blocks = 0
+    for _ in range(200):
+        msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+        flips = (rng.random(code.n) < 0.12).astype(np.uint8)
+        out, corrected, failed = decode_or_passthrough(
+            code, bch_encode(code, msg) ^ flips)
+        h.update(out.tobytes())
+        h.update(f"{corrected},{failed};".encode())
+        failed_blocks += failed
+    assert failed_blocks == failures
+    assert h.hexdigest() == digest
 
 
 def test_standard_length_31_dimensions():

@@ -30,9 +30,10 @@ def test_dataset_synth_and_pd_compute(tmp_path, capsys):
     pd_path = tmp_path / "pd.csv"
     rc = main(["pd", "compute", "--in", str(cloud), "--out", str(pd_path)])
     assert rc == 0
-    entries = load_pd_file(pd_path, gamma_max=16.0)
+    entries = load_pd_file(pd_path)
     assert sorted(entries) == [o.id for o in ds.objects]
     assert all(len(d.births) > 0 for d in entries.values())
+    assert not any(d.essential.any() for d in entries.values())
 
 
 def test_dataset_synth_rejects_other_class_counts(tmp_path, capsys):

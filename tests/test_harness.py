@@ -223,11 +223,11 @@ def test_sweep_determinism(small_sweep, tmp_path):
 
 def test_sweep_resume_is_idempotent(small_sweep, tmp_path):
     config, records = small_sweep
-    original = open(config.out, "rb").read()
+    original = Path(config.out).read_bytes()
 
     # a completed sweep re-run adds nothing
     again = run_sweep(config)
-    assert open(config.out, "rb").read() == original
+    assert Path(config.out).read_bytes() == original
     assert len(again) == len(records)
 
     # a truncated file is finished to the identical byte content
@@ -236,15 +236,15 @@ def test_sweep_resume_is_idempotent(small_sweep, tmp_path):
     with open(partial, "w") as f:
         f.writelines(lines[:2 + 5])  # hash header + columns + 5 data rows
     run_sweep(ExperimentConfig(**{**config.__dict__, "out": str(partial)}))
-    assert open(partial, "rb").read() == original
+    assert Path(partial).read_bytes() == original
 
 
 def test_resume_after_interrupted_append(small_sweep, tmp_path):
     # a kill mid-append leaves the last results row cut short and none of
     # that cell's fold rows
     config, finished = small_sweep
-    results = open(config.out, "rb").read()
-    folds = open(folds_path_for(config.out), "rb").read()
+    results = Path(config.out).read_bytes()
+    folds = Path(folds_path_for(config.out)).read_bytes()
     last = results[:-1].rsplit(b"\n", 1)[1]
     out = tmp_path / "cut.csv"
     out.write_bytes(results[:len(results) - len(last) // 2 - 1])
@@ -266,8 +266,8 @@ def test_resume_recomputes_cell_with_missing_fold_rows(tmp_path, cut):
                            m_values=(5,), alphas=(0.0, 0.3), codes=(),
                            epochs=5)
     run_sweep(config)
-    results = open(config.out, "rb").read()
-    folds = open(folds_path_for(config.out), "rb").read()
+    results = Path(config.out).read_bytes()
+    folds = Path(folds_path_for(config.out)).read_bytes()
     out = tmp_path / "cut.csv"
     out.write_bytes(results)
     fold_lines = folds.splitlines(keepends=True)
@@ -283,7 +283,7 @@ def test_resume_recomputes_cell_with_missing_fold_rows(tmp_path, cut):
 
 def test_read_results_rejects_bad_rows(small_sweep, tmp_path):
     config, _ = small_sweep
-    lines = open(config.out).read().splitlines(keepends=True)
+    lines = Path(config.out).read_text().splitlines(keepends=True)
     path = tmp_path / "r.csv"
     short = lines[4].rsplit(",", 3)[0] + "\n"
     path.write_text("".join(lines[:4] + [short] + lines[5:]))
@@ -414,13 +414,13 @@ def test_emit_all_curve_kinds(small_sweep, tmp_path):
     _, records = small_sweep
     for kind in ("dr", "ad", "ar", "ar-coded"):
         csv_path, svg_path = emit_curves(records, kind, tmp_path / kind)
-        text = open(svg_path).read()
+        text = Path(svg_path).read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         with open(csv_path) as f:
             rows = list(csv.reader(f))
         assert len(rows) > 2
     # the coded chart carries the perfect-channel reference lines
-    svg = open(tmp_path / "ar-coded" / "ar-coded.svg").read()
+    svg = (tmp_path / "ar-coded" / "ar-coded.svg").read_text()
     assert "stroke-dasharray" in svg
 
 
@@ -493,7 +493,7 @@ def test_golden_curves(tmp_path):
     ]
     for kind, (text, svg_sha) in GOLDEN_CURVES.items():
         csv_path, svg_path = emit_curves(records, kind, tmp_path)
-        assert open(csv_path, newline="").read() == text, kind
+        assert Path(csv_path).read_bytes().decode() == text, kind
         with open(svg_path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == svg_sha, kind
 

@@ -149,14 +149,30 @@ def test_pd_file_round_trip(tmp_path):
         entries[oid] = vr_diagram(pts, gamma_max=16.0)
     path = tmp_path / "pds.csv"
     write_pd_file(path, entries)
-    back = load_pd_file(path, gamma_max=16.0)
+    back = load_pd_file(path)
     assert sorted(back) == [1, 2, 5]
     for oid, pd in entries.items():
         got = back[oid]
         assert np.allclose(got.births, pd.births, atol=1e-7)
         assert np.allclose(got.deaths, pd.deaths, atol=1e-7)
         assert np.array_equal(got.dims, pd.dims)
-        assert np.array_equal(got.essential, pd.essential)
+        assert pd.essential.any() and not got.essential.any()
+
+
+def test_pd_file_keeps_pairs_that_die_at_the_cap(tmp_path):
+    # the H0 merge of two points 2 apart dies at the cap 2.0, as the
+    # essential class does; the file cannot tell the two rows apart, so
+    # neither reloads as essential and drop_essential keeps the merge
+    pd = vr_diagram(np.array([[0.0, 0.0], [2.0, 0.0]]), gamma_max=2.0)
+    assert pd.essential.tolist() == [False, True]
+    path = tmp_path / "pds.csv"
+    write_pd_file(path, {1: pd})
+    back = load_pd_file(path)[1]
+    assert back.deaths.tolist() == [2.0, 2.0]
+    assert back.essential.tolist() == [False, False]
+    assert len(back.drop_essential()) == 2
+    write_pd_file(path, {1: pd.drop_essential()})
+    assert load_pd_file(path)[1].points().tolist() == [[0.0, 2.0]]
 
 
 def test_pd_loader_errors(tmp_path):

@@ -1,7 +1,8 @@
 """Property tests: the CSV loaders on random rows, the grid-based binning
 against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
-the bottleneck search against brute-force matchings, degree-0 counts of
-Rips diagrams, and Rips diagrams against the triangle-column reduction."""
+the binary Berlekamp-Massey against the general one, the bottleneck search
+against brute-force matchings, degree-0 counts of Rips diagrams, and Rips
+diagrams against the triangle-column reduction."""
 
 import functools
 
@@ -10,11 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import (bottleneck_exhaustive, bottleneck_strict_permutations,
-                   density_mass_loop, persistence_by_triangle_columns,
-                   rasterize_loop)
+from brute import (berlekamp_massey_general, bottleneck_exhaustive,
+                   bottleneck_strict_permutations, density_mass_loop,
+                   persistence_by_triangle_columns, rasterize_loop)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, huffman_decode, huffman_encode)
+from pdsemcom.codec.bch import _berlekamp_massey, _syndromes
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeError, DecodeFailure,
                              EmptyDensity, InconsistentLabel, ParseError)
@@ -67,7 +69,7 @@ def test_pd_loader_raises_only_parse_errors(tmp_path, text):
     path = tmp_path / "pds.csv"
     path.write_text(text, encoding="utf-8")
     try:
-        load_pd_file(path, gamma_max=16.0)
+        load_pd_file(path)
     except ParseError:
         pass
 
@@ -166,9 +168,9 @@ def _small_bch(m_gf: int, t: int):
 
 
 @st.composite
-def _small_code(draw):
-    """A BCH code over GF(2^3)..GF(2^6) that has message bits."""
-    m_gf = draw(st.integers(3, 6))
+def _small_code(draw, max_m=6):
+    """A BCH code over GF(2^3)..GF(2^max_m) that has message bits."""
+    m_gf = draw(st.integers(3, max_m))
     code = _small_bch(m_gf, draw(st.integers(1, (1 << m_gf) // 4)))
     if code is None:
         code = _small_bch(m_gf, 1)
@@ -200,6 +202,30 @@ def test_bch_random_words_fail_only_by_decode_failure(data):
     except DecodeFailure:
         return
     assert len(decoded) == code.k and 0 <= corrected <= code.t
+
+
+# the sweep's two codes are drawn often, next to every field size
+_LOCATOR_CODE = st.one_of(_small_code(max_m=10), st.sampled_from(
+    [115, 170]).map(lambda t: _small_bch(10, t)))
+
+
+@PROPERTY
+@given(code=_LOCATOR_CODE, encoded=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_binary_locator_matches_general_berlekamp_massey(code, encoded, data,
+                                                         seed):
+    rng = np.random.default_rng(seed)
+    if encoded:
+        word = bch_encode(code, rng.integers(0, 2, size=code.k,
+                                             dtype=np.uint8))
+        flips = data.draw(st.integers(0, min(2 * code.t + 3, code.n)))
+        word[rng.choice(code.n, size=flips, replace=False)] ^= 1
+    else:
+        word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+    s = _syndromes(code, np.nonzero(word)[0])
+    got = _berlekamp_massey(code, s)
+    want = berlekamp_massey_general(code, s)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _diagram(min_points: int, max_points: int):
