@@ -108,7 +108,7 @@ def _cmd_code_bch(args) -> int:
             print(f"zero-padded message to {len(bits)} bits", file=sys.stderr)
         words = [bch_encode(code, bits[i:i + code.k])
                  for i in range(0, len(bits), code.k)]
-        _write_bits(args.out, np.concatenate(words))
+        _write_bits(args.out, np.array(words, dtype=np.uint8).ravel())
         print(f"encoded {len(words)} block(s) to {args.out}")
     else:
         if len(bits) % code.n:
@@ -120,7 +120,7 @@ def _cmd_code_bch(args) -> int:
             msg, _, failed = decode_or_passthrough(code, bits[i:i + code.n])
             failures += int(failed)
             out.append(msg)
-        _write_bits(args.out, np.concatenate(out))
+        _write_bits(args.out, np.array(out, dtype=np.uint8).ravel())
         print(f"decoded {len(out)} block(s) to {args.out}; "
               f"{failures} failure(s)")
     return 0

@@ -1,44 +1,71 @@
 """Canonical Huffman coding over quantizer cell indices.
 
-Codeword lengths come from the usual two-smallest merge; codewords are then
-reassigned canonically (sorted by length, then symbol) so that encoder and
-decoder rebuild the identical code from the probability vector alone. A
-single-symbol alphabet gets the 1-bit codeword 0.
+Codeword lengths come from the usual two-smallest merge, and they fix the
+canonical code: in (length, symbol) order the codewords are consecutive
+integers, and with count[l] codewords of length l the first of length l is
+first[l] = (first[l-1] + count[l-1]) << 1 (Moffat & Turpin, 1997). So
+encoder and decoder rebuild the identical code from the probability vector
+alone. A single-symbol alphabet gets the codeword 0.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DecodeError, ShapeError
+from ..errors import DecodeError, ShapeError, probability_vector
 
 
 @dataclass(frozen=True)
 class HuffmanCode:
-    """Canonical prefix code: parallel arrays of symbols, lengths, codewords."""
+    """Canonical prefix code given by its symbols and codeword lengths.
+
+    Derived once per code by the first-code rule: `codewords` aligned with
+    `symbols`, `words` (symbol -> bit string), and the decoder's tables by
+    length l: `first[l]`, `count[l]` and `start[l]`, where the symbols of
+    length l begin in `ordered`, the symbols in (length, symbol) order.
+    """
 
     symbols: np.ndarray    # sorted ascending
     lengths: np.ndarray
-    codewords: np.ndarray  # codeword value, MSB-first within its length
+    codewords: np.ndarray = field(init=False)  # value, MSB-first
+    first: list = field(init=False, repr=False)
+    count: list = field(init=False, repr=False)
+    start: list = field(init=False, repr=False)
+    ordered: list = field(init=False, repr=False)
+    words: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         sym = np.asarray(self.symbols, dtype=int).ravel()
         lens = np.asarray(self.lengths, dtype=int).ravel()
-        cw = np.asarray(self.codewords, dtype=object).ravel()
-        if not (len(sym) == len(lens) == len(cw)):
-            raise ShapeError("symbol/length/codeword arrays differ in length")
+        if len(sym) != len(lens):
+            raise ShapeError("symbol and length arrays differ in length")
         if len(sym) == 0:
             raise ValueError("alphabet is empty")
+        if np.any(lens < 1):
+            raise ValueError("codeword lengths must be at least 1")
         kraft = float(np.sum(2.0 ** (-lens)))
         if len(sym) > 1 and abs(kraft - 1.0) > 1e-12:
             raise ValueError(f"Kraft sum is {kraft}, expected 1")
-        for name, arr in (("symbols", sym), ("lengths", lens),
-                          ("codewords", cw)):
+        count = np.bincount(lens).tolist()
+        first, start = [0] * len(count), [0] * len(count)
+        for l in range(1, len(count)):
+            first[l] = (first[l - 1] + count[l - 1]) << 1
+            start[l] = start[l - 1] + count[l - 1]
+        order = np.lexsort((sym, lens))
+        cw = np.empty(len(sym), dtype=object)
+        cw[order] = [first[l] + rank - start[l]
+                     for rank, l in enumerate(lens[order].tolist())]
+        for arr in (sym, lens, cw):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        derived = dict(symbols=sym, lengths=lens, codewords=cw, first=first,
+                       count=count, start=start, ordered=sym[order].tolist(),
+                       words={s: format(c, f"0{l}b") for s, c, l
+                              in zip(sym.tolist(), cw, lens.tolist())})
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def expected_length(self, p: np.ndarray) -> float:
         """Mean codeword length under probabilities aligned with `symbols`."""
@@ -49,10 +76,7 @@ class HuffmanCode:
 
     def table(self) -> dict:
         """symbol -> codeword bit string, for display and tests."""
-        return {
-            int(s): format(int(c), f"0{int(l)}b")
-            for s, l, c in zip(self.symbols, self.lengths, self.codewords)
-        }
+        return dict(self.words)
 
 
 def _codeword_lengths(p: np.ndarray) -> np.ndarray:
@@ -81,85 +105,53 @@ def build_huffman(p: np.ndarray) -> HuffmanCode:
     Symbols are 1-based positions in `p` (matching quantizer cell indices
     when `p` is a full cell-probability vector).
     """
-    p = np.asarray(p, dtype=float).ravel()
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    if abs(float(np.sum(p)) - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {np.sum(p)}, expected 1")
+    p = probability_vector(p)  # so at least one entry is positive
     keep = p > 0
-    if not np.any(keep):
-        raise ValueError("no symbol has positive probability")
-    sym = np.nonzero(keep)[0] + 1
-    lengths = _codeword_lengths(p[keep])
-
-    # canonical reassignment: consecutive codewords in (length, symbol) order
-    rank = np.lexsort((sym, lengths))
-    codewords = np.zeros(len(sym), dtype=object)
-    code = 0
-    prev_len = int(lengths[rank[0]])
-    for pos, idx in enumerate(rank):
-        if pos:
-            code = (code + 1) << (int(lengths[idx]) - prev_len)
-            prev_len = int(lengths[idx])
-        codewords[idx] = code
-    return HuffmanCode(symbols=sym, lengths=lengths, codewords=codewords)
+    return HuffmanCode(symbols=np.nonzero(keep)[0] + 1,
+                       lengths=_codeword_lengths(p[keep]))
 
 
 def huffman_encode(code: HuffmanCode, symbols: np.ndarray) -> np.ndarray:
     """Concatenated codeword bits (uint8 array) for a symbol sequence."""
-    symbols = np.asarray(symbols, dtype=int).ravel()
-    if len(symbols) == 0:
-        return np.empty(0, dtype=np.uint8)
-    pos = np.searchsorted(code.symbols, symbols)
-    bad = (pos >= len(code.symbols)) | (code.symbols[np.minimum(pos, len(code.symbols) - 1)] != symbols)
-    if np.any(bad):
-        raise ValueError(f"symbol {symbols[bad][0]} is not in the alphabet")
-    out = []
-    for i in pos:
-        length = int(code.lengths[i])
-        cw = int(code.codewords[i])
-        out.append(np.array([(cw >> (length - 1 - b)) & 1 for b in range(length)],
-                            dtype=np.uint8))
-    return np.concatenate(out)
+    symbols = np.asarray(symbols, dtype=int).ravel().tolist()
+    try:
+        text = "".join([code.words[s] for s in symbols])
+    except KeyError as exc:
+        raise ValueError(
+            f"symbol {exc.args[0]} is not in the alphabet") from None
+    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
 
 
 def huffman_decode(code: HuffmanCode, bits: np.ndarray,
                    max_symbols: int | None = None,
                    strict: bool = True) -> np.ndarray:
-    """Greedy prefix walk over a bit array.
+    """Greedy prefix walk over a bit array, one bit per step.
 
-    Strict mode raises DecodeError (with the bit offset) on an impossible
-    prefix or a truncated final codeword. Tolerant mode, used after noisy
-    channels, drops the partial tail instead. `max_symbols` stops the walk
-    early and ignores surplus bits.
+    The l-bit prefix v is the codeword of ordered[start[l] + v - first[l]]
+    when v - first[l] < count[l]; a prefix that is no codeword is at least
+    first[l] + count[l], so v - first[l] is never negative. Strict mode
+    raises DecodeError (with the bit offset) on an impossible prefix or a
+    truncated final codeword. Tolerant mode, used after noisy channels,
+    drops the partial tail instead. `max_symbols` stops the walk early and
+    ignores surplus bits.
     """
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    by_length: dict[int, dict[int, int]] = {}
-    for s, l, c in zip(code.symbols, code.lengths, code.codewords):
-        by_length.setdefault(int(l), {})[int(c)] = int(s)
-    max_len = int(np.max(code.lengths))
+    first, count, start_of = code.first, code.count, code.start
     out = []
-    i = 0
-    start = 0
-    acc = 0
-    length = 0
-    n = len(bits)
-    while i < n:
+    acc = length = start = 0
+    for i, bit in enumerate(np.asarray(bits, dtype=np.uint8).ravel().tolist()):
         if max_symbols is not None and len(out) >= max_symbols:
             break
-        acc = (acc << 1) | int(bits[i])
+        acc = (acc << 1) | bit
         length += 1
-        i += 1
-        hit = by_length.get(length, {}).get(acc)
-        if hit is not None:
-            out.append(hit)
-            acc = 0
-            length = 0
-            start = i
-        elif length > max_len:
+        if length == len(count):  # longer than the longest codeword
             if strict:
                 raise DecodeError("no codeword matches", bit_offset=start)
             return np.array(out, dtype=int)
+        offset = acc - first[length]
+        if offset < count[length]:
+            out.append(code.ordered[start_of[length] + offset])
+            acc = length = 0
+            start = i + 1
     if length and strict and (max_symbols is None or len(out) < max_symbols):
         raise DecodeError("stream ends mid-codeword", bit_offset=start)
     return np.array(out, dtype=int)

@@ -1,7 +1,10 @@
-"""Exception types shared across the pipeline, and the CSV table reader
-whose every complaint is a ParseError."""
+"""Exception types shared across the pipeline, the CSV table reader
+whose every complaint is a ParseError, and the input checks whose every
+complaint is a ValueError."""
 
 import csv
+
+import numpy as np
 
 
 class PipelineError(Exception):
@@ -71,6 +74,20 @@ def nonnegative(text: str) -> float:
         raise ValueError(
             f"coordinate must be finite and nonnegative, got {text.strip()!r}")
     return value
+
+
+def probability_vector(p) -> np.ndarray:
+    """`p` as a flat float array, checked to be a probability vector: a
+    non-finite or negative entry, or a sum that is not 1, is a ValueError."""
+    p = np.asarray(p, dtype=float).ravel()
+    if not np.all(np.isfinite(p)):
+        raise ValueError("probabilities must be finite")
+    if np.any(p < 0):
+        raise ValueError("probabilities must be nonnegative")
+    total = float(np.sum(p))
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities sum to {total}, expected 1")
+    return p
 
 
 class InconsistentLabel(PipelineError):

@@ -127,11 +127,12 @@ class ExperimentConfig:
                           ("T", 1), ("epochs", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
+        # written so that NaN fails too
         for name in ("gamma_max", "box_pd", "box_raw", "box_latent"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.noise < 0:
-            raise ValueError("noise must be nonnegative")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.noise < math.inf:
+            raise ValueError("noise must be finite and nonnegative")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("hidden layer sizes must be positive")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDensity, ShapeError
+from .errors import EmptyDensity, ShapeError, probability_vector
 from .quantizer import QuantizerGrid, upper_triangle_cells
 
 DEFAULT_PARTITION = 28
@@ -99,14 +99,11 @@ def cell_probabilities(density: EmpiricalDensity, grid: QuantizerGrid) -> np.nda
 
 def quantizer_entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits, with 0 * log 0 = 0."""
-    p = np.asarray(p, dtype=float).ravel()
-    if np.any(p < 0):
-        raise ValueError("probabilities must be nonnegative")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities sum to {total}, expected 1")
+    p = probability_vector(p)
     nz = p[p > 0]
-    return float(-np.sum(nz * np.log2(nz)))
+    # 0.0 - x rather than -x: a one-symbol distribution has entropy 0.0,
+    # not -0.0
+    return float(0.0 - np.sum(nz * np.log2(nz)))
 
 
 @dataclass(frozen=True)

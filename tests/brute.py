@@ -11,6 +11,12 @@ the quantizer grid, and the BCH error locator by the general 2t-step
 Berlekamp-Massey (the package runs the t-step binary form). That last one
 is the package's former `_berlekamp_massey`, moved here verbatim except
 that the field inverse of b is inlined as exp[(n - log[b]) % n].
+
+The canonical Huffman codewords by walking the symbols in (length, symbol)
+order and the Huffman decoder that walks the bits against a table of every
+codeword (the package derives both from first-code tables) are the
+package's former `build_huffman` reassignment loop and `huffman_decode`,
+moved here verbatim.
 """
 
 import itertools
@@ -18,6 +24,7 @@ import math
 
 import numpy as np
 
+from pdsemcom.errors import DecodeError
 from pdsemcom.homology import PersistenceDiagram
 
 
@@ -288,3 +295,59 @@ def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:
             C = C ^ scaled
             shift += 1
     return C[:L + 1]
+
+
+def canonical_codewords(symbols: np.ndarray,
+                        lengths: np.ndarray) -> np.ndarray:
+    """Codeword values aligned with `symbols`: consecutive integers in
+    (length, symbol) order, shifted left at each length step."""
+    sym = np.asarray(symbols, dtype=int)
+    lengths = np.asarray(lengths, dtype=int)
+    # canonical reassignment: consecutive codewords in (length, symbol) order
+    rank = np.lexsort((sym, lengths))
+    codewords = np.zeros(len(sym), dtype=object)
+    code = 0
+    prev_len = int(lengths[rank[0]])
+    for pos, idx in enumerate(rank):
+        if pos:
+            code = (code + 1) << (int(lengths[idx]) - prev_len)
+            prev_len = int(lengths[idx])
+        codewords[idx] = code
+    return codewords
+
+
+def huffman_decode_bitwalk(code, bits: np.ndarray,
+                           max_symbols: int | None = None,
+                           strict: bool = True) -> np.ndarray:
+    """Greedy prefix walk over a bit array, looking each prefix up in a
+    (length -> codeword -> symbol) table."""
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    by_length: dict[int, dict[int, int]] = {}
+    for s, l, c in zip(code.symbols, code.lengths, code.codewords):
+        by_length.setdefault(int(l), {})[int(c)] = int(s)
+    max_len = int(np.max(code.lengths))
+    out = []
+    i = 0
+    start = 0
+    acc = 0
+    length = 0
+    n = len(bits)
+    while i < n:
+        if max_symbols is not None and len(out) >= max_symbols:
+            break
+        acc = (acc << 1) | int(bits[i])
+        length += 1
+        i += 1
+        hit = by_length.get(length, {}).get(acc)
+        if hit is not None:
+            out.append(hit)
+            acc = 0
+            length = 0
+            start = i
+        elif length > max_len:
+            if strict:
+                raise DecodeError("no codeword matches", bit_offset=start)
+            return np.array(out, dtype=int)
+    if length and strict and (max_symbols is None or len(out) < max_symbols):
+        raise DecodeError("stream ends mid-codeword", bit_offset=start)
+    return np.array(out, dtype=int)

@@ -93,6 +93,24 @@ def test_bch_encode_corrupt_decode(tmp_path, capsys):
     assert _bits(dec) == list("10110")
 
 
+def test_code_huffman_rejects_nan(capsys):
+    rc = main(["code", "huffman", "--probs", "nan,1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("action", ["encode", "decode"])
+def test_bch_cli_passes_zero_blocks(tmp_path, capsys, action):
+    empty = tmp_path / "empty.bits"
+    empty.write_text("")
+    out = tmp_path / "out.bits"
+    rc = main(["code", "bch", action, "--n", "15", "--k", "5", "--t", "3",
+               "--in", str(empty), "--out", str(out)])
+    assert rc == 0
+    assert "0 block(s)" in capsys.readouterr().out
+    assert _bits(out) == []
+
+
 def test_bch_cli_validation(tmp_path, capsys):
     msg = tmp_path / "m.bits"
     msg.write_text("1111\n")

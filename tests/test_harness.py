@@ -97,6 +97,14 @@ def test_config_validation():
     assert cfg.m_values == (10, 12)
 
 
+@pytest.mark.parametrize("key", ["noise", "gamma_max", "box_pd", "box_raw",
+                                 "box_latent"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_config_rejects_non_finite_values(key, value):
+    with pytest.raises(ParseError):
+        parse_config(f"{key} = {value}\n")
+
+
 def test_env_overrides(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     write_config(path, ExperimentConfig(out=str(tmp_path / "r.csv")))
@@ -321,19 +329,46 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert calls == {}
 
 
+def _sweepbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "sweepbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"sweepbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_traced_names_still_resolve():
     # the sweep benchmark's tracer (sweepbench/spans.py) replaces these names
     # where the harness looks them up; a renamed or dropped one must fail
     # here and not only in a traced benchmark run
-    path = Path(__file__).resolve().parents[1] / "sweepbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("sweepbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    targets = spans._targets()
+    targets = _sweepbench_module("spans")._targets()
     assert targets
     for module, attr, _, _ in targets:
         assert callable(getattr(module, attr, None)), (
             f"{module.__name__}.{attr}")
+
+
+def test_traced_sweep_covers_every_benchmark_layer(tmp_path):
+    # the tracer's counters read call arguments (max_symbols by keyword,
+    # for one), so a change in how the harness calls a traced name must
+    # fail here and not only in a traced benchmark run
+    spans = _sweepbench_module("spans")
+    workloads = _sweepbench_module("workloads")
+    config = _small_config(tmp_path / "r.csv", m_values=(10,),
+                           alphas=(0.0, 0.12), codes=((1023, 123, 170),),
+                           T=2, epochs=5)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        records = tracer.run(run_sweep, config)
+    finally:
+        tracer.uninstall()
+    assert records and all(r.status == "ok" for r in records)
+    layers = tracer.layer_metrics(lambda t: t)
+    for base in set().union(*workloads.COVERED.values()):
+        assert layers[base + "_calls"] > 0, base
+    assert layers["codec.huffman_decode_yield"] > 0
+    assert layers["codec.bch_blocks"] > 0
 
 
 def test_coded_cell_checks_frame_capacity():

@@ -1,10 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from pdsemcom.codec import (HuffmanCode, build_huffman, huffman_decode,
                             huffman_encode)
+from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import DecodeError, ShapeError
-from pdsemcom.infotheory import quantizer_entropy
+from pdsemcom.homology import vr_diagram
+from pdsemcom.infotheory import (cell_probabilities, estimate_density,
+                                 quantizer_entropy)
+from pdsemcom.quantizer import QuantizerGrid
 
 
 def _random_dist(rng, n):
@@ -123,9 +129,55 @@ def test_validation():
         build_huffman(np.array([0.6, 0.6]))
     with pytest.raises(ValueError):
         build_huffman(np.array([0.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            build_huffman(np.array([bad, 1.0]))
     code = build_huffman(np.array([0.5, 0.5]))
     with pytest.raises(ShapeError):
         code.expected_length(np.array([1.0]))
+    with pytest.raises(ValueError):  # Kraft sum 3/4
+        HuffmanCode(symbols=np.array([1, 2]), lengths=np.array([1, 2]))
     with pytest.raises(ValueError):
-        HuffmanCode(symbols=np.array([1, 2]), lengths=np.array([1, 2]),
-                    codewords=np.array([0, 2], dtype=object))
+        HuffmanCode(symbols=np.array([1]), lengths=np.array([0]))
+
+
+@pytest.fixture(scope="module")
+def synth_point_sets():
+    """(point sets, box side) per pipeline, as the sweep builds them."""
+    data = synth_dataset(per_class=4, n_points=48, noise=0.2, seed=7)
+    raw = [o.points for o in data.objects]
+    pd = []
+    for pts in raw:
+        d = vr_diagram(pts, gamma_max=16.0)
+        pd.append(np.vstack([d.points(0), d.points(1)]))
+    return {"pd": (pd, 16.0), "raw": (raw, 28.0)}
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("pd",
+     "870bc296673da712eb7284a756a43cc195a82a326949f2dfcaf13e0b49005358"),
+    ("raw",
+     "c0f4175b6a0d9dd95c98bce54db49cb92890b90e2c056a61bdda842ff94a2442"),
+])
+def test_golden_codes_on_synth_densities(synth_point_sets, kind, digest):
+    # codes from a synth density at m = 10, 18, 27: the encoded bits of every
+    # object and of the whole alphabet, and tolerant decodes of those
+    # streams with 12 % of their bits flipped
+    sets, box = synth_point_sets[kind]
+    density = estimate_density(sets, box_side=box, partition=28)
+    rng = np.random.default_rng(12)
+    h = hashlib.sha256()
+    for m in (10, 18, 27):
+        grid = QuantizerGrid(box_side=box, n_bins=m)
+        code = build_huffman(cell_probabilities(density, grid))
+        streams = [grid.quantize_points(p) for p in sets] + [code.symbols]
+        for symbols in streams:
+            bits = huffman_encode(code, symbols)
+            assert np.array_equal(huffman_decode(code, bits), symbols)
+            noisy = bits ^ (rng.random(len(bits)) < 0.12).astype(np.uint8)
+            h.update(bits.tobytes())
+            for max_symbols in (None, len(symbols)):
+                out = huffman_decode(code, noisy, max_symbols=max_symbols,
+                                     strict=False)
+                h.update(out.astype(np.int64).tobytes() + b";")
+    assert h.hexdigest() == digest

@@ -56,7 +56,11 @@ def test_entropy_validation():
         quantizer_entropy(np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         quantizer_entropy(np.array([1.5, -0.5]))
-    assert quantizer_entropy(np.array([1.0, 0.0])) == 0.0
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            quantizer_entropy(np.array([bad, 1.0]))
+    # +0.0, not -0.0
+    assert str(quantizer_entropy(np.array([1.0, 0.0]))) == "0.0"
 
 
 def test_uniform_mse_is_exact():

@@ -1,8 +1,9 @@
 """Property tests: the CSV loaders on random rows, the grid-based binning
 against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
-the binary Berlekamp-Massey against the general one, the bottleneck search
-against brute-force matchings, degree-0 counts of Rips diagrams, and Rips
-diagrams against the triangle-column reduction."""
+the table-driven Huffman code against the canonical reassignment and the
+bit walk, the binary Berlekamp-Massey against the general one, the
+bottleneck search against brute-force matchings, degree-0 counts of Rips
+diagrams, and Rips diagrams against the triangle-column reduction."""
 
 import functools
 
@@ -12,7 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute import (berlekamp_massey_general, bottleneck_exhaustive,
-                   bottleneck_strict_permutations, density_mass_loop,
+                   bottleneck_strict_permutations, canonical_codewords,
+                   density_mass_loop, huffman_decode_bitwalk,
                    persistence_by_triangle_columns, rasterize_loop)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, huffman_decode, huffman_encode)
@@ -125,12 +127,14 @@ def test_raster_binning_matches_loop(case):
 
 @st.composite
 def _huffman_case(draw):
-    """(code, symbols from its alphabet) for a random distribution."""
+    """(code, symbols from its alphabet) for a random distribution with
+    zeros; about one in five has a one-symbol alphabet."""
     weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
                             min_size=1, max_size=40))
     p = np.array(weights)
-    if not np.any(p > 0):
-        p[0] = 1.0
+    if not np.any(p > 0) or draw(st.integers(0, 4)) == 0:
+        p[:] = 0.0
+        p[draw(st.integers(0, len(p) - 1))] = 1.0
     code = build_huffman(p / p.sum())
     symbols = draw(st.lists(st.sampled_from(code.symbols.tolist()),
                             max_size=50))
@@ -157,6 +161,47 @@ def test_huffman_random_bits(case, bits):
         pass
     out = huffman_decode(code, bits, strict=False)
     assert np.all(np.isin(out, code.symbols))
+
+
+@st.composite
+def _huffman_stream(draw):
+    """(code, bits, symbol count): a random stream, or the code's encoding
+    of symbols with 12 % of its bits flipped or cut short."""
+    code, symbols = draw(_huffman_case())
+    bits = huffman_encode(code, symbols)
+    kind = draw(st.sampled_from(["random", "flipped", "truncated"]))
+    if kind == "random":
+        bits = np.array(draw(st.lists(st.integers(0, 1), max_size=120)),
+                        dtype=np.uint8)
+    elif kind == "flipped":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        bits = bits ^ (rng.random(len(bits)) < 0.12).astype(np.uint8)
+    else:
+        bits = bits[:draw(st.integers(0, len(bits)))]
+    return code, bits, len(symbols)
+
+
+def _decode_outcome(decode, code, bits, max_symbols, strict):
+    try:
+        out = decode(code, bits, max_symbols=max_symbols, strict=strict)
+    except DecodeError as exc:
+        return str(exc), exc.bit_offset
+    return out.dtype, out.tolist()
+
+
+@PROPERTY
+@given(case=_huffman_stream(), cap=st.integers(0, 60))
+def test_huffman_tables_match_bit_walk(case, cap):
+    code, bits, n_symbols = case
+    want = canonical_codewords(code.symbols, code.lengths)
+    assert code.codewords.dtype == want.dtype
+    assert np.array_equal(code.codewords, want)
+    for strict in (True, False):
+        for max_symbols in (None, n_symbols, cap):
+            assert (_decode_outcome(huffman_decode, code, bits, max_symbols,
+                                    strict)
+                    == _decode_outcome(huffman_decode_bitwalk, code, bits,
+                                       max_symbols, strict))
 
 
 @functools.lru_cache(maxsize=None)
