@@ -6,11 +6,19 @@ systematic message occupies the top k positions of a codeword. Decoding
 corrects up to the designed capability t; when the error locator's degree
 disagrees with its root count the decoder raises DecodeFailure and the
 caller decides whether to pass the systematic bits through.
+
+Decoding reads tables built once per code, so a block costs gathers and
+XOR-reductions with no multiply or modulo per element: the odd syndromes
+are one gather of `powers` rows at the received word's 1-positions, the
+Chien search adds the log of each locator coefficient lambda_j to row j of
+`ij` (i * j mod n) and looks the sums up in `exp2`, the exp table doubled
+to length 2n, and Berlekamp-Massey forms every product as
+exp2[log a + log b] too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
 from itertools import zip_longest
 
@@ -87,13 +95,25 @@ def _minimal_poly(field: GaloisField, coset) -> int:
 
 @dataclass(frozen=True)
 class BchCode:
-    """An (n, k, t) binary BCH code over GF(2^m) with n = 2^m - 1."""
+    """An (n, k, t) binary BCH code over GF(2^m) with n = 2^m - 1.
+
+    Derived once per code, as read-only int16 arrays left out of the
+    constructor, repr, equality and hash, for the decoder:
+    `powers[p, j]` = alpha^((2j + 1) p), shape n x t, the contribution of
+    a 1 at position p to the odd syndrome s_(2j+1); `ij[j, i]` = i j mod n,
+    shape (t + 1) x n, the log of (alpha^i)^j for the Chien search, one
+    contiguous row per locator term; and `exp2`, the field's exp table
+    repeated to length 2n, so that a sum of two logs needs no modulo.
+    """
 
     field: GaloisField
     n: int
     k: int
     t: int
     generator: int
+    powers: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    ij: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    exp2: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != self.field.order:
@@ -102,6 +122,16 @@ class BchCode:
             raise ValueError("generator degree must be n - k")
         if _gf2_poly_mod((1 << self.n) | 1, self.generator) != 0:
             raise ValueError("generator must divide x^n + 1")
+        i = np.arange(self.n, dtype=np.int32)
+        odd = np.arange(1, 2 * self.t, 2, dtype=np.int32)
+        exp2 = np.tile(self.field.exp.astype(np.int16), 2)
+        tables = dict(powers=exp2[np.outer(i, odd) % self.n],
+                      ij=(np.outer(np.arange(self.t + 1, dtype=np.int32), i)
+                          % self.n).astype(np.int16),
+                      exp2=exp2)
+        for name, table in tables.items():
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
 
 
 def bch_generator(m_gf: int, t: int) -> BchCode:
@@ -136,9 +166,19 @@ def bch_generator(m_gf: int, t: int) -> BchCode:
     return code
 
 
+def _bits(word, what: str) -> np.ndarray:
+    """`word` flattened to a fresh uint8 array; ShapeError if any entry is
+    not 0 or 1 (checked before the cast, which would wrap 256 to 0 and
+    truncate 0.5 to 0)."""
+    word = np.asarray(word).ravel()
+    if np.any((word != 0) & (word != 1)):
+        raise ShapeError(f"{what} must hold only 0s and 1s")
+    return word.astype(np.uint8)
+
+
 def bch_encode(code: BchCode, message: np.ndarray) -> np.ndarray:
     """Systematic codeword: message in the top k coefficients, parity below."""
-    message = np.asarray(message, dtype=np.uint8).ravel()
+    message = _bits(message, "message")
     if len(message) != code.k:
         raise ShapeError(f"message must have {code.k} bits, got {len(message)}")
     shifted = bits_to_int(message) << (code.n - code.k)
@@ -147,17 +187,18 @@ def bch_encode(code: BchCode, message: np.ndarray) -> np.ndarray:
 
 
 def _syndromes(code: BchCode, positions: np.ndarray) -> np.ndarray:
-    """s_i = r(alpha^i) for i = 1..2t; even i via Frobenius squaring."""
-    field = code.field
-    n = code.n
+    """s_i = r(alpha^i) for i = 1..2t: odd i by one gather of `powers`
+    rows, even i via Frobenius squaring s_2i = s_i^2, one slice per power
+    of two (s_2, s_6, s_10, ... from s_1, s_3, s_5, ..., then s_4, s_12,
+    ... from s_2, s_6, ...)."""
+    log = code.field.log  # log[0] = -1 picks a junk entry, masked below
     s = np.zeros(2 * code.t + 1, dtype=np.int64)
-    odd = np.arange(1, 2 * code.t + 1, 2)
-    if len(positions):
-        exps = (odd[:, None] * positions[None, :]) % n
-        s[odd] = np.bitwise_xor.reduce(field.exp[exps], axis=1)
-    for i in range(2, 2 * code.t + 1, 2):
-        v = s[i // 2]
-        s[i] = field.exp[(2 * field.log[v]) % n] if v else 0
+    s[1::2] = np.bitwise_xor.reduce(code.powers[positions], axis=0)
+    h = 1
+    while h <= code.t:
+        v = s[h::2 * h][:len(s[2 * h::4 * h])]
+        s[2 * h::4 * h] = np.where(v, code.exp2[2 * log[v]], 0)
+        h *= 2
     return s
 
 
@@ -168,7 +209,7 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
     binary BCH chapter)."""
     n = code.n
-    exp = code.field.exp.tolist()
+    exp2 = code.exp2.tolist()  # exp2[a + b] for logs a, b < n
     log = code.field.log.tolist()  # log[0] = -1
     log_s = code.field.log[s].tolist()
     # C, the locator, always holds L + 1 coefficients (the top one may be
@@ -179,10 +220,10 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
         d = int(s[r])
         for c, e in zip(C[1:], reversed(log_s[r - L:r])):
             if c and e >= 0:
-                d ^= exp[(log[c] + e) % n]
+                d ^= exp2[log[c] + e]
         if d:
-            log_coef = log[d] - log_b
-            term = [0] * shift + [exp[(log[x] + log_coef) % n] if x else 0
+            log_coef = (log[d] - log_b) % n
+            term = [0] * shift + [exp2[log[x] + log_coef] if x else 0
                                   for x in B]
             C, prev = [a ^ b for a, b in zip_longest(C, term, fillvalue=0)], C
             if 2 * L <= r - 1:
@@ -191,10 +232,19 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     return np.array(C, dtype=np.int64)
 
 
+def _chien_roots(code: BchCode, locator: np.ndarray) -> np.ndarray:
+    """The i in 0..n-1 with locator(alpha^i) = 0, ascending: the term
+    lambda_j x^j at alpha^i is exp2[ij[j, i] + log lambda_j]."""
+    js = np.nonzero(locator)[0]
+    logs = code.field.log[locator[js], None]
+    values = np.bitwise_xor.reduce(code.exp2[code.ij[js] + logs], axis=0)
+    return np.nonzero(values == 0)[0]
+
+
 def bch_decode(code: BchCode, received: np.ndarray):
     """-> (message bits, corrected error count); DecodeFailure when the
     error pattern is beyond the code's reach."""
-    r = np.asarray(received, dtype=np.uint8).ravel().copy()
+    r = _bits(received, "received word")
     if len(r) != code.n:
         raise ShapeError(f"received word must have {code.n} bits, got {len(r)}")
     positions = np.nonzero(r)[0].astype(np.int64)
@@ -207,18 +257,12 @@ def bch_decode(code: BchCode, received: np.ndarray):
         raise DecodeFailure(
             f"locator degree {deg} exceeds capability t={code.t}"
         )
-    field = code.field
-    n = code.n
-    js = np.nonzero(locator)[0]
-    logs = field.log[locator[js]]
-    evals = (np.arange(n, dtype=np.int64)[:, None] * js[None, :] + logs[None, :]) % n
-    values = np.bitwise_xor.reduce(field.exp[evals], axis=1)
-    roots = np.nonzero(values == 0)[0]
+    roots = _chien_roots(code, locator)
     if len(roots) != deg:
         raise DecodeFailure(
             f"locator degree {deg} but {len(roots)} roots found"
         )
-    error_positions = (n - roots) % n
+    error_positions = (code.n - roots) % code.n
     r[error_positions] ^= 1
     return r[code.n - code.k:], int(deg)
 

@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import DecodeError, ShapeError, probability_vector
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HuffmanCode:
     """Canonical prefix code given by its symbols and codeword lengths.
 
@@ -26,6 +26,8 @@ class HuffmanCode:
     `symbols`, `words` (symbol -> bit string), and the decoder's tables by
     length l: `first[l]`, `count[l]` and `start[l]`, where the symbols of
     length l begin in `ordered`, the symbols in (length, symbol) order.
+    Two codes are equal when their symbols and lengths are, since those
+    fix everything else.
     """
 
     symbols: np.ndarray    # sorted ascending
@@ -66,6 +68,15 @@ class HuffmanCode:
                               in zip(sym.tolist(), cw, lens.tolist())})
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if not isinstance(other, HuffmanCode):
+            return NotImplemented
+        return (np.array_equal(self.symbols, other.symbols)
+                and np.array_equal(self.lengths, other.lengths))
+
+    def __hash__(self):
+        return hash((self.symbols.tobytes(), self.lengths.tobytes()))
 
     def expected_length(self, p: np.ndarray) -> float:
         """Mean codeword length under probabilities aligned with `symbols`."""

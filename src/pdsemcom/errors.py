@@ -76,16 +76,17 @@ def nonnegative(text: str) -> float:
     return value
 
 
-def probability_vector(p) -> np.ndarray:
+def probability_vector(p, tol: float = 1e-9) -> np.ndarray:
     """`p` as a flat float array, checked to be a probability vector: a
-    non-finite or negative entry, or a sum that is not 1, is a ValueError."""
+    non-finite or negative entry, or a sum more than `tol` from 1, is a
+    ValueError."""
     p = np.asarray(p, dtype=float).ravel()
     if not np.all(np.isfinite(p)):
         raise ValueError("probabilities must be finite")
     if np.any(p < 0):
         raise ValueError("probabilities must be nonnegative")
     total = float(np.sum(p))
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return p
 

@@ -33,8 +33,9 @@ class EmpiricalDensity:
     mass: np.ndarray
 
     def __post_init__(self):
-        if self.box_side <= 0:
-            raise ValueError("box side must be positive")
+        if not np.isfinite(self.box_side) or self.box_side <= 0:
+            raise ValueError(f"box side must be finite and positive, got "
+                             f"{self.box_side}")
         if self.partition < 1:
             raise ValueError("partition must be at least 1")
         m = np.asarray(self.mass, dtype=float)
@@ -42,10 +43,7 @@ class EmpiricalDensity:
             raise ShapeError(
                 f"mass must be {self.partition}x{self.partition}, got {m.shape}"
             )
-        if np.any(m < 0):
-            raise ValueError("cell mass must be nonnegative")
-        if abs(float(np.sum(m)) - 1.0) > 1e-12:
-            raise ValueError(f"cell masses sum to {np.sum(m)}, expected 1")
+        probability_vector(m.ravel(), tol=1e-12)
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
 

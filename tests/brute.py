@@ -10,7 +10,12 @@ occupancy raster by their own floor-and-clamp binning rather than through
 the quantizer grid, and the BCH error locator by the general 2t-step
 Berlekamp-Massey (the package runs the t-step binary form). That last one
 is the package's former `_berlekamp_massey`, moved here verbatim except
-that the field inverse of b is inlined as exp[(n - log[b]) % n].
+that the field inverse of b is inlined as exp[(n - log[b]) % n]. The BCH
+syndromes and Chien search by multiplying exponents and reducing them mod n
+on every call (the package gathers from tables built once per code) are the
+package's former `_syndromes` body and Chien evaluation, moved here
+verbatim, and `bch_decode_by_products` is the package's former
+`bch_decode` built from them and the general Berlekamp-Massey.
 
 The canonical Huffman codewords by walking the symbols in (length, symbol)
 order and the Huffman decoder that walks the bits against a table of every
@@ -24,7 +29,7 @@ import math
 
 import numpy as np
 
-from pdsemcom.errors import DecodeError
+from pdsemcom.errors import DecodeError, DecodeFailure, ShapeError
 from pdsemcom.homology import PersistenceDiagram
 
 
@@ -295,6 +300,59 @@ def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:
             C = C ^ scaled
             shift += 1
     return C[:L + 1]
+
+
+def syndromes_by_products(code, positions: np.ndarray) -> np.ndarray:
+    """s_i = r(alpha^i) for i = 1..2t; even i via Frobenius squaring."""
+    field = code.field
+    n = code.n
+    s = np.zeros(2 * code.t + 1, dtype=np.int64)
+    odd = np.arange(1, 2 * code.t + 1, 2)
+    if len(positions):
+        exps = (odd[:, None] * positions[None, :]) % n
+        s[odd] = np.bitwise_xor.reduce(field.exp[exps], axis=1)
+    for i in range(2, 2 * code.t + 1, 2):
+        v = s[i // 2]
+        s[i] = field.exp[(2 * field.log[v]) % n] if v else 0
+    return s
+
+
+def chien_roots_by_products(code, locator: np.ndarray) -> np.ndarray:
+    """The i in 0..n-1 with locator(alpha^i) = 0, ascending."""
+    field = code.field
+    n = code.n
+    js = np.nonzero(locator)[0]
+    logs = field.log[locator[js]]
+    evals = (np.arange(n, dtype=np.int64)[:, None] * js[None, :] + logs[None, :]) % n
+    values = np.bitwise_xor.reduce(field.exp[evals], axis=1)
+    return np.nonzero(values == 0)[0]
+
+
+def bch_decode_by_products(code, received: np.ndarray):
+    """-> (message bits, corrected error count); DecodeFailure when the
+    error pattern is beyond the code's reach."""
+    r = np.asarray(received, dtype=np.uint8).ravel().copy()
+    if len(r) != code.n:
+        raise ShapeError(f"received word must have {code.n} bits, got {len(r)}")
+    positions = np.nonzero(r)[0].astype(np.int64)
+    s = syndromes_by_products(code, positions)
+    if not np.any(s[1:]):
+        return r[code.n - code.k:], 0
+    locator = berlekamp_massey_general(code, s)
+    deg = len(locator) - 1
+    if deg > code.t:
+        raise DecodeFailure(
+            f"locator degree {deg} exceeds capability t={code.t}"
+        )
+    n = code.n
+    roots = chien_roots_by_products(code, locator)
+    if len(roots) != deg:
+        raise DecodeFailure(
+            f"locator degree {deg} but {len(roots)} roots found"
+        )
+    error_positions = (n - roots) % n
+    r[error_positions] ^= 1
+    return r[code.n - code.k:], int(deg)
 
 
 def canonical_codewords(symbols: np.ndarray,

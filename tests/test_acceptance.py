@@ -149,6 +149,7 @@ def test_criterion_03_quantizer_error_bounds():
 
 
 @criterion(4, "entropy and occupancy identities")
+@pytest.mark.slow
 def test_criterion_04_rate_identities(corpus):
     _, diagrams = corpus
     uniform = EmpiricalDensity(box_side=BOX, partition=28,
@@ -176,6 +177,7 @@ def test_criterion_04_rate_identities(corpus):
 
 
 @criterion(5, "semantic rate advantage")
+@pytest.mark.slow
 def test_criterion_05_semantic_rate_advantage(default_run):
     _, records = default_run
     base = [r for r in records
@@ -193,6 +195,7 @@ def test_criterion_05_semantic_rate_advantage(default_run):
 
 
 @criterion(6, "Huffman optimality and losslessness")
+@pytest.mark.slow
 def test_criterion_06_huffman_bounds(corpus, default_run):
     _, records = default_run
     for r in records:
@@ -232,6 +235,7 @@ def test_criterion_06_huffman_bounds(corpus, default_run):
 
 
 @criterion(7, "block code correction")
+@pytest.mark.slow
 def test_criterion_07_bch_error_correction():
     t0 = time.monotonic()
     small = bch_generator(4, 3)
@@ -304,6 +308,7 @@ def test_criterion_09_channel_statistics():
 
 
 @criterion(10, "classifier quality and robustness")
+@pytest.mark.slow
 def test_criterion_10_classifier_quality(default_run):
     _, records = default_run
     base = [r for r in records
@@ -346,6 +351,7 @@ def test_criterion_10_classifier_quality(default_run):
 
 
 @criterion(11, "coded transmission robustness")
+@pytest.mark.slow
 def test_criterion_11_coded_transmission(tmp_path_factory):
     t0 = time.monotonic()
     out = tmp_path_factory.mktemp("coded") / "results.csv"
@@ -370,6 +376,7 @@ def test_criterion_11_coded_transmission(tmp_path_factory):
 
 
 @criterion(12, "end-to-end reproducibility")
+@pytest.mark.slow
 def test_criterion_12_reproducibility(default_run, tmp_path_factory):
     config, _ = default_run
     out2 = tmp_path_factory.mktemp("repro") / "results.csv"

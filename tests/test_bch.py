@@ -180,6 +180,46 @@ def test_shape_validation():
         bch_generator(4, 0)
 
 
+def test_codes_compare_by_parameters_not_tables():
+    code = bch_generator(10, 170)
+    again = bch_generator(10, 170)
+    assert code == again and hash(code) == hash(again)
+    assert code != bch_generator(10, 115)
+    assert "powers" not in repr(code)
+    assert code.powers.shape == (1023, 170) and code.powers.dtype == np.int16
+    assert code.ij.shape == (171, 1023) and code.exp2.shape == (2046,)
+    with pytest.raises(ValueError):
+        code.powers[0, 0] = 0
+
+
+@pytest.mark.parametrize("word", [
+    np.full(15, 2),  # the 1s of a codeword written as 2s
+    np.full(15, 0.5),  # a cast to uint8 would make it all zeros
+    np.full(15, 256),  # a cast to uint8 would wrap it to zeros
+    np.full(15, -1),
+    np.full(15, np.nan),
+])
+def test_non_binary_words_rejected(word):
+    code = bch_generator(4, 3)
+    with pytest.raises(ShapeError, match="0s and 1s"):
+        bch_decode(code, word)
+    with pytest.raises(ShapeError, match="0s and 1s"):
+        decode_or_passthrough(code, word)
+    with pytest.raises(ShapeError, match="0s and 1s"):
+        bch_encode(code, word[:code.k])
+
+
+def test_binary_words_of_any_dtype_accepted():
+    code = bch_generator(4, 3)
+    msg = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+    word = bch_encode(code, msg)
+    for dtype in (bool, np.int64, float):
+        assert np.array_equal(bch_encode(code, msg.astype(dtype)), word)
+        decoded, corrected = bch_decode(code, word.astype(dtype))
+        assert np.array_equal(decoded, msg) and corrected == 0
+        assert decoded.dtype == np.uint8
+
+
 def test_code_table_contents():
     table = load_code_table()
     assert len(table) == 20

@@ -111,6 +111,17 @@ def test_bch_cli_passes_zero_blocks(tmp_path, capsys, action):
     assert _bits(out) == []
 
 
+@pytest.mark.parametrize("action", ["encode", "decode"])
+def test_bch_cli_rejects_non_binary_words(tmp_path, capsys, action):
+    word = tmp_path / "word.bits"
+    word.write_text("2" * 15 + "\n")
+    rc = main(["code", "bch", action, "--n", "15", "--k", "5", "--t", "3",
+               "--in", str(word), "--out", str(tmp_path / "out.bits")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.bits").exists()
+
+
 def test_bch_cli_validation(tmp_path, capsys):
     msg = tmp_path / "m.bits"
     msg.write_text("1111\n")

@@ -95,6 +95,18 @@ def test_single_symbol_alphabet():
     assert np.array_equal(huffman_decode(code, bits), [1, 1, 1])
 
 
+def test_codes_compare_by_symbols_and_lengths():
+    p = np.array([0.5, 0.25, 0.25])
+    code = build_huffman(p)
+    assert code == build_huffman(p)
+    assert hash(code) == hash(build_huffman(p))
+    assert code == HuffmanCode(symbols=[1, 2, 3], lengths=[1, 2, 2])
+    assert code != build_huffman(np.array([0.25, 0.5, 0.25]))
+    assert code != build_huffman(np.array([0.5, 0.25, 0.125, 0.125]))
+    assert code != "not a code"
+    assert len({code, build_huffman(p)}) == 1
+
+
 def test_strict_decode_reports_offset():
     p = np.array([0.5, 0.25, 0.125, 0.125])
     code = build_huffman(p)

@@ -14,6 +14,35 @@ def _uniform_density(box=16.0, partition=28):
     return EmpiricalDensity(box_side=box, partition=partition, mass=mass)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_density_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="box side"):
+        EmpiricalDensity(box_side=bad, partition=1, mass=[[1.0]])
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalDensity(box_side=16.0, partition=1, mass=[[bad]])
+    with pytest.raises(ValueError, match="finite"):
+        EmpiricalDensity(box_side=16.0, partition=2,
+                         mass=[[0.5, 0.5], [0.0, bad]])
+    with pytest.raises(ValueError):
+        EmpiricalDensity(box_side=bad, partition=1, mass=[[bad]])
+
+
+def test_density_validation():
+    for side in (0.0, -1.0):
+        with pytest.raises(ValueError, match="box side"):
+            EmpiricalDensity(box_side=side, partition=1, mass=[[1.0]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        EmpiricalDensity(box_side=1.0, partition=2,
+                         mass=[[1.5, -0.5], [0.0, 0.0]])
+    # the sum tolerance stays 1e-12
+    with pytest.raises(ValueError, match="sum"):
+        EmpiricalDensity(box_side=1.0, partition=1, mass=[[1.0 + 1e-10]])
+    assert EmpiricalDensity(box_side=1.0, partition=1,
+                            mass=[[1.0 + 1e-13]]).mass.shape == (1, 1)
+    with pytest.raises(ShapeError):
+        EmpiricalDensity(box_side=1.0, partition=2, mass=[[1.0]])
+
+
 def test_estimate_density_normalizes():
     rng = np.random.default_rng(1)
     sets = [rng.uniform(0, 16, size=(rng.integers(1, 9), 2)) for _ in range(30)]

@@ -2,8 +2,10 @@
 against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
 the table-driven Huffman code against the canonical reassignment and the
 bit walk, the binary Berlekamp-Massey against the general one, the
-bottleneck search against brute-force matchings, degree-0 counts of Rips
-diagrams, and Rips diagrams against the triangle-column reduction."""
+table-driven BCH syndromes, Chien search and decoder against the
+multiply-and-mod ones, the bottleneck search against brute-force
+matchings, degree-0 counts of Rips diagrams, and Rips diagrams against the
+triangle-column reduction."""
 
 import functools
 
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import (berlekamp_massey_general, bottleneck_exhaustive,
-                   bottleneck_strict_permutations, canonical_codewords,
+from brute import (bch_decode_by_products, berlekamp_massey_general,
+                   bottleneck_exhaustive, bottleneck_strict_permutations,
+                   canonical_codewords, chien_roots_by_products,
                    density_mass_loop, huffman_decode_bitwalk,
-                   persistence_by_triangle_columns, rasterize_loop)
+                   persistence_by_triangle_columns, rasterize_loop,
+                   syndromes_by_products)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
-                            build_huffman, huffman_decode, huffman_encode)
-from pdsemcom.codec.bch import _berlekamp_massey, _syndromes
+                            build_huffman, decode_or_passthrough,
+                            huffman_decode, huffman_encode)
+from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeError, DecodeFailure,
                              EmptyDensity, InconsistentLabel, ParseError)
@@ -271,6 +276,47 @@ def test_binary_locator_matches_general_berlekamp_massey(code, encoded, data,
     got = _berlekamp_massey(code, s)
     want = berlekamp_massey_general(code, s)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@st.composite
+def _any_capability_code(draw):
+    """A BCH code over GF(2^3)..GF(2^10) with t up to the field's limit
+    (n - 1) / 2, the repetition code, where k is still 1."""
+    m_gf = draw(st.integers(3, 10))
+    return _small_bch(m_gf, draw(st.integers(1, (1 << (m_gf - 1)) - 1)))
+
+
+def _bch_outcome(decode, code, word):
+    try:
+        message, corrected = decode(code, word)
+    except DecodeFailure as exc:
+        return None, 0, str(exc)
+    return message.tolist(), corrected, None
+
+
+@PROPERTY
+@given(code=_any_capability_code(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_table_decoder_matches_products(code, data, seed):
+    rng = np.random.default_rng(seed)
+    word = bch_encode(code, rng.integers(0, 2, size=code.k, dtype=np.uint8))
+    flips = data.draw(st.integers(0, min(2 * code.t + 3, code.n)))
+    word[rng.choice(code.n, size=flips, replace=False)] ^= 1
+    positions = np.nonzero(word)[0]
+    s = _syndromes(code, positions)
+    want_s = syndromes_by_products(code, positions)
+    assert s.dtype == want_s.dtype and np.array_equal(s, want_s)
+    locator = berlekamp_massey_general(code, s)
+    if len(locator) - 1 <= code.t:
+        assert np.array_equal(_chien_roots(code, locator),
+                              chien_roots_by_products(code, locator))
+    want = _bch_outcome(bch_decode_by_products, code, word)
+    assert _bch_outcome(bch_decode, code, word) == want
+    message, corrected, failed = decode_or_passthrough(code, word)
+    passthrough = word[code.n - code.k:].tolist()
+    assert (message.tolist(), corrected, failed) == (
+        want[0] if want[2] is None else passthrough, want[1],
+        want[2] is not None)
 
 
 def _diagram(min_points: int, max_points: int):
