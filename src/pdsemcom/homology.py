@@ -16,6 +16,7 @@ over triangle positions. Cohomology yields the same pairs as homology
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,10 @@ class Filtration:
 
     Simplices are ordered by (filtration value, dimension, lexicographic
     vertex tuple); vertices all enter at value 0 so the arrays here hold the
-    dimension-1 and dimension-2 parts in their global order.
+    dimension-1 and dimension-2 parts in their global order. Each
+    dimension is enumerated in lexicographic order, so one stable sort by
+    filtration value gives the whole order: simplices of equal value keep
+    their lexicographic order.
     """
 
     n_vertices: int
@@ -48,6 +52,16 @@ class Filtration:
         return self.n_vertices + len(self.edges) + len(self.triangles)
 
 
+def _by_diameter(simplices: np.ndarray,
+                 dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable-sort simplices, given in lexicographic order, by diameter."""
+    values = np.max([dist[simplices[:, a], simplices[:, b]] for a, b in
+                     itertools.combinations(range(simplices.shape[1]), 2)],
+                    axis=0)
+    order = np.argsort(values, kind="stable")
+    return simplices[order], values[order]
+
+
 def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
                         max_dim: int = 2,
                         budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
@@ -60,61 +74,27 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
     n = pts.shape[0]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
-    adj = dist <= gamma_max
-    np.fill_diagonal(adj, False)
+    upper = np.triu(dist <= gamma_max, k=1)
+    edges, edge_values = _by_diameter(np.argwhere(upper), dist)
 
-    iu, ju = np.triu_indices(n, k=1)
-    keep = adj[iu, ju]
-    ei, ej = iu[keep], ju[keep]
-    evals = dist[ei, ej]
-    order = np.lexsort((ej, ei, evals))
-    edges = np.column_stack([ei, ej])[order]
-    edge_values = evals[order]
-
+    # triangles (i, j, k) come vertex by vertex in lexicographic order; the
+    # count stops the enumeration once it passes the budget, so memory stays
+    # within the budget plus one vertex's block
     count = n + len(edges)
+    blocks = [np.empty((0, 3), dtype=int)]
+    for i in range(n if max_dim == 2 else 0):
+        if count > budget:
+            break
+        nbrs = np.nonzero(upper[i])[0]
+        j, k = np.nonzero(upper[np.ix_(nbrs, nbrs)])
+        blocks.append(np.column_stack([np.full(len(j), i), nbrs[j], nbrs[k]]))
+        count += len(j)
     if count > budget:
         raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
-
-    if max_dim < 2 or n < 3:
-        tri = np.empty((0, 3), dtype=int)
-        tri_values = np.empty(0)
-    else:
-        # count triangles before materializing them so the budget check
-        # cannot itself blow memory
-        adj_int = adj.astype(np.int64)
-        common = adj_int @ adj_int
-        n_tri = int(np.sum(common[ei, ej])) // 3
-        if count + n_tri > budget:
-            raise BudgetExceeded(
-                f"{count + n_tri} simplices exceed budget {budget}"
-            )
-        tris = []
-        for i in range(n - 2):
-            nbrs = np.nonzero(adj[i, i + 1:])[0] + i + 1
-            if len(nbrs) < 2:
-                continue
-            sub = adj[np.ix_(nbrs, nbrs)]
-            aa, bb = np.nonzero(np.triu(sub, k=1))
-            if len(aa):
-                j = nbrs[aa]
-                k = nbrs[bb]
-                tris.append(np.column_stack([np.full(len(j), i), j, k]))
-        if tris:
-            tri = np.vstack(tris)
-            tri_values = np.maximum.reduce([
-                dist[tri[:, 0], tri[:, 1]],
-                dist[tri[:, 0], tri[:, 2]],
-                dist[tri[:, 1], tri[:, 2]],
-            ])
-            torder = np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0], tri_values))
-            tri = tri[torder]
-            tri_values = tri_values[torder]
-        else:
-            tri = np.empty((0, 3), dtype=int)
-            tri_values = np.empty(0)
+    triangles, triangle_values = _by_diameter(np.concatenate(blocks), dist)
 
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
-                      triangles=tri, triangle_values=tri_values,
+                      triangles=triangles, triangle_values=triangle_values,
                       gamma_max=float(gamma_max))
 
 
@@ -319,12 +299,24 @@ def _kuhn_max_matching(adj: np.ndarray) -> int:
     match_right = np.full(n_right, -1)
 
     def augment(u: int, seen: np.ndarray) -> bool:
-        for v in nbrs[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] < 0 or augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
+        # depth-first with an explicit stack, as paths can be n_left long;
+        # path[d] is the right vertex that level d stepped through
+        stack, path = [(u, iter(nbrs[u]))], []
+        while stack:
+            for v in stack[-1][1]:
+                if not seen[v]:
+                    seen[v] = True
+                    path.append(v)
+                    if match_right[v] < 0:
+                        for (w, _), x in zip(stack, path):
+                            match_right[x] = w
+                        return True
+                    stack.append((match_right[v], iter(nbrs[match_right[v]])))
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     size = 0

@@ -38,7 +38,7 @@ class EmpiricalDensity:
                              f"{self.box_side}")
         if self.partition < 1:
             raise ValueError("partition must be at least 1")
-        m = np.asarray(self.mass, dtype=float)
+        m = np.array(self.mass, dtype=float)
         if m.shape != (self.partition, self.partition):
             raise ShapeError(
                 f"mass must be {self.partition}x{self.partition}, got {m.shape}"

@@ -22,6 +22,13 @@ order and the Huffman decoder that walks the bits against a table of every
 codeword (the package derives both from first-code tables) are the
 package's former `build_huffman` reassignment loop and `huffman_decode`,
 moved here verbatim.
+
+The Vietoris-Rips filtration that sorts edges and triangles by
+(diameter, vertex tuple) with `np.lexsort` and counts triangles for the
+budget with an adjacency matrix product (the package enumerates in
+lexicographic order, sorts once by diameter with a stable sort, and counts
+while enumerating) is the package's former `build_vr_filtration`, moved
+here verbatim as `filtration_by_lexsort`.
 """
 
 import itertools
@@ -29,8 +36,10 @@ import math
 
 import numpy as np
 
-from pdsemcom.errors import DecodeError, DecodeFailure, ShapeError
-from pdsemcom.homology import PersistenceDiagram
+from pdsemcom.errors import (BudgetExceeded, DecodeError, DecodeFailure,
+                             ShapeError)
+from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
+                               Filtration, PersistenceDiagram)
 
 
 def rank_gf2(mat: np.ndarray) -> int:
@@ -101,6 +110,76 @@ class _UnionFind:
             return False
         self.parent[max(ra, rb)] = min(ra, rb)
         return True
+
+
+def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
+                          max_dim: int = 2,
+                          budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
+    """Enumerate edges and (optionally) triangles with diameter <= gamma_max."""
+    if gamma_max <= 0:
+        raise ValueError(f"scale cap must be positive, got {gamma_max}")
+    if max_dim not in (1, 2):
+        raise ValueError(f"max_dim must be 1 or 2, got {max_dim}")
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = pts.shape[0]
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    adj = dist <= gamma_max
+    np.fill_diagonal(adj, False)
+
+    iu, ju = np.triu_indices(n, k=1)
+    keep = adj[iu, ju]
+    ei, ej = iu[keep], ju[keep]
+    evals = dist[ei, ej]
+    order = np.lexsort((ej, ei, evals))
+    edges = np.column_stack([ei, ej])[order]
+    edge_values = evals[order]
+
+    count = n + len(edges)
+    if count > budget:
+        raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
+
+    if max_dim < 2 or n < 3:
+        tri = np.empty((0, 3), dtype=int)
+        tri_values = np.empty(0)
+    else:
+        # count triangles before materializing them so the budget check
+        # cannot itself blow memory
+        adj_int = adj.astype(np.int64)
+        common = adj_int @ adj_int
+        n_tri = int(np.sum(common[ei, ej])) // 3
+        if count + n_tri > budget:
+            raise BudgetExceeded(
+                f"{count + n_tri} simplices exceed budget {budget}"
+            )
+        tris = []
+        for i in range(n - 2):
+            nbrs = np.nonzero(adj[i, i + 1:])[0] + i + 1
+            if len(nbrs) < 2:
+                continue
+            sub = adj[np.ix_(nbrs, nbrs)]
+            aa, bb = np.nonzero(np.triu(sub, k=1))
+            if len(aa):
+                j = nbrs[aa]
+                k = nbrs[bb]
+                tris.append(np.column_stack([np.full(len(j), i), j, k]))
+        if tris:
+            tri = np.vstack(tris)
+            tri_values = np.maximum.reduce([
+                dist[tri[:, 0], tri[:, 1]],
+                dist[tri[:, 0], tri[:, 2]],
+                dist[tri[:, 1], tri[:, 2]],
+            ])
+            torder = np.lexsort((tri[:, 2], tri[:, 1], tri[:, 0], tri_values))
+            tri = tri[torder]
+            tri_values = tri_values[torder]
+        else:
+            tri = np.empty((0, 3), dtype=int)
+            tri_values = np.empty(0)
+
+    return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
+                      triangles=tri, triangle_values=tri_values,
+                      gamma_max=float(gamma_max))
 
 
 def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:

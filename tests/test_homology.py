@@ -6,9 +6,9 @@ import pytest
 from brute import betti_bruteforce, betti_from_diagram
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import BudgetExceeded, ParseError, ShapeError
-from pdsemcom.homology import (PersistenceDiagram, build_vr_filtration,
-                               compute_persistence, load_pd_file, vr_diagram,
-                               write_pd_file)
+from pdsemcom.homology import (PersistenceDiagram, _kuhn_max_matching,
+                               build_vr_filtration, compute_persistence,
+                               load_pd_file, vr_diagram, write_pd_file)
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -81,6 +81,21 @@ def test_filtration_ordering_and_budget():
     n_low = 30 + len(filt.edges)
     with pytest.raises(BudgetExceeded):
         build_vr_filtration(pts, gamma_max=16.0, budget=n_low)
+    # the budget bounds n + E + T exactly, and n + E before any triangle
+    total = filt.simplex_count
+    assert build_vr_filtration(
+        pts, gamma_max=16.0, budget=total).simplex_count == total
+    for budget in (total - 1, n_low - 1):
+        with pytest.raises(BudgetExceeded):
+            build_vr_filtration(pts, gamma_max=16.0, budget=budget)
+
+
+def test_matching_follows_augmenting_paths_past_the_recursion_limit():
+    # left u sees right u - 1 and u, so matching left u walks a path through
+    # all u earlier left vertices before it reaches right u
+    n = 1100
+    adj = np.eye(n, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    assert _kuhn_max_matching(adj) == n
 
 
 def test_diagram_validation():

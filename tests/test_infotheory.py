@@ -43,6 +43,15 @@ def test_density_validation():
         EmpiricalDensity(box_side=1.0, partition=2, mass=[[1.0]])
 
 
+def test_density_copies_the_callers_mass():
+    m = np.full((2, 2), 0.25)
+    density = EmpiricalDensity(box_side=1.0, partition=2, mass=m)
+    assert m.flags.writeable
+    assert not density.mass.flags.writeable
+    m[0, 0] = 0.5
+    assert density.mass[0, 0] == 0.25
+
+
 def test_estimate_density_normalizes():
     rng = np.random.default_rng(1)
     sets = [rng.uniform(0, 16, size=(rng.integers(1, 9), 2)) for _ in range(30)]

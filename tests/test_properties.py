@@ -4,8 +4,9 @@ the table-driven Huffman code against the canonical reassignment and the
 bit walk, the binary Berlekamp-Massey against the general one, the
 table-driven BCH syndromes, Chien search and decoder against the
 multiply-and-mod ones, the bottleneck search against brute-force
-matchings, degree-0 counts of Rips diagrams, and Rips diagrams against the
-triangle-column reduction."""
+matchings, degree-0 counts of Rips diagrams, the Rips filtration against
+the lexsorted one, and Rips diagrams against the triangle-column
+reduction."""
 
 import functools
 
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 from brute import (bch_decode_by_products, berlekamp_massey_general,
                    bottleneck_exhaustive, bottleneck_strict_permutations,
                    canonical_codewords, chien_roots_by_products,
-                   density_mass_loop, huffman_decode_bitwalk,
-                   persistence_by_triangle_columns, rasterize_loop,
-                   syndromes_by_products)
+                   density_mass_loop, filtration_by_lexsort,
+                   huffman_decode_bitwalk, persistence_by_triangle_columns,
+                   rasterize_loop, syndromes_by_products)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode)
@@ -362,6 +363,17 @@ def _cloud(coordinate):
 # a 6 x 6 integer grid ties many distances and repeats points, and ties
 # decide the pairing order; float clouds have distinct distances
 _CLOUD = st.one_of(_cloud(st.integers(0, 5)), _cloud(st.floats(0, 6)))
+
+
+@PROPERTY
+@given(points=_CLOUD, cap=st.sampled_from([1.0, 2.0, 3.0, 16.0]),
+       max_dim=st.sampled_from([1, 2]))
+def test_filtration_matches_lexsort(points, cap, max_dim):
+    got = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
+    want = filtration_by_lexsort(points, gamma_max=cap, max_dim=max_dim)
+    for name in ("edges", "edge_values", "triangles", "triangle_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @PROPERTY
