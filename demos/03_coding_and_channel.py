@@ -37,7 +37,7 @@ print(f"mean source payload: {bits_per_object:.1f} bits/object")
 
 # lossless round trip on a clean channel
 for s, p in zip(streams, payloads):
-    back = huffman_decode(huffman, p)
+    back = huffman_decode(huffman, p, max_symbols=len(s))
     assert np.array_equal(back, s)
 print("clean-channel Huffman round trip: lossless on all objects")
 
@@ -64,14 +64,13 @@ for oid, (s, p) in enumerate(zip(streams, payloads)):
     word = bch_encode(code, padded)
     got, _, failed = decode_or_passthrough(
         code, transmit_bits(channel, word, key=(oid, 0)))
-    dec = huffman_decode(huffman, got[:len(p)], max_symbols=len(s),
-                         strict=False)
+    dec = huffman_decode(huffman, got[:len(p)], max_symbols=len(s))
     n = min(len(dec), len(s))
     sym_err_coded.append((np.sum(dec[:n] != s[:n]) + abs(len(dec) - len(s))) / len(s))
 
     # uncoded path: corrupt the Huffman payload directly
     noisy = transmit_bits(channel, p, key=(oid, 1))
-    dec = huffman_decode(huffman, noisy, max_symbols=len(s), strict=False)
+    dec = huffman_decode(huffman, noisy, max_symbols=len(s))
     n = min(len(dec), len(s))
     sym_err_plain.append((np.sum(dec[:n] != s[:n]) + abs(len(dec) - len(s))) / len(s))
 

@@ -19,7 +19,7 @@ from .dataset import (GrayscaleGrid, LabeledDataset, PointCloud,
                       load_grid_file, load_pointcloud_file, synth_dataset,
                       synth_loops, threshold_grid, write_pointcloud_file)
 from .errors import (BudgetExceeded, CapacityExceeded, CorruptSymbol,
-                     DecodeError, DecodeFailure, EmptyDensity, EmptyObject,
+                     DecodeFailure, EmptyDensity, EmptyObject,
                      InconsistentLabel, OutOfBox, ParseError, PipelineError,
                      ShapeError, TrainingDiverged)
 from .harness import (ExperimentConfig, TradeoffRecord, emit_curves,

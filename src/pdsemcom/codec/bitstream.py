@@ -44,7 +44,7 @@ class Frame:
         return FRAME_FIELD_BITS * (1 + len(self.channel_counts))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BitStream:
     """Payload bits (uint8 0/1) partitioned by a tuple of frames."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DecodeError, ShapeError, probability_vector
+from ..errors import ShapeError, probability_vector
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,35 +134,28 @@ def huffman_encode(code: HuffmanCode, symbols: np.ndarray) -> np.ndarray:
 
 
 def huffman_decode(code: HuffmanCode, bits: np.ndarray,
-                   max_symbols: int | None = None,
-                   strict: bool = True) -> np.ndarray:
-    """Greedy prefix walk over a bit array, one bit per step.
+                   max_symbols: int) -> np.ndarray:
+    """Greedy prefix walk over a bit array, one bit per step, that stops
+    after `max_symbols` symbols and ignores the surplus bits.
 
     The l-bit prefix v is the codeword of ordered[start[l] + v - first[l]]
     when v - first[l] < count[l]; a prefix that is no codeword is at least
-    first[l] + count[l], so v - first[l] is never negative. Strict mode
-    raises DecodeError (with the bit offset) on an impossible prefix or a
-    truncated final codeword. Tolerant mode, used after noisy channels,
-    drops the partial tail instead. `max_symbols` stops the walk early and
-    ignores surplus bits.
+    first[l] + count[l], so v - first[l] is never negative. The walk
+    tolerates bits damaged by a noisy channel: it stops at a prefix longer
+    than any codeword and drops a truncated final codeword.
     """
     first, count, start_of = code.first, code.count, code.start
     out = []
-    acc = length = start = 0
-    for i, bit in enumerate(np.asarray(bits, dtype=np.uint8).ravel().tolist()):
-        if max_symbols is not None and len(out) >= max_symbols:
+    acc = length = 0
+    for bit in np.asarray(bits, dtype=np.uint8).ravel().tolist():
+        if len(out) >= max_symbols:
             break
         acc = (acc << 1) | bit
         length += 1
         if length == len(count):  # longer than the longest codeword
-            if strict:
-                raise DecodeError("no codeword matches", bit_offset=start)
-            return np.array(out, dtype=int)
+            break
         offset = acc - first[length]
         if offset < count[length]:
             out.append(code.ordered[start_of[length] + offset])
             acc = length = 0
-            start = i + 1
-    if length and strict and (max_symbols is None or len(out) < max_symbols):
-        raise DecodeError("stream ends mid-codeword", bit_offset=start)
     return np.array(out, dtype=int)

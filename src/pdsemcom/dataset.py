@@ -9,7 +9,7 @@ no loop.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """A deduplicated set of 2D points with an optional class label."""
 
@@ -49,7 +49,7 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrayscaleGrid:
     """Row-major grayscale values in [-1, 1] on a width x height pixel grid."""
 
@@ -77,20 +77,16 @@ class GrayscaleGrid:
         return cls(width=w, height=h, values=image.ravel())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledDataset:
-    """A list of labeled point clouds plus per-class counts."""
+    """A list of labeled point clouds."""
 
     objects: list
-    class_counts: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        counts = {}
         for obj in self.objects:
             if obj.label is None:
                 raise ValueError(f"object {obj.id} is unlabeled")
-            counts[obj.label] = counts.get(obj.label, 0) + 1
-        object.__setattr__(self, "class_counts", counts)
 
     def __len__(self):
         return len(self.objects)

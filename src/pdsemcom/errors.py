@@ -111,14 +111,6 @@ class EmptyDensity(PipelineError):
     """No points were available to estimate a density from."""
 
 
-class DecodeError(PipelineError):
-    def __init__(self, message, bit_offset=None):
-        if bit_offset is not None:
-            message = f"bit {bit_offset}: {message}"
-        super().__init__(message)
-        self.bit_offset = bit_offset
-
-
 class DecodeFailure(PipelineError):
     """Error-locator degree and root count disagree; block left uncorrected."""
 

@@ -14,6 +14,7 @@ from collections import namedtuple
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -310,6 +311,7 @@ class TradeoffRecord:
 
 
 COLUMNS = tuple(f.name for f in fields(TradeoffRecord))
+FOLDS_HEAD = "pipeline,m,alpha,code,t,accuracy\n"
 
 
 def read_results(path):
@@ -333,34 +335,50 @@ def read_results(path):
     return config_hash, records
 
 
-def _drop_partial_line(path, header: bytes = b"") -> None:
-    """Cut a last line that lacks its newline, as a kill mid-append leaves
-    it, from a file that starts with `header`."""
-    with open(path, "rb+") as f:
-        data = f.read()
-        if data.startswith(header) and not data.endswith(b"\n"):
-            f.truncate(data.rfind(b"\n") + 1)
+def _read_lines(path) -> tuple:
+    """(content, its newline-ended lines) of a file, empty if there is none;
+    a last line cut short is not among the lines."""
+    data = Path(path).read_bytes() if os.path.exists(path) else b""
+    return data, [line + b"\n" for line in data.split(b"\n")[:-1]]
 
 
-def _drop_unfinished_cell(out_path, folds_path, records, T: int) -> list:
-    """A kill after a cell's results row and before its last fold row leaves
-    the last row an ok cell with fewer than T fold rows. Cut that row and
-    its fold rows so that the cell is computed again; -> the kept records."""
-    if not records or records[-1].status != "ok":
-        return records
-    prefix = ",".join(map(str, records[-1].key)).encode() + b","
-    with open(folds_path, "ab+") as f:
-        f.seek(0)
-        lines = f.readlines()
-        kept = len(lines)
-        while kept and lines[kept - 1].startswith(prefix):
-            kept -= 1
-        if len(lines) - kept >= T:
-            return records
-        f.truncate(sum(map(len, lines[:kept])))
-    with open(out_path, "rb+") as f:
-        f.truncate(sum(map(len, f.readlines()[:-1])))
-    return records[:-1]
+def _finished_cells(config, head: bytes, folds_path) -> list:
+    """Cut the results and folds files to their longest run of finished
+    cells; -> its records.
+
+    A sweep appends each cell's results row and then, if the cell is ok,
+    its T fold rows, so a kill can leave a file cut inside a line, or a
+    cell's fold rows short. A cell is finished when its results row is
+    whole and, if it is ok, all T of its fold rows are: the i-th ok cell
+    owns fold rows T*i+1 ... T*(i+1). A results file cut inside its head
+    (hash and column lines) holds no cell; any other must carry this
+    configuration's hash.
+    """
+    data, lines = _read_lines(config.out)
+    records = []
+    if not head.startswith(data):
+        if b"".join(lines[:2]) == head:
+            with open(config.out, "rb+") as f:
+                f.truncate(sum(map(len, lines)))
+        file_hash, records = read_results(config.out)
+        if file_hash != config.config_hash():
+            raise ValueError(
+                f"results file {config.out!r} was produced by a different "
+                f"configuration (hash {file_hash})")
+    _, folds = _read_lines(folds_path)
+    fold_rows = len(folds) - 1 if folds[:1] == [FOLDS_HEAD.encode()] else 0
+    kept = ok = 0
+    for record in records:
+        if record.status == "ok":
+            if config.T * (ok + 1) > fold_rows:
+                break
+            ok += 1
+        kept += 1
+    for path, keep in ((config.out, lines[:2 + kept] if kept else []),
+                       (folds_path, folds[:1 + config.T * ok] if ok else [])):
+        with open(path, "ab") as f:
+            f.truncate(sum(map(len, keep)))
+    return records[:kept]
 
 
 def _normalize_latents(point_sets, box_side: float):
@@ -482,7 +500,7 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
             q = quantize_diagram(grid, state.diagrams[i],
                                  collapse_duplicates=cfg.collapse_duplicates)
         else:
-            q = quantize_set(grid, state.points[i], pipeline,
+            q = quantize_set(grid, state.points[i],
                              collapse_duplicates=cfg.collapse_duplicates)
         streams[i] = q
         bits[i] = huffman_encode(huffman, q.indices)
@@ -512,7 +530,7 @@ def _decode_uncoded(ctx, prep, alpha):
     for i, (frame, payload) in zip(ctx.unique_test, sent.payloads()):
         n_symbols = sum(frame.channel_counts)
         decoded[i] = huffman_decode(prep.huffman, payload,
-                                    max_symbols=n_symbols, strict=False)
+                                    max_symbols=n_symbols)
         wire[i] = frame.n_bits + frame.overhead_bits
     return decoded, wire, 0
 
@@ -544,8 +562,7 @@ def _decode_coded(ctx, prep, alpha, code):
             pieces.append(msg)
         out_bits = np.concatenate(pieces)[:len(payload)]
         decoded[i] = huffman_decode(prep.huffman, out_bits,
-                                    max_symbols=sum(counts),
-                                    strict=False)
+                                    max_symbols=sum(counts))
         wire[i] = blocks * n + overhead
     return decoded, wire, failures
 
@@ -560,8 +577,7 @@ def _cell_features(ctx, state, prep, pipeline, decoded):
             # imported at call time: sweepbench/spans.py wraps it in quantizer
             from .quantizer import diagram_from_symbols
             diag = diagram_from_symbols(prep.grid, symbols,
-                                        (c0, len(symbols) - c0),
-                                        gamma_max=cfg.gamma_max)
+                                        (c0, len(symbols) - c0))
             feats[i] = perslay_vectorize(diag, cfg.box_pd)
             continue
         centers = prep.grid.centers_of(symbols)
@@ -638,9 +654,9 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
 
     Returns the complete record list, previously finished cells included.
     The results file gets one row per cell under a config-hash header; a
-    sibling *_folds.csv holds per-repetition accuracies. A last line cut
-    short by a kill is dropped from both files before a resume appends, and
-    so is a last cell whose fold rows did not all land.
+    sibling *_folds.csv holds per-repetition accuracies. Before it appends,
+    a resume cuts both files to their longest run of finished cells, so a
+    kill at any byte of either file costs at most the cells it cut.
     """
     ctx = _SweepContext(config)
     # (key, pipeline, m, alpha, code spec) in row order
@@ -649,20 +665,10 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
              for p, m, a, c in product(config.pipelines, config.m_values,
                                        config.alphas, (None,) + config.codes)]
 
-    header = "# config_hash=%s\n" % config.config_hash()
+    head = "# config_hash=%s\n%s\n" % (config.config_hash(),
+                                        ",".join(COLUMNS))
     folds_path = folds_path_for(config.out)
-    existing = []
-    if os.path.exists(config.out):
-        _drop_partial_line(config.out, header.encode())
-        file_hash, existing = read_results(config.out)
-        if file_hash != config.config_hash():
-            raise ValueError(
-                f"results file {config.out!r} was produced by a different "
-                f"configuration (hash {file_hash})")
-        if os.path.exists(folds_path):
-            _drop_partial_line(folds_path)
-        existing = _drop_unfinished_cell(config.out, folds_path, existing,
-                                         config.T)
+    existing = _finished_cells(config, head.encode(), folds_path)
     done = {r.key for r in existing}
     pending = [c for c in cells if c[0] not in done]
 
@@ -678,10 +684,10 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     with (open(config.out, "a", newline="") as out_f,
           open(folds_path, "a", newline="") as folds_f):
         if out_f.tell() == 0:
-            out_f.write(header + ",".join(COLUMNS) + "\n")
+            out_f.write(head)
             out_f.flush()
         if folds_f.tell() == 0:
-            folds_f.write("pipeline,m,alpha,code,t,accuracy\n")
+            folds_f.write(FOLDS_HEAD)
             folds_f.flush()
         out_w = csv.writer(out_f, lineterminator="\n")
         folds_w = csv.writer(folds_f, lineterminator="\n")

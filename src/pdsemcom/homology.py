@@ -28,7 +28,7 @@ DEFAULT_GAMMA_MAX = 16.0
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Filtration:
     """Sorted edges and triangles of a truncated Vietoris-Rips complex.
 
@@ -98,22 +98,19 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
                       gamma_max=float(gamma_max))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PersistenceDiagram:
     """Finite multiset of (birth, death) pairs tagged with homology degree.
 
-    `essential` marks classes whose death was truncated at `gamma_max`.
-    `halfplane` records whether every pair satisfies birth <= death; it is
-    False for diagrams rebuilt from corrupted symbol streams, where decoded
-    cell centers can land below the diagonal.
+    `essential` marks classes whose death was truncated at the scale cap.
+    Births need not precede deaths: a diagram rebuilt from a noisy symbol
+    stream can hold decoded cell centers below the diagonal.
     """
 
     births: np.ndarray
     deaths: np.ndarray
     dims: np.ndarray
     essential: np.ndarray
-    gamma_max: float | None = None
-    halfplane: bool = True
 
     def __post_init__(self):
         b = np.asarray(self.births, dtype=float).ravel()
@@ -128,8 +125,6 @@ class PersistenceDiagram:
             raise ValueError("diagram coordinates must be nonnegative")
         if len(dm) and not np.all((dm == 0) | (dm == 1)):
             raise ValueError("homology degree must be 0 or 1")
-        if self.halfplane and np.any(d < b):
-            raise ValueError("birth exceeds death in a halfplane diagram")
         for name, arr in (("births", b), ("deaths", d), ("dims", dm),
                           ("essential", es)):
             arr.setflags(write=False)
@@ -151,17 +146,7 @@ class PersistenceDiagram:
         return PersistenceDiagram(
             births=self.births[keep], deaths=self.deaths[keep],
             dims=self.dims[keep], essential=self.essential[keep],
-            gamma_max=self.gamma_max, halfplane=self.halfplane,
         )
-
-    @classmethod
-    def from_received(cls, births, deaths, dims,
-                      gamma_max: float | None = None) -> "PersistenceDiagram":
-        """Build a diagram from decoded points without the halfplane check."""
-        b = np.asarray(births, dtype=float).ravel()
-        return cls(births=b, deaths=deaths, dims=dims,
-                   essential=np.zeros(len(b), dtype=bool),
-                   gamma_max=gamma_max, halfplane=False)
 
 
 def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
@@ -280,7 +265,7 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     es = np.repeat([False, True, False, True], sizes)
     order = np.lexsort((es, d, b, dm))
     return PersistenceDiagram(births=b[order], deaths=d[order], dims=dm[order],
-                              essential=es[order], gamma_max=gmax)
+                              essential=es[order])
 
 
 def vr_diagram(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
@@ -339,13 +324,10 @@ def _matching_feasible(dist: np.ndarray, diag_a: np.ndarray,
     return _kuhn_max_matching(adj) == n
 
 
-def bottleneck_distance(a: np.ndarray, b: np.ndarray,
-                        strict_bijection: bool = False) -> float:
+def bottleneck_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact bottleneck distance between two diagrams given as (n, 2) arrays.
 
-    Points may be matched to the diagonal at cost (death - birth) / 2 unless
-    `strict_bijection` demands a pure point-to-point pairing, which raises
-    ShapeError when the cardinalities differ.
+    Points may be matched to the diagonal at cost (death - birth) / 2.
     """
     a = np.asarray(a, dtype=float).reshape(-1, 2)
     b = np.asarray(b, dtype=float).reshape(-1, 2)
@@ -363,18 +345,10 @@ def bottleneck_distance(a: np.ndarray, b: np.ndarray,
             inf_part = float(np.max(np.abs(ba - bb)))
         a, b = a[~inf_a], b[~inf_b]
 
-    na, nb = len(a), len(b)
-    if strict_bijection and na != nb:
-        raise ShapeError(
-            f"strict matching needs equal sizes, got {na} and {nb}"
-        )
-    if na == 0 and nb == 0:
+    if len(a) == 0 and len(b) == 0:
         return inf_part
     diag_a = (a[:, 1] - a[:, 0]) / 2.0
     diag_b = (b[:, 1] - b[:, 0]) / 2.0
-    if strict_bijection:
-        # a closed diagonal leaves only point-to-point pairings (na == nb)
-        diag_a = diag_b = np.full(na, np.inf)
     dist = np.max(np.abs(a[:, None, :] - b[None, :, :]), axis=2)
     cands = np.unique(np.concatenate([dist.ravel(), diag_a, diag_b, [0.0]]))
     lo, hi = 0, len(cands) - 1
@@ -408,8 +382,8 @@ def load_pd_file(path) -> dict:
     The format has no essential flag, and a finite pair can die exactly at
     the cap, so every loaded row is non-essential (`pd compute
     --drop-essential` drops the essential classes before writing).
-    Rows below the diagonal are accepted (received diagrams can contain them)
-    and mark the whole object's diagram as halfplane=False.
+    Rows below the diagonal are accepted: received diagrams can contain
+    them.
     """
     rows: dict[int, list] = {}
     with open(path, newline="") as fh:
@@ -423,7 +397,5 @@ def load_pd_file(path) -> dict:
         dims, births, deaths = np.array(rows[obj]).T
         out[obj] = PersistenceDiagram(
             births=births, deaths=deaths, dims=dims,
-            essential=np.zeros(len(dims), dtype=bool),
-            halfplane=bool(np.all(births <= deaths)),
-        )
+            essential=np.zeros(len(dims), dtype=bool))
     return out

@@ -241,7 +241,7 @@ def load_checkpoint(path) -> Classifier:
     return net
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CvSchedule:
     """T random disjoint half/half partitions of {0..n-1}, seeded."""
 
@@ -278,7 +278,7 @@ class CvSchedule:
         return h.hexdigest()[:12]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccuracyReport:
     """Per-repetition accuracies with their mean, range and spread."""
 

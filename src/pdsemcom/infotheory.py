@@ -19,7 +19,7 @@ from .quantizer import QuantizerGrid, upper_triangle_cells
 DEFAULT_PARTITION = 28
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalDensity:
     """Rescaled histogram over a partition x partition grid on [0, box]^2.
 

@@ -9,7 +9,7 @@ k - 1 = x_bin * m + y_bin. This layout is fixed in the wire format.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,27 +79,19 @@ class QuantizerGrid:
         return np.column_stack([(x_bin + 0.5) * w, (y_bin + 0.5) * w])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedPointSet:
     """Multiset of cell indices for one object, split into channels.
 
     `channel_counts` partitions `indices` in order (for diagrams: degree-0
-    symbols then degree-1 symbols). Halfplane membership (x_bin <= y_bin) is
-    enforced for clean diagram sources; symbol streams rebuilt after a noisy
-    channel set check_halfplane=False.
+    symbols then degree-1 symbols).
     """
 
     indices: np.ndarray
-    grid: QuantizerGrid
-    source_kind: str
     channel_counts: tuple = ()
-    check_halfplane: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        if self.source_kind not in SOURCE_KINDS:
-            raise ValueError(f"source_kind must be one of {SOURCE_KINDS}")
         idx = np.asarray(self.indices, dtype=int).ravel()
-        x_bin, y_bin = self.grid.bins_of(idx)
         if not self.channel_counts:
             object.__setattr__(self, "channel_counts", (len(idx),))
         if sum(self.channel_counts) != len(idx):
@@ -107,11 +99,6 @@ class QuantizedPointSet:
                 f"channel counts {self.channel_counts} do not partition "
                 f"{len(idx)} symbols"
             )
-        if (self.source_kind == "pd" and self.check_halfplane
-                and np.any(x_bin > y_bin)):
-            raise ValueError(
-                f"cell {idx[x_bin > y_bin][0]} lies strictly below the "
-                "diagonal; not reachable from birth <= death input")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
 
@@ -128,29 +115,28 @@ def _cells(grid: QuantizerGrid, points, collapse_duplicates: bool):
     return np.unique(idx) if collapse_duplicates else idx
 
 
-def quantize_set(grid: QuantizerGrid, points: np.ndarray, source_kind: str,
+def quantize_set(grid: QuantizerGrid, points: np.ndarray, *,
                  collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a point multiset; multiplicity kept unless collapsing."""
-    return QuantizedPointSet(indices=_cells(grid, points, collapse_duplicates),
-                             grid=grid, source_kind=source_kind)
+    return QuantizedPointSet(indices=_cells(grid, points, collapse_duplicates))
 
 
-def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram,
+def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
                      collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a diagram's (birth, death) points, degree 0 then degree 1."""
     parts = [_cells(grid, diagram.points(dim), collapse_duplicates)
              for dim in (0, 1)]
-    return QuantizedPointSet(
-        indices=np.concatenate(parts), grid=grid, source_kind="pd",
-        channel_counts=tuple(len(p) for p in parts),
-        check_halfplane=diagram.halfplane,
-    )
+    return QuantizedPointSet(indices=np.concatenate(parts),
+                             channel_counts=tuple(len(p) for p in parts))
 
 
 def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
-                         channel_counts: tuple,
-                         gamma_max: float | None = None) -> PersistenceDiagram:
-    """Rebuild a (possibly corrupted) diagram from decoded cell indices."""
+                         channel_counts: tuple) -> PersistenceDiagram:
+    """Rebuild a (possibly corrupted) diagram from decoded cell indices.
+
+    Decoded cell centers can land below the diagonal; no class is flagged
+    essential.
+    """
     idx = np.asarray(indices, dtype=int).ravel()
     if sum(channel_counts) != len(idx):
         raise ShapeError(
@@ -159,10 +145,9 @@ def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
     centers = grid.centers_of(idx)
     dims = np.repeat(np.arange(len(channel_counts)),
                      np.array(channel_counts, dtype=int))
-    return PersistenceDiagram.from_received(
-        births=centers[:, 0], deaths=centers[:, 1], dims=dims,
-        gamma_max=gamma_max,
-    )
+    return PersistenceDiagram(births=centers[:, 0], deaths=centers[:, 1],
+                              dims=dims,
+                              essential=np.zeros(len(idx), dtype=bool))
 
 
 def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
@@ -198,7 +183,7 @@ def _symbol(grid: QuantizerGrid, text: str) -> int:
 def load_symbol_stream(path):
     """Read a symbol stream file -> (grid, source_kind, {id: QuantizedPointSet}).
 
-    Indices are accepted as-is (no halfplane check): the file may hold a
+    Diagram cells below the diagonal are accepted: the file may hold a
     post-channel stream. Diagram streams have channels 0 and 1 (either may be
     empty), raw and latent streams channel 0 only.
     """
@@ -226,8 +211,6 @@ def load_symbol_stream(path):
     for obj in sorted(per_object):
         parts = [np.array(c, dtype=int) for c in per_object[obj]]
         out[obj] = QuantizedPointSet(
-            indices=np.concatenate(parts), grid=grid, source_kind=source_kind,
-            channel_counts=tuple(len(p) for p in parts),
-            check_halfplane=False,
-        )
+            indices=np.concatenate(parts),
+            channel_counts=tuple(len(p) for p in parts))
     return grid, source_kind, out

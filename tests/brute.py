@@ -4,9 +4,8 @@ Everything here is the slow-but-obviously-correct version of something the
 package computes cleverly: GF(2) Betti numbers straight from boundary-matrix
 ranks, the persistence diagram of a filtration by reducing every triangle
 column against edge rows (homology, where the package reduces edge
-coboundaries), bottleneck distance by enumerating every partial matching (or
-every bijection, for the strict mode), the density histogram and
-occupancy raster by their own floor-and-clamp binning rather than through
+coboundaries), bottleneck distance by enumerating every partial matching,
+the density histogram and occupancy raster by their own floor-and-clamp binning rather than through
 the quantizer grid, and the BCH error locator by the general 2t-step
 Berlekamp-Massey (the package runs the t-step binary form). That last one
 is the package's former `_berlekamp_massey`, moved here verbatim except
@@ -36,8 +35,7 @@ import math
 
 import numpy as np
 
-from pdsemcom.errors import (BudgetExceeded, DecodeError, DecodeFailure,
-                             ShapeError)
+from pdsemcom.errors import BudgetExceeded, DecodeFailure, ShapeError
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
                                Filtration, PersistenceDiagram)
 
@@ -256,7 +254,7 @@ def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:
     es = np.array(ess, dtype=bool)
     order = np.lexsort((es, d, b, dm))
     return PersistenceDiagram(births=b[order], deaths=d[order], dims=dm[order],
-                              essential=es[order], gamma_max=gmax)
+                              essential=es[order])
 
 
 def betti_from_diagram(pd, gamma: float) -> tuple:
@@ -298,17 +296,6 @@ def bottleneck_exhaustive(a: np.ndarray, b: np.ndarray) -> float:
                     if cost < best:
                         best = cost
     return best
-
-
-def bottleneck_strict_permutations(a: np.ndarray, b: np.ndarray) -> float:
-    """Point-to-point bottleneck distance: the best of every bijection
-    between two equal-size diagrams (<= 6 points)."""
-    a = np.asarray(a, dtype=float).reshape(-1, 2)
-    b = np.asarray(b, dtype=float).reshape(-1, 2)
-    assert len(a) == len(b)
-    return min((max((float(np.max(np.abs(a[i] - b[j])))
-                     for i, j in enumerate(perm)), default=0.0)
-                for perm in itertools.permutations(range(len(b)))))
 
 
 def density_mass_loop(point_sets, box_side: float, partition: int):
@@ -454,10 +441,11 @@ def canonical_codewords(symbols: np.ndarray,
 
 
 def huffman_decode_bitwalk(code, bits: np.ndarray,
-                           max_symbols: int | None = None,
-                           strict: bool = True) -> np.ndarray:
+                           max_symbols: int) -> np.ndarray:
     """Greedy prefix walk over a bit array, looking each prefix up in a
-    (length -> codeword -> symbol) table."""
+    (length -> codeword -> symbol) table; stops after `max_symbols`
+    symbols, at a prefix longer than any codeword, or at the end of the
+    bits, dropping a truncated final codeword."""
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     by_length: dict[int, dict[int, int]] = {}
     for s, l, c in zip(code.symbols, code.lengths, code.codewords):
@@ -465,13 +453,10 @@ def huffman_decode_bitwalk(code, bits: np.ndarray,
     max_len = int(np.max(code.lengths))
     out = []
     i = 0
-    start = 0
     acc = 0
     length = 0
     n = len(bits)
-    while i < n:
-        if max_symbols is not None and len(out) >= max_symbols:
-            break
+    while i < n and len(out) < max_symbols:
         acc = (acc << 1) | int(bits[i])
         length += 1
         i += 1
@@ -480,11 +465,6 @@ def huffman_decode_bitwalk(code, bits: np.ndarray,
             out.append(hit)
             acc = 0
             length = 0
-            start = i
         elif length > max_len:
-            if strict:
-                raise DecodeError("no codeword matches", bit_offset=start)
-            return np.array(out, dtype=int)
-    if length and strict and (max_symbols is None or len(out) < max_symbols):
-        raise DecodeError("stream ends mid-codeword", bit_offset=start)
+            break
     return np.array(out, dtype=int)

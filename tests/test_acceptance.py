@@ -137,7 +137,7 @@ def test_criterion_03_quantizer_error_bounds():
     for m in M_RANGE:
         grid = QuantizerGrid(box_side=BOX, n_bins=m)
         half = grid.cell_width / 2.0
-        q = quantize_set(grid, pts, "raw")
+        q = quantize_set(grid, pts)
         err = np.max(np.abs(pts - grid.centers_of(q.indices)))
         assert err <= half + 1e-12, f"m={m}: sup error {err} > {half}"
         worst_ratio = max(worst_ratio, err / half)
@@ -227,7 +227,8 @@ def test_criterion_06_huffman_bounds(corpus, default_run):
         code = build_huffman(cell_probabilities(density, grid))
         for diag in diagrams:
             idx = quantize_diagram(grid, diag).indices
-            back = huffman_decode(code, huffman_encode(code, idx))
+            back = huffman_decode(code, huffman_encode(code, idx),
+                                  max_symbols=len(idx))
             assert np.array_equal(back, idx)
             decoded += 1
     return (f"H <= len < H+1 on all records and {combos} fold/m densities; "

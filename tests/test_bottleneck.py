@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from brute import bottleneck_exhaustive
-from pdsemcom.errors import ShapeError
 from pdsemcom.homology import bottleneck_distance
 
 
@@ -52,19 +51,6 @@ def test_infinite_deaths_match_by_birth():
     assert bottleneck_distance(a, b) == pytest.approx(0.5)
     c = np.array([[0.0, 2.0]])
     assert bottleneck_distance(a, c) == np.inf
-
-
-def test_strict_bijection_mode():
-    rng = np.random.default_rng(9)
-    a = _random_diagram(rng, 6)
-    perm = rng.permutation(6)
-    assert bottleneck_distance(a, a[perm], strict_bijection=True) == 0.0
-    with pytest.raises(ShapeError):
-        bottleneck_distance(a, a[:4], strict_bijection=True)
-    # strict matching cannot use the diagonal, so it can only be larger
-    b = _random_diagram(rng, 6)
-    assert (bottleneck_distance(a, b, strict_bijection=True)
-            >= bottleneck_distance(a, b) - 1e-12)
 
 
 def test_perturbation_stability_bound():

@@ -81,7 +81,7 @@ def test_synth_dataset_shape_and_determinism():
     a = synth_dataset(per_class=5, n_points=20, noise=0.2, seed=9)
     b = synth_dataset(per_class=5, n_points=20, noise=0.2, seed=9)
     assert len(a.objects) == 15
-    assert a.class_counts == {1: 5, 2: 5, 3: 5}
+    assert np.bincount(a.labels()).tolist() == [0, 5, 5, 5]
     # blocked layout: ids 1..15, first block all class 1
     assert [o.id for o in a.objects] == list(range(1, 16))
     assert all(o.label == 1 for o in a.objects[:5])

@@ -289,6 +289,51 @@ def test_resume_recomputes_cell_with_missing_fold_rows(tmp_path, cut):
     assert cut_folds.read_bytes() == folds
 
 
+def test_resume_without_folds_file_recomputes_cells(small_sweep, tmp_path):
+    # fold rows are written after their results row, so results rows
+    # without a folds file are cells that did not finish
+    config, finished = small_sweep
+    results = Path(config.out).read_bytes()
+    folds = Path(folds_path_for(config.out)).read_bytes()
+    out = tmp_path / "cut.csv"
+    out.write_bytes(b"".join(results.splitlines(keepends=True)[:2 + 3]))
+    records = run_sweep(ExperimentConfig(**{**config.__dict__,
+                                            "out": str(out)}))
+    assert len(records) == len(finished)
+    assert out.read_bytes() == results
+    assert Path(folds_path_for(str(out))).read_bytes() == folds
+
+
+@pytest.mark.slow
+def test_resume_after_a_kill_at_every_byte(tmp_path):
+    # the sweep writes the results head, the folds head, then per cell its
+    # results row and its T fold rows; a kill can stop that sequence after
+    # any byte, and the resume must finish both files byte for byte
+    config = _small_config(tmp_path / "full.csv", pipelines=("raw",),
+                           m_values=(5,), alphas=(0.0, 0.3), codes=(),
+                           epochs=5)
+    run_sweep(config)
+    full = (Path(config.out).read_bytes(),
+            Path(folds_path_for(config.out)).read_bytes())
+    rows, fold_rows = (data.splitlines(keepends=True) for data in full)
+    writes = [(0, len(rows[0] + rows[1])), (1, len(fold_rows[0]))]
+    for i, row in enumerate(rows[2:]):
+        own = fold_rows[1 + config.T * i:1 + config.T * (i + 1)]
+        writes += [(0, len(row)), (1, len(b"".join(own)))]
+    out = tmp_path / "cut.csv"
+    paths = (out, Path(folds_path_for(str(out))))
+    resumed = ExperimentConfig(**{**config.__dict__, "out": str(out)})
+    for offset in range(sum(n for _, n in writes) + 1):
+        sizes, left = [0, 0], offset
+        for f, n in writes:
+            sizes[f] += min(n, left)
+            left -= min(n, left)
+        for path, data, size in zip(paths, full, sizes):
+            path.write_bytes(data[:size])
+        run_sweep(resumed)
+        assert tuple(p.read_bytes() for p in paths) == full, offset
+
+
 def test_read_results_rejects_bad_rows(small_sweep, tmp_path):
     config, _ = small_sweep
     lines = Path(config.out).read_text().splitlines(keepends=True)
@@ -317,16 +362,17 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(harness, name, wrapped)
 
-    for name in ("vr_diagram", "train_classifier", "bch_generator"):
+    for name in ("vr_diagram", "train_classifier", "bch_generator",
+                 "read_results"):
         counting(name)
     config = _small_config(tmp_path / "r.csv", epochs=5)
-    run_sweep(config)
+    run_sweep(config)  # a fresh sweep reads no results file
     assert calls == {"vr_diagram": 3 * config.per_class,
                      "train_classifier": len(config.pipelines) * config.T,
                      "bch_generator": len(config.codes)}
     calls.clear()
     run_sweep(config)  # nothing left to do: no stage is built
-    assert calls == {}
+    assert calls == {"read_results": 1}
 
 
 def _sweepbench_module(name):

@@ -99,16 +99,13 @@ def test_matching_follows_augmenting_paths_past_the_recursion_limit():
 
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        PersistenceDiagram(births=np.array([2.0]), deaths=np.array([1.0]),
-                           dims=np.array([0]), essential=np.array([False]))
     with pytest.raises(ShapeError):
         PersistenceDiagram(births=np.array([0.0, 1.0]), deaths=np.array([1.0]),
                            dims=np.array([0]), essential=np.array([False]))
     # received diagrams may dip below the diagonal
-    pd = PersistenceDiagram.from_received(
-        births=np.array([2.0]), deaths=np.array([1.0]), dims=np.array([1]))
-    assert not pd.halfplane
+    pd = PersistenceDiagram(births=np.array([2.0]), deaths=np.array([1.0]),
+                            dims=np.array([1]), essential=np.array([False]))
+    assert pd.births[0] > pd.deaths[0]
 
 
 def test_determinism():

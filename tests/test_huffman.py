@@ -6,7 +6,7 @@ import pytest
 from pdsemcom.codec import (HuffmanCode, build_huffman, huffman_decode,
                             huffman_encode)
 from pdsemcom.dataset import synth_dataset
-from pdsemcom.errors import DecodeError, ShapeError
+from pdsemcom.errors import ShapeError
 from pdsemcom.homology import vr_diagram
 from pdsemcom.infotheory import (cell_probabilities, estimate_density,
                                  quantizer_entropy)
@@ -83,8 +83,9 @@ def test_round_trip():
     code = build_huffman(p)
     syms = rng.integers(1, 41, size=200)
     bits = huffman_encode(code, syms)
-    assert np.array_equal(huffman_decode(code, bits), syms)
-    assert huffman_decode(code, np.empty(0, dtype=np.uint8)).size == 0
+    assert np.array_equal(huffman_decode(code, bits, max_symbols=200), syms)
+    assert huffman_decode(code, np.empty(0, dtype=np.uint8),
+                          max_symbols=10).size == 0
 
 
 def test_single_symbol_alphabet():
@@ -92,7 +93,8 @@ def test_single_symbol_alphabet():
     assert code.table() == {1: "0"}
     bits = huffman_encode(code, np.array([1, 1, 1]))
     assert np.array_equal(bits, [0, 0, 0])
-    assert np.array_equal(huffman_decode(code, bits), [1, 1, 1])
+    assert np.array_equal(huffman_decode(code, bits, max_symbols=3),
+                          [1, 1, 1])
 
 
 def test_codes_compare_by_symbols_and_lengths():
@@ -107,21 +109,11 @@ def test_codes_compare_by_symbols_and_lengths():
     assert len({code, build_huffman(p)}) == 1
 
 
-def test_strict_decode_reports_offset():
-    p = np.array([0.5, 0.25, 0.125, 0.125])
-    code = build_huffman(p)
-    syms = np.array([1, 2, 4])
-    bits = huffman_encode(code, syms)
-    with pytest.raises(DecodeError) as err:
-        huffman_decode(code, bits[:-1])  # truncated final codeword
-    assert err.value.bit_offset == len(bits) - 3
-
-
 def test_tolerant_decode_drops_partial_tail():
     p = np.array([0.5, 0.25, 0.125, 0.125])
     code = build_huffman(p)
     bits = huffman_encode(code, np.array([1, 2, 4]))
-    out = huffman_decode(code, bits[:-1], strict=False)
+    out = huffman_decode(code, bits[:-1], max_symbols=3)
     assert np.array_equal(out, [1, 2])
 
 
@@ -131,7 +123,7 @@ def test_max_symbols_stops_early():
     bits = huffman_encode(code, np.array([1, 2, 1, 2]))
     out = huffman_decode(code, bits, max_symbols=2)
     assert np.array_equal(out, [1, 2])
-    # strict mode tolerates surplus bits once the quota is filled
+    # surplus bits after the quota are ignored
     out = huffman_decode(code, bits, max_symbols=3)
     assert np.array_equal(out, [1, 2, 1])
 
@@ -185,11 +177,12 @@ def test_golden_codes_on_synth_densities(synth_point_sets, kind, digest):
         streams = [grid.quantize_points(p) for p in sets] + [code.symbols]
         for symbols in streams:
             bits = huffman_encode(code, symbols)
-            assert np.array_equal(huffman_decode(code, bits), symbols)
+            assert np.array_equal(
+                huffman_decode(code, bits, max_symbols=len(symbols)), symbols)
             noisy = bits ^ (rng.random(len(bits)) < 0.12).astype(np.uint8)
             h.update(bits.tobytes())
-            for max_symbols in (None, len(symbols)):
-                out = huffman_decode(code, noisy, max_symbols=max_symbols,
-                                     strict=False)
+            # every codeword has a bit, so len(noisy) symbols never binds
+            for max_symbols in (len(noisy), len(symbols)):
+                out = huffman_decode(code, noisy, max_symbols=max_symbols)
                 h.update(out.astype(np.int64).tobytes() + b";")
     assert h.hexdigest() == digest

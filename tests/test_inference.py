@@ -18,7 +18,7 @@ def _diagram(pairs, dims):
     return PersistenceDiagram(
         births=pairs[:, 0], deaths=pairs[:, 1],
         dims=np.asarray(dims, dtype=int),
-        essential=np.zeros(len(pairs), dtype=bool), gamma_max=16.0)
+        essential=np.zeros(len(pairs), dtype=bool))
 
 
 def test_output_dimension():

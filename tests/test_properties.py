@@ -16,23 +16,24 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute import (bch_decode_by_products, berlekamp_massey_general,
-                   bottleneck_exhaustive, bottleneck_strict_permutations,
-                   canonical_codewords, chien_roots_by_products,
-                   density_mass_loop, filtration_by_lexsort,
-                   huffman_decode_bitwalk, persistence_by_triangle_columns,
-                   rasterize_loop, syndromes_by_products)
+                   bottleneck_exhaustive, canonical_codewords,
+                   chien_roots_by_products, density_mass_loop,
+                   filtration_by_lexsort, huffman_decode_bitwalk,
+                   persistence_by_triangle_columns, rasterize_loop,
+                   syndromes_by_products)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode)
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.dataset import load_pointcloud_file
-from pdsemcom.errors import (CapacityExceeded, DecodeError, DecodeFailure,
-                             EmptyDensity, InconsistentLabel, ParseError)
+from pdsemcom.errors import (CapacityExceeded, DecodeFailure, EmptyDensity,
+                             InconsistentLabel, ParseError)
 from pdsemcom.homology import (bottleneck_distance, build_vr_filtration,
                                compute_persistence, load_pd_file, vr_diagram)
 from pdsemcom.inference import rasterize_raw
 from pdsemcom.infotheory import estimate_density
-from pdsemcom.quantizer import load_symbol_stream
+from pdsemcom.quantizer import (QuantizerGrid, load_symbol_stream,
+                                quantize_diagram)
 
 # bounded so that the unit tests stay fast; the tmp_path file is rewritten
 # by every example
@@ -151,7 +152,8 @@ def _huffman_case(draw):
 @given(case=_huffman_case())
 def test_huffman_strict_round_trip(case):
     code, symbols = case
-    back = huffman_decode(code, huffman_encode(code, symbols))
+    back = huffman_decode(code, huffman_encode(code, symbols),
+                          max_symbols=len(symbols))
     assert np.array_equal(back, symbols)
 
 
@@ -161,11 +163,7 @@ def test_huffman_strict_round_trip(case):
 def test_huffman_random_bits(case, bits):
     code, _ = case
     bits = np.array(bits, dtype=np.uint8)
-    try:
-        huffman_decode(code, bits)
-    except DecodeError:
-        pass
-    out = huffman_decode(code, bits, strict=False)
+    out = huffman_decode(code, bits, max_symbols=len(bits))
     assert np.all(np.isin(out, code.symbols))
 
 
@@ -187,14 +185,6 @@ def _huffman_stream(draw):
     return code, bits, len(symbols)
 
 
-def _decode_outcome(decode, code, bits, max_symbols, strict):
-    try:
-        out = decode(code, bits, max_symbols=max_symbols, strict=strict)
-    except DecodeError as exc:
-        return str(exc), exc.bit_offset
-    return out.dtype, out.tolist()
-
-
 @PROPERTY
 @given(case=_huffman_stream(), cap=st.integers(0, 60))
 def test_huffman_tables_match_bit_walk(case, cap):
@@ -202,12 +192,11 @@ def test_huffman_tables_match_bit_walk(case, cap):
     want = canonical_codewords(code.symbols, code.lengths)
     assert code.codewords.dtype == want.dtype
     assert np.array_equal(code.codewords, want)
-    for strict in (True, False):
-        for max_symbols in (None, n_symbols, cap):
-            assert (_decode_outcome(huffman_decode, code, bits, max_symbols,
-                                    strict)
-                    == _decode_outcome(huffman_decode_bitwalk, code, bits,
-                                       max_symbols, strict))
+    # every codeword has a bit, so len(bits) symbols never binds
+    for max_symbols in (len(bits), n_symbols, cap):
+        got = huffman_decode(code, bits, max_symbols=max_symbols)
+        want = huffman_decode_bitwalk(code, bits, max_symbols=max_symbols)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,15 +325,6 @@ def test_bottleneck_matches_exhaustive(a, b):
 
 
 @PROPERTY
-@given(data=st.data())
-def test_strict_bottleneck_matches_permutations(data):
-    a = data.draw(_diagram(0, 5))
-    b = data.draw(_diagram(len(a), len(a)))
-    assert (bottleneck_distance(a, b, strict_bijection=True)
-            == bottleneck_strict_permutations(a, b))
-
-
-@PROPERTY
 @given(points=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                        max_size=14),
        copies=st.integers(0, 3))
@@ -378,11 +358,17 @@ def test_filtration_matches_lexsort(points, cap, max_dim):
 
 @PROPERTY
 @given(points=_CLOUD, cap=st.sampled_from([1.0, 2.0, 3.0, 16.0]),
-       max_dim=st.sampled_from([1, 2]))
-def test_persistence_matches_triangle_columns(points, cap, max_dim):
+       max_dim=st.sampled_from([1, 2]), m=st.integers(2, 28))
+def test_persistence_matches_triangle_columns(points, cap, max_dim, m):
     filt = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
     got = compute_persistence(filt)
     want = persistence_by_triangle_columns(filt)
     for name in ("births", "deaths", "dims", "essential"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    # no diagram check guards these: a class is born before it dies, and
+    # so its cell lies on or above the diagonal
+    assert np.all(got.births <= got.deaths)
+    grid = QuantizerGrid(box_side=16.0, n_bins=m)
+    x_bin, y_bin = grid.bins_of(quantize_diagram(grid, got).indices)
+    assert np.all(x_bin <= y_bin)

@@ -33,7 +33,7 @@ def test_round_trip_error_bounded_by_half_cell():
     for m in (5, 10, 27):
         grid = QuantizerGrid(box_side=16.0, n_bins=m)
         pts = rng.uniform(0.0, 16.0, size=(2000, 2))
-        q = quantize_set(grid, pts, "raw")
+        q = quantize_set(grid, pts)
         back = grid.centers_of(q.indices)
         err = np.max(np.abs(back - pts))
         assert err <= grid.cell_width / 2.0 + 1e-12
@@ -52,8 +52,6 @@ def test_corrupt_symbol_detected():
         grid.centers_of(np.array([0]))
     with pytest.raises(CorruptSymbol):
         grid.centers_of(np.array([17]))
-    with pytest.raises(CorruptSymbol):
-        QuantizedPointSet(indices=np.array([99]), grid=grid, source_kind="raw")
 
 
 def test_clean_diagram_occupies_upper_triangle_only():
@@ -71,29 +69,20 @@ def test_clean_diagram_occupies_upper_triangle_only():
                           np.sort(grid.quantize_points(pd.points(0))))
 
 
-def test_below_diagonal_input_rejected_for_clean_pd():
-    grid = QuantizerGrid(box_side=16.0, n_bins=4)
-    with pytest.raises(ValueError):
-        QuantizedPointSet(indices=np.array([5]), grid=grid, source_kind="pd")
-    # the same index is fine when flagged as post-channel
-    q = QuantizedPointSet(indices=np.array([5]), grid=grid, source_kind="pd",
-                          check_halfplane=False)
-    assert len(q) == 1
-
-
 def test_collapse_duplicates():
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
     pts = np.array([[1.0, 1.0], [1.2, 1.1], [9.0, 9.0]])
-    q = quantize_set(grid, pts, "raw")
-    qc = quantize_set(grid, pts, "raw", collapse_duplicates=True)
+    q = quantize_set(grid, pts)
+    qc = quantize_set(grid, pts, collapse_duplicates=True)
     assert len(q) == 3 and len(qc) == 2
 
 
 def test_diagram_from_symbols_handles_corruption():
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
-    # cell 5 decodes below the diagonal: kept, flagged non-halfplane
-    pd = diagram_from_symbols(grid, np.array([5, 1]), (1, 1), gamma_max=16.0)
-    assert not pd.halfplane
+    # cell 5 decodes below the diagonal: kept, and flagged non-essential
+    pd = diagram_from_symbols(grid, np.array([5, 1]), (1, 1))
+    assert pd.births[0] > pd.deaths[0]
+    assert not np.any(pd.essential)
     assert np.array_equal(pd.dims, [0, 1])
     with pytest.raises(ShapeError):
         diagram_from_symbols(grid, np.array([1, 2, 3]), (1, 1))
@@ -102,8 +91,7 @@ def test_diagram_from_symbols_handles_corruption():
 def test_channel_counts_must_partition():
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
     with pytest.raises(ShapeError):
-        QuantizedPointSet(indices=np.array([1, 2]), grid=grid,
-                          source_kind="raw", channel_counts=(1,))
+        QuantizedPointSet(indices=np.array([1, 2]), channel_counts=(1,))
 
 
 def test_symbol_stream_round_trip(tmp_path):
@@ -125,10 +113,10 @@ def test_symbol_stream_round_trip(tmp_path):
 def test_symbol_stream_keeps_empty_channels(tmp_path):
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
     objects = {
-        1: QuantizedPointSet(indices=np.array([1, 2, 6]), grid=grid,
-                             source_kind="pd", channel_counts=(3, 0)),
-        2: QuantizedPointSet(indices=np.array([4, 16]), grid=grid,
-                             source_kind="pd", channel_counts=(0, 2)),
+        1: QuantizedPointSet(indices=np.array([1, 2, 6]),
+                             channel_counts=(3, 0)),
+        2: QuantizedPointSet(indices=np.array([4, 16]),
+                             channel_counts=(0, 2)),
     }
     path = tmp_path / "stream.csv"
     write_symbol_stream(path, grid, "pd", objects)
@@ -140,9 +128,9 @@ def test_symbol_stream_keeps_empty_channels(tmp_path):
 
 def test_symbol_stream_rejects_empty_objects(tmp_path):
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
-    empty = QuantizedPointSet(indices=np.empty(0, dtype=int), grid=grid,
-                              source_kind="pd", channel_counts=(0, 0))
-    full = quantize_set(grid, np.array([[1.0, 2.0]]), "pd")
+    empty = QuantizedPointSet(indices=np.empty(0, dtype=int),
+                              channel_counts=(0, 0))
+    full = quantize_set(grid, np.array([[1.0, 2.0]]))
     path = tmp_path / "stream.csv"
     with pytest.raises(ValueError, match="object 9"):
         write_symbol_stream(path, grid, "pd", {3: full, 9: empty})
