@@ -23,7 +23,7 @@ from .codec import (Frame, bch_encode, bch_generator, build_huffman,
                     decode_or_passthrough, huffman_decode, huffman_encode,
                     pack_objects)
 from .dataset import load_pointcloud_file, synth_dataset
-from .errors import ParseError, PipelineError
+from .errors import ParseError, PipelineError, read_table
 from .homology import load_pd_file, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
@@ -302,37 +302,29 @@ class TradeoffRecord:
     def to_row(self) -> list:
         return [_text(getattr(self, name)) for name in COLUMNS]
 
-    @classmethod
-    def from_row(cls, row: dict) -> "TradeoffRecord":
-        values = [row.get(name) for name in COLUMNS]
-        if None in values or None in row:
-            raise ValueError("row has missing or extra fields")
-        return cls(*(f.type(v) for f, v in zip(fields(cls), values)))
-
 
 COLUMNS = tuple(f.name for f in fields(TradeoffRecord))
+_COLUMN_TYPES = tuple(f.type for f in fields(TradeoffRecord))
 FOLDS_HEAD = "pipeline,m,alpha,code,t,accuracy\n"
 
 
 def read_results(path):
-    """-> (config hash, records). Inverse of the sweep's CSV writer; a row
-    with missing, extra or unparsable fields raises ParseError."""
+    """-> (config hash, records). Inverse of the sweep's CSV writer: the
+    column line must be COLUMNS, and a row with missing, extra or unparsable
+    fields raises ParseError."""
     with open(path, newline="") as f:
         first = f.readline().strip()
         if not first.startswith("# config_hash="):
             raise ParseError("results file lacks the config hash header",
                              line_number=1)
-        config_hash = first.split("=", 1)[1]
-        reader = csv.DictReader(f)
         records = []
-        for row in reader:
+        for lineno, values in read_table(f, COLUMNS, _COLUMN_TYPES,
+                                         first_line=2):
             try:
-                records.append(TradeoffRecord.from_row(row))
+                records.append(TradeoffRecord(*values))
             except ValueError as exc:
-                # the reader counts from the column line, file line 2
-                raise ParseError(f"bad results row: {exc}",
-                                 line_number=reader.line_num + 1) from exc
-    return config_hash, records
+                raise ParseError(f"bad results row: {exc}", lineno) from exc
+    return first.split("=", 1)[1], records
 
 
 def _read_lines(path) -> tuple:
@@ -484,6 +476,11 @@ def _build_bch(spec: tuple):
     return code
 
 
+def _test_mean(ctx, per_object) -> float:
+    """Mean of {object index: value} over every test fold's objects."""
+    return float(np.mean([per_object[i] for i in ctx.test_multiset]))
+
+
 # Stage 4: what every cell of one (pipeline, m) group shares; `shared` holds
 # the record fields that no channel or classifier changes
 _CellPrep = namedtuple("_CellPrep", "grid streams bits huffman shared")
@@ -504,15 +501,14 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
                              collapse_duplicates=cfg.collapse_duplicates)
         streams[i] = q
         bits[i] = huffman_encode(huffman, q.indices)
-    mean_symbols = float(np.mean(
-        [len(streams[i].indices) for i in ctx.test_multiset]))
+    mean_symbols = _test_mean(ctx, {i: len(q) for i, q in streams.items()})
     rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols)
     shared = dict(
         entropy_bits=rate.entropy_bits_per_symbol,
         mean_symbols=rate.mean_symbols_per_object,
         rate_cells=rate.rate_bits_per_object,
         rate_selfinfo=rate.self_information_bits_per_object,
-        huffman_bits=float(np.mean([len(bits[i]) for i in ctx.test_multiset])),
+        huffman_bits=_test_mean(ctx, {i: len(b) for i, b in bits.items()}),
         avg_codeword_len=huffman.expected_length(probs[huffman.symbols - 1]),
         mse=mse_distortion(state.density, grid),
         bottleneck=bottleneck_style_distortion(
@@ -521,93 +517,82 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
                      shared=shared)
 
 
-def _decode_uncoded(ctx, prep, alpha):
-    channel = BscChannel(alpha=alpha, seed=ctx.config.channel_seed)
+def _send_uncoded(ctx, prep, channel):
+    """-> ({i: received payload bits}, {i: wire bits}, decoder failures)."""
     triples = [(int(ctx.object_ids[i]), prep.bits[i],
                 prep.streams[i].channel_counts) for i in ctx.unique_test]
     sent = transmit(channel, pack_objects(triples))
-    decoded, wire = {}, {}
+    received, wire = {}, {}
     for i, (frame, payload) in zip(ctx.unique_test, sent.payloads()):
-        n_symbols = sum(frame.channel_counts)
-        decoded[i] = huffman_decode(prep.huffman, payload,
-                                    max_symbols=n_symbols)
+        received[i] = payload
         wire[i] = frame.n_bits + frame.overhead_bits
-    return decoded, wire, 0
+    return received, wire, 0
 
 
-def _decode_coded(ctx, prep, alpha, code):
-    channel = BscChannel(alpha=alpha, seed=ctx.config.channel_seed)
+def _send_coded(ctx, prep, channel, code):
+    """_send_uncoded with each payload BCH-coded, padded to whole blocks."""
     n, k = code.n, code.k
-    decoded, wire = {}, {}
+    received, wire = {}, {}
     failures = 0
     for i in ctx.unique_test:
         payload = prep.bits[i]
         oid = int(ctx.object_ids[i])
-        counts = prep.streams[i].channel_counts
         # the same frame, with its field limits, that uncoded streams charge
-        overhead = Frame(oid, len(payload), counts).overhead_bits
+        overhead = Frame(oid, len(payload),
+                         prep.streams[i].channel_counts).overhead_bits
+        received[i], wire[i] = payload, overhead
         if len(payload) == 0:
-            decoded[i] = np.empty(0, dtype=int)
-            wire[i] = overhead
             continue
         blocks = int(np.ceil(len(payload) / k))
         padded = np.zeros(blocks * k, dtype=np.uint8)
         padded[:len(payload)] = payload
         words = [bch_encode(code, msg) for msg in padded.reshape(blocks, k)]
-        received = transmit_bits(channel, np.concatenate(words), key=(oid,))
+        noisy = transmit_bits(channel, np.concatenate(words), key=(oid,))
         pieces = []
-        for word in received.reshape(blocks, n):
+        for word in noisy.reshape(blocks, n):
             msg, _, failed = decode_or_passthrough(code, word)
             failures += int(failed)
             pieces.append(msg)
-        out_bits = np.concatenate(pieces)[:len(payload)]
-        decoded[i] = huffman_decode(prep.huffman, out_bits,
-                                    max_symbols=sum(counts))
-        wire[i] = blocks * n + overhead
-    return decoded, wire, failures
+        received[i] = np.concatenate(pieces)[:len(payload)]
+        wire[i] += blocks * n
+    return received, wire, failures
 
 
-def _cell_features(ctx, state, prep, pipeline, decoded):
-    cfg = ctx.config
-    feats = {}
-    for i in ctx.unique_test:
-        symbols = decoded[i]
-        if pipeline == "pd":
-            c0 = min(prep.streams[i].channel_counts[0], len(symbols))
-            # imported at call time: sweepbench/spans.py wraps it in quantizer
-            from .quantizer import diagram_from_symbols
-            diag = diagram_from_symbols(prep.grid, symbols,
-                                        (c0, len(symbols) - c0))
-            feats[i] = perslay_vectorize(diag, cfg.box_pd)
-            continue
-        centers = prep.grid.centers_of(symbols)
-        if pipeline == "raw":
-            feats[i] = rasterize_raw(centers, box_side=cfg.box_raw)
-        else:
-            want = len(state.points[i])
-            padded = np.zeros((want, 2))
-            padded[:min(want, len(centers))] = centers[:want]
-            feats[i] = padded.ravel()
-    return feats
-
-
-def _symbol_error_rate(ctx, prep, decoded) -> float:
-    rates = {}
-    for i in ctx.unique_test:
-        orig = prep.streams[i].indices
-        dec = np.asarray(decoded[i], dtype=int)
-        n = min(len(orig), len(dec))
-        errors = int(np.sum(orig[:n] != dec[:n])) + abs(len(orig) - len(dec))
-        rates[i] = errors / max(1, len(orig))
-    return float(np.mean([rates[i] for i in ctx.test_multiset]))
+def _features(ctx, state, prep, pipeline, i, symbols):
+    if pipeline == "pd":
+        c0 = min(prep.streams[i].channel_counts[0], len(symbols))
+        # imported at call time: sweepbench/spans.py wraps it in quantizer
+        from .quantizer import diagram_from_symbols
+        diag = diagram_from_symbols(prep.grid, symbols,
+                                    (c0, len(symbols) - c0))
+        return perslay_vectorize(diag, ctx.config.box_pd)
+    centers = prep.grid.centers_of(symbols)
+    if pipeline == "raw":
+        return rasterize_raw(centers, box_side=ctx.config.box_raw)
+    want = len(state.points[i])
+    padded = np.zeros((want, 2))
+    padded[:min(want, len(centers))] = centers[:want]
+    return padded.ravel()
 
 
 def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
+    channel = BscChannel(alpha=alpha, seed=ctx.config.channel_seed)
     if code is None:
-        decoded, wire, failures = _decode_uncoded(ctx, prep, alpha)
+        received, wire, failures = _send_uncoded(ctx, prep, channel)
     else:
-        decoded, wire, failures = _decode_coded(ctx, prep, alpha, code)
-    feats = _cell_features(ctx, state, prep, pipeline, decoded)
+        received, wire, failures = _send_coded(ctx, prep, channel, code)
+    # the receiver, the same for coded and uncoded cells; decoding every
+    # object before the numpy work runs faster than interleaving the two
+    decoded = {i: huffman_decode(prep.huffman, received[i],
+                                 max_symbols=len(prep.streams[i]))
+               for i in ctx.unique_test}
+    feats, symbol_errors = {}, {}
+    for i, symbols in decoded.items():
+        sent = prep.streams[i].indices
+        n = len(symbols)  # decoding stops at len(sent) symbols
+        wrong = np.count_nonzero(sent[:n] != symbols) + len(sent) - n
+        symbol_errors[i] = wrong / max(1, len(sent))
+        feats[i] = _features(ctx, state, prep, pipeline, i, symbols)
     fold_accs = []
     for t, (_, test) in enumerate(ctx.schedule.folds):
         X = np.stack([feats[i] for i in test])
@@ -617,10 +602,10 @@ def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
     record = TradeoffRecord(
         pipeline=pipeline, m=m, alpha=alpha, code=label, status="ok",
         schedule=ctx.schedule.schedule_hash(), seed=ctx.config.channel_seed,
-        wire_bits=float(np.mean([wire[i] for i in ctx.test_multiset])),
+        wire_bits=_test_mean(ctx, wire),
         acc_mean=report.mean, band_low=report.band_low,
         band_high=report.band_high, acc_std=report.std,
-        symbol_error_rate=_symbol_error_rate(ctx, prep, decoded),
+        symbol_error_rate=_test_mean(ctx, symbol_errors),
         decode_failures=failures, **prep.shared)
     return record, report
 

@@ -154,14 +154,23 @@ def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
                         objects) -> None:
     """Persist per-object symbol records under a (B, m, source_kind) header.
 
-    The format has one row per symbol, so an object without symbols cannot
-    be written and raises ValueError.
+    Nothing is written that load_symbol_stream rejects: an unknown source
+    kind, an object without symbols or with other than 2 channels for pd
+    and 1 otherwise raise ValueError, an index off the grid CorruptSymbol.
     """
+    if source_kind not in SOURCE_KINDS:
+        raise ValueError(f"source kind must be one of {SOURCE_KINDS}, "
+                         f"got {source_kind!r}")
+    n_chan = 2 if source_kind == "pd" else 1
     objects = (sorted(objects.items()) if isinstance(objects, dict)
                else list(objects))
     for object_id, q in objects:
         if len(q) == 0:
             raise ValueError(f"object {object_id} has no symbols to write")
+        if len(q.channel_counts) != n_chan:
+            raise ValueError(f"object {object_id} has {len(q.channel_counts)}"
+                             f" channels, a {source_kind} stream {n_chan}")
+        grid.bins_of(q.indices)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["box_side", "n_bins", "source_kind"])

@@ -126,14 +126,24 @@ def test_symbol_stream_keeps_empty_channels(tmp_path):
     assert np.array_equal(back[2].indices, [4, 16])
 
 
-def test_symbol_stream_rejects_empty_objects(tmp_path):
+# each stream would load as a ParseError, so none may be written
+@pytest.mark.parametrize("kind, indices, counts, error, match", [
+    ("raw", [], (0,), ValueError, "object 9"),
+    ("raw", [1, 2], (1, 1), ValueError, "object 9"),
+    ("raw", [99], (1,), CorruptSymbol, "99"),
+    ("pd", [1, 2, 3], (1, 1, 1), ValueError, "object 9"),
+    ("zz", [1], (1,), ValueError, "source kind"),
+], ids=["empty", "raw-2-channels", "index-99", "pd-3-channels", "kind-zz"])
+def test_symbol_stream_writer_rejects_unloadable_streams(
+        tmp_path, kind, indices, counts, error, match):
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
-    empty = QuantizedPointSet(indices=np.empty(0, dtype=int),
-                              channel_counts=(0, 0))
-    full = quantize_set(grid, np.array([[1.0, 2.0]]))
+    good = QuantizedPointSet(indices=np.array([5]),
+                             channel_counts=(1, 0) if kind == "pd" else (1,))
+    bad = QuantizedPointSet(indices=np.array(indices, dtype=int),
+                            channel_counts=counts)
     path = tmp_path / "stream.csv"
-    with pytest.raises(ValueError, match="object 9"):
-        write_symbol_stream(path, grid, "pd", {3: full, 9: empty})
+    with pytest.raises(error, match=match):
+        write_symbol_stream(path, grid, kind, {3: good, 9: bad})
     assert not path.exists()
 
 
