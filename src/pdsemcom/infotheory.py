@@ -166,12 +166,22 @@ def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
 
 
 def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:
-    """Mean over objects of the worst per-point ∞-norm quantization shift."""
-    worst = []
-    for pts in point_sets:
-        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-        centers = grid.centers_of(grid.quantize_points(pts))
-        worst.append(float(np.max(np.abs(pts - centers), initial=0.0)))
-    if not worst:
+    """Mean over objects of the worst per-point ∞-norm quantization shift.
+
+    One pass over the concatenated points: each point's shift, then each
+    object's maximum over its segment; an empty object scores 0.
+    """
+    sets = [np.asarray(pts, dtype=float).reshape(-1, 2) for pts in point_sets]
+    if not sets:
         raise EmptyDensity("no objects given")
+    pts = np.concatenate(sets)
+    shift = np.max(np.abs(pts - grid.centers_of(grid.quantize_points(pts))),
+                   axis=1)
+    sizes = np.array([len(s) for s in sets])
+    filled = sizes > 0
+    worst = np.zeros(len(sets))
+    if len(shift):
+        # a filled object's segment runs to the next filled object's start
+        starts = np.cumsum(sizes) - sizes
+        worst[filled] = np.maximum.reduceat(shift, starts[filled])
     return float(np.mean(worst))

@@ -28,6 +28,16 @@ budget with an adjacency matrix product (the package enumerates in
 lexicographic order, sorts once by diameter with a stable sort, and counts
 while enumerating) is the package's former `build_vr_filtration`, moved
 here verbatim as `filtration_by_lexsort`.
+
+The MLP fit over every feature column (the package fits only the columns
+some training row fills and leaves the rest of the first weight matrix as
+drawn) is the package's former `train_classifier`, moved here verbatim as
+`train_classifier_all_columns`. The bottleneck-style distortion that
+quantizes and re-centers the test multiset one object at a time (the
+package takes every point's shift in one pass and each object's maximum by
+`np.maximum.reduceat`) is the package's former
+`bottleneck_style_distortion`, moved here verbatim as
+`bottleneck_style_distortion_loop`.
 """
 
 import itertools
@@ -35,9 +45,13 @@ import math
 
 import numpy as np
 
-from pdsemcom.errors import BudgetExceeded, DecodeFailure, ShapeError
+from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
+                             ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
                                Filtration, PersistenceDiagram)
+from pdsemcom.inference import (ADAM_EPS, BETA1, BETA2, LEARNING_RATE,
+                                N_CLASSES, Classifier, loss_and_gradients)
+from pdsemcom.quantizer import QuantizerGrid
 
 
 def rank_gf2(mat: np.ndarray) -> int:
@@ -325,6 +339,64 @@ def rasterize_loop(points, box_side: float, partition: int):
     bins = np.minimum(np.floor(pts / w).astype(int), partition - 1)
     out[bins[:, 0] * partition + bins[:, 1]] = 1.0
     return out
+
+
+def bottleneck_style_distortion_loop(point_sets, grid: QuantizerGrid) -> float:
+    """Mean over objects of the worst per-point ∞-norm quantization shift."""
+    worst = []
+    for pts in point_sets:
+        pts = np.asarray(pts, dtype=float).reshape(-1, 2)
+        centers = grid.centers_of(grid.quantize_points(pts))
+        worst.append(float(np.max(np.abs(pts - centers), initial=0.0)))
+    if not worst:
+        raise EmptyDensity("no objects given")
+    return float(np.mean(worst))
+
+
+def train_classifier_all_columns(features: np.ndarray, labels: np.ndarray,
+                                 hidden_sizes=(64, 32), epochs: int = 300,
+                                 seed: int = 0) -> Classifier:
+    """Full-batch ADAM on categorical cross-entropy for a fixed budget."""
+    X = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int).ravel()
+    if X.ndim != 2 or len(X) != len(labels):
+        raise ShapeError("features must be (N, d) aligned with labels")
+    present = np.unique(labels)
+    for c in range(1, N_CLASSES + 1):
+        if c not in present:
+            raise ValueError(f"training fold has no example of class {c}")
+    y_index = labels - 1
+
+    net = Classifier((X.shape[1], *hidden_sizes, N_CLASSES), seed=seed)
+    # weights then biases; parameters, moments and the bias-corrected
+    # moments are updated in place, so the update allocates no arrays
+    params = net.weights + net.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    m_hat = [np.empty_like(p) for p in params]
+    v_hat = [np.empty_like(p) for p in params]
+    for epoch in range(epochs):
+        loss, gw, gb = loss_and_gradients(net, X, y_index)
+        if not np.isfinite(loss):
+            raise TrainingDiverged("loss is not finite", step=epoch)
+        net.loss_history.append(loss)
+        net.step += 1
+        t = net.step
+        for p, g, mi, vi, mh, vh in zip(params, gw + gb, m, v, m_hat, v_hat):
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the
+            # hat arrays as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
+            mi *= BETA1
+            mi += np.multiply(g, 1 - BETA1, out=mh)
+            vi *= BETA2
+            vi += np.multiply(np.square(g, out=vh), 1 - BETA2, out=vh)
+            np.divide(mi, 1 - BETA1 ** t, out=mh)
+            np.divide(vi, 1 - BETA2 ** t, out=vh)
+            mh *= LEARNING_RATE
+            np.sqrt(vh, out=vh)
+            vh += ADAM_EPS
+            mh /= vh
+            p -= mh
+    return net
 
 
 def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:

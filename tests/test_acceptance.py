@@ -10,6 +10,7 @@ the records across criteria.
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import math
 import time
@@ -388,5 +389,11 @@ def test_criterion_12_reproducibility(default_run, tmp_path_factory):
     folds1 = Path(folds_path_for(config.out)).read_bytes()
     folds2 = Path(folds_path_for(str(out2))).read_bytes()
     assert folds1 == folds2, "fold files differ between identical runs"
+    # the stock sweep's files: a single flipped prediction changes a fold
+    # accuracy and so a digest, which a comparison of two runs cannot see
+    assert hashlib.sha256(first).hexdigest() == (
+        "6f66599791a17047cc3a815275bd046a97aa12a40ba2267c47a61c9dc570f8c5")
+    assert hashlib.sha256(folds1).hexdigest() == (
+        "ff3035cfe8270833a85912ff60ee62d2b0e9747218788a05041f7a2679cf9ad0")
     return (f"two sweeps byte-identical ({len(first)} result bytes, "
             f"{len(folds1)} fold bytes)")

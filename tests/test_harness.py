@@ -225,6 +225,17 @@ def test_results_file_round_trips(small_sweep):
     assert len(folds) == len(records) * config.T
 
 
+def test_small_sweep_files_are_pinned(small_sweep):
+    # a single flipped prediction changes a fold accuracy and so a digest,
+    # which a comparison of two runs cannot see
+    config, _ = small_sweep
+    assert hashlib.sha256(Path(config.out).read_bytes()).hexdigest() == (
+        "21cedf2ffc39f6656a316f6d7799bed47b99cdd6c0486c1dc0c773680f42ec3f")
+    folds = Path(folds_path_for(config.out)).read_bytes()
+    assert hashlib.sha256(folds).hexdigest() == (
+        "ffda48bac7e1df71fadc40078733b1f04b0ce55d9a2e7dc396dd07d13e08ac64")
+
+
 def test_sweep_determinism(small_sweep, tmp_path):
     config, _ = small_sweep
     out2 = tmp_path / "again.csv"

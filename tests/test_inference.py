@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from brute import train_classifier_all_columns
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import OutOfBox, ParseError, TrainingDiverged
 from pdsemcom.homology import PersistenceDiagram, vr_diagram
@@ -202,6 +203,61 @@ def test_divergence_is_reported():
         with pytest.raises(TrainingDiverged) as err:
             train_classifier(X * 1e308, y, hidden_sizes=(8,), epochs=50)
     assert err.value.step == 0
+
+
+def test_all_zero_training_matrix_keeps_first_layer():
+    # no column is filled, so the first layer is never fitted; the biases
+    # still learn the class priors, and prediction takes full-width rows
+    y = np.repeat([1, 2, 3], [6, 4, 2])
+    net = train_classifier(np.zeros((12, 5)), y, hidden_sizes=(4,),
+                           epochs=20, seed=3)
+    want = train_classifier_all_columns(np.zeros((12, 5)), y,
+                                        hidden_sizes=(4,), epochs=20, seed=3)
+    assert net.layer_sizes == (5, 4, 3)
+    assert np.array_equal(net.weights[0],
+                          Classifier((5, 4, 3), seed=3).weights[0])
+    assert np.array_equal(net.weights[0], want.weights[0])
+    assert net.loss_history[-1] < net.loss_history[0]
+    X = np.random.default_rng(6).uniform(0, 2, size=(7, 5))
+    probs = net.predict_proba(X)
+    assert probs.shape == (7, 3)
+    assert np.allclose(probs, want.predict_proba(X), rtol=1e-9, atol=1e-12)
+
+
+def _one_extreme_column(value):
+    rng = np.random.default_rng(4)
+    X, y = _blobs(rng, n_per=10)
+    X[:, 0] = 0.0
+    X[:, 2] = value
+    return X, y
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_column_diverges_at_step_zero(value):
+    # such a column is nonzero, so it is fitted, and the loss is not finite
+    # at the first step, as in a fit over every column
+    X, y = _one_extreme_column(value)
+    for train in (train_classifier, train_classifier_all_columns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(X, y, hidden_sizes=(8,), epochs=50)
+        assert err.value.step == 0
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308])
+def test_huge_column_fit_matches_all_columns(value):
+    # a +-1e308 column saturates the softmax at a finite loss instead of
+    # overflowing it, so neither fit diverges; the column is nonzero, so it
+    # is kept, and the two fits agree
+    X, y = _one_extreme_column(value)
+    with np.errstate(over="ignore", invalid="ignore"):
+        net = train_classifier(X, y, hidden_sizes=(8,), epochs=50)
+        want = train_classifier_all_columns(X, y, hidden_sizes=(8,),
+                                            epochs=50)
+    assert np.allclose(net.loss_history, want.loss_history,
+                       rtol=1e-9, atol=1e-12)
+    for got, exp in zip(net.weights + net.biases, want.weights + want.biases):
+        assert np.allclose(got, exp, rtol=1e-9, atol=1e-12)
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -5,8 +5,10 @@ bit walk, the binary Berlekamp-Massey against the general one, the
 table-driven BCH syndromes, Chien search and decoder against the
 multiply-and-mod ones, the bottleneck search against brute-force
 matchings, degree-0 counts of Rips diagrams, the Rips filtration against
-the lexsorted one, and Rips diagrams against the triangle-column
-reduction."""
+the lexsorted one, Rips diagrams against the triangle-column reduction,
+the one-pass bottleneck-style distortion against the per-object loop, and
+the MLP fit on the columns the training rows fill against the fit over
+every column."""
 
 import functools
 
@@ -16,22 +18,23 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute import (bch_decode_by_products, berlekamp_massey_general,
-                   bottleneck_exhaustive, canonical_codewords,
-                   chien_roots_by_products, density_mass_loop,
-                   filtration_by_lexsort, huffman_decode_bitwalk,
-                   persistence_by_triangle_columns, rasterize_loop,
-                   syndromes_by_products)
+                   bottleneck_exhaustive, bottleneck_style_distortion_loop,
+                   canonical_codewords, chien_roots_by_products,
+                   density_mass_loop, filtration_by_lexsort,
+                   huffman_decode_bitwalk, persistence_by_triangle_columns,
+                   rasterize_loop, syndromes_by_products,
+                   train_classifier_all_columns)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode)
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeFailure, EmptyDensity,
-                             InconsistentLabel, ParseError)
+                             InconsistentLabel, OutOfBox, ParseError)
 from pdsemcom.homology import (bottleneck_distance, build_vr_filtration,
                                compute_persistence, load_pd_file, vr_diagram)
-from pdsemcom.inference import rasterize_raw
-from pdsemcom.infotheory import estimate_density
+from pdsemcom.inference import Classifier, rasterize_raw, train_classifier
+from pdsemcom.infotheory import bottleneck_style_distortion, estimate_density
 from pdsemcom.quantizer import (QuantizerGrid, load_symbol_stream,
                                 quantize_diagram)
 
@@ -130,6 +133,85 @@ def test_raster_binning_matches_loop(case):
     for pts in sets:
         assert np.array_equal(rasterize_raw(pts, box_side=box),
                               rasterize_loop(pts, box, partition))
+
+
+@PROPERTY
+@given(case=_binning_case())
+def test_distortion_matches_loop(case):
+    box, m, sets = case
+    grid = QuantizerGrid(box_side=box, n_bins=m)
+    assert (bottleneck_style_distortion(sets, grid)
+            == bottleneck_style_distortion_loop(sets, grid))
+
+
+@PROPERTY
+@given(case=_binning_case(), where=st.integers(0, 5),
+       axis=st.integers(0, 1),
+       bad=st.sampled_from(["below", "above", "far", "nan", "inf", "-inf"]))
+def test_distortion_out_of_box_matches_loop(case, where, axis, bad):
+    box, m, sets = case
+    grid = QuantizerGrid(box_side=box, n_bins=m)
+    point = np.full((1, 2), box / 2)
+    point[0, axis] = {"below": -1e-9, "above": np.nextafter(box, np.inf),
+                      "far": box + 5.0, "nan": np.nan, "inf": np.inf,
+                      "-inf": -np.inf}[bad]
+    where %= len(sets)
+    sets[where] = np.vstack([sets[where], point])
+    with pytest.raises(OutOfBox) as fast:
+        bottleneck_style_distortion(sets, grid)
+    with pytest.raises(OutOfBox) as loop:
+        bottleneck_style_distortion_loop(sets, grid)
+    assert str(fast.value) == str(loop.value)
+
+
+@st.composite
+def _training_case(draw):
+    """(features, labels, training rows, hidden sizes, epochs, seed): sparse
+    0/1 or tent-like nonnegative features whose columns are zero
+    everywhere, filled only in held-out rows, or filled in some training
+    rows."""
+    per_class = draw(st.integers(1, 4))
+    n_train = 3 * per_class
+    n_rows = n_train + draw(st.integers(0, 4))
+    kinds = draw(st.lists(st.sampled_from(["zero", "held_out", "train"]),
+                          min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (rng.random((n_rows, len(kinds))) < 0.4).astype(float)
+    if draw(st.booleans()):
+        X *= rng.uniform(0.0, 100.0, size=X.shape)
+    for j, kind in enumerate(kinds):
+        if kind == "zero":
+            X[:, j] = 0.0
+        elif kind == "held_out":
+            X[:n_train, j] = 0.0
+    labels = rng.permutation(np.repeat([1, 2, 3], per_class))
+    hidden = draw(st.sampled_from([(4,), (6, 3)]))
+    return (X, labels, n_train, hidden, draw(st.integers(1, 30)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@PROPERTY
+@given(case=_training_case())
+def test_training_matches_all_column_fit(case):
+    X, labels, n_train, hidden, epochs, seed = case
+    net = train_classifier(X[:n_train], labels, hidden_sizes=hidden,
+                           epochs=epochs, seed=seed)
+    want = train_classifier_all_columns(X[:n_train], labels,
+                                        hidden_sizes=hidden, epochs=epochs,
+                                        seed=seed)
+    assert net.layer_sizes == want.layer_sizes
+    assert net.step == want.step == epochs
+    assert np.allclose(net.loss_history, want.loss_history,
+                       rtol=1e-9, atol=1e-12)
+    # rows of columns no training row fills keep their initial draw
+    idle = ~np.any(X[:n_train] != 0, axis=0)
+    drawn = Classifier(net.layer_sizes, seed=seed).weights[0]
+    assert np.array_equal(net.weights[0][idle], drawn[idle])
+    for got, exp in zip(net.weights + net.biases, want.weights + want.biases):
+        assert got.shape == exp.shape
+        assert np.allclose(got, exp, rtol=1e-9, atol=1e-12)
+    assert np.allclose(net.predict_proba(X), want.predict_proba(X),
+                       rtol=1e-9, atol=1e-12)
 
 
 @st.composite
