@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec.bitstream import BitStream
+from .codec.bitstream import BitStream, as_bits
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,16 @@ def flip_mask(channel: BscChannel, n_bits: int, key: tuple = ()) -> np.ndarray:
 
 def transmit_bits(channel: BscChannel, bits: np.ndarray,
                   key: tuple = ()) -> np.ndarray:
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    """`bits` with the flips of the substream `key`; ShapeError unless
+    every entry is 0 or 1."""
+    bits = as_bits(bits, "bits")
     return bits ^ flip_mask(channel, len(bits), key)
 
 
 def transmit(channel: BscChannel, stream: BitStream) -> BitStream:
-    """Corrupt each object's payload under its own substream."""
-    out = []
-    for frame, payload in stream.payloads():
-        out.append(transmit_bits(channel, payload, key=(frame.object_id,)))
+    """Corrupt each object's payload under its own substream; a stream's
+    bits are checked when it is built, so they are flipped as they are."""
+    out = [payload ^ flip_mask(channel, len(payload), (frame.object_id,))
+           for frame, payload in stream.payloads()]
     corrupted = np.concatenate(out) if out else np.empty(0, dtype=np.uint8)
     return BitStream(bits=corrupted, frames=stream.frames)

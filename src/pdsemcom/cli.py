@@ -11,12 +11,12 @@ import sys
 import numpy as np
 
 from .channel import BscChannel, transmit_bits
-from .codec import (bch_generator, build_huffman, decode_or_passthrough,
-                    bch_encode, load_code_table)
+from .codec import build_huffman, load_code_table
 from .dataset import (LabeledDataset, load_grid_file, load_pointcloud_file,
                       synth_dataset, threshold_grid, write_pointcloud_file)
 from .errors import ParseError
-from .harness import CURVE_KINDS, emit_curves, load_config, read_results, run_sweep
+from .harness import (CURVE_KINDS, build_bch, decode_payload, emit_curves,
+                      encode_payload, load_config, read_results, run_sweep)
 from .homology import vr_diagram, write_pd_file
 from .infotheory import quantizer_entropy
 
@@ -37,9 +37,6 @@ def _write_bits(path, bits) -> None:
 
 
 def _cmd_dataset_synth(args) -> int:
-    if args.classes != 3:
-        print("only the 3-class generator is available", file=sys.stderr)
-        return 2
     ds = synth_dataset(per_class=args.per_class, n_points=args.n_points,
                        noise=args.noise, seed=args.seed)
     write_pointcloud_file(args.out, ds)
@@ -93,35 +90,20 @@ def _lookup_t(n: int, k: int, t: int | None) -> int:
 
 
 def _cmd_code_bch(args) -> int:
-    t = _lookup_t(args.n, args.k, args.t)
-    m_gf = (args.n + 1).bit_length() - 1
-    code = bch_generator(m_gf, t)
-    if code.n != args.n or code.k != args.k:
-        print(f"construction at t={t} gives ({code.n}, {code.k}), "
-              f"not ({args.n}, {args.k})", file=sys.stderr)
-        return 2
+    code = build_bch((args.n, args.k, _lookup_t(args.n, args.k, args.t)))
     bits = _read_bits(getattr(args, "in"))
     if args.action == "encode":
+        words = encode_payload(code, bits)
+        blocks = len(words) // code.n
         if len(bits) % code.k:
-            pad = code.k - len(bits) % code.k
-            bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
-            print(f"zero-padded message to {len(bits)} bits", file=sys.stderr)
-        words = [bch_encode(code, bits[i:i + code.k])
-                 for i in range(0, len(bits), code.k)]
-        _write_bits(args.out, np.array(words, dtype=np.uint8).ravel())
-        print(f"encoded {len(words)} block(s) to {args.out}")
+            print(f"zero-padded message to {blocks * code.k} bits",
+                  file=sys.stderr)
+        _write_bits(args.out, words)
+        print(f"encoded {blocks} block(s) to {args.out}")
     else:
-        if len(bits) % code.n:
-            print(f"received length {len(bits)} is not a multiple of "
-                  f"{code.n}", file=sys.stderr)
-            return 2
-        out, failures = [], 0
-        for i in range(0, len(bits), code.n):
-            msg, _, failed = decode_or_passthrough(code, bits[i:i + code.n])
-            failures += int(failed)
-            out.append(msg)
-        _write_bits(args.out, np.array(out, dtype=np.uint8).ravel())
-        print(f"decoded {len(out)} block(s) to {args.out}; "
+        message, failures = decode_payload(code, bits)
+        _write_bits(args.out, message)
+        print(f"decoded {len(message) // code.k} block(s) to {args.out}; "
               f"{failures} failure(s)")
     return 0
 
@@ -159,7 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("dataset", help="generate or convert point clouds")
     ds_sub = ds.add_subparsers(dest="subcommand", required=True)
     synth = ds_sub.add_parser("synth", help="seeded 3-class loop generator")
-    synth.add_argument("--classes", type=int, default=3)
     synth.add_argument("--per-class", type=int, default=200)
     synth.add_argument("--n-points", type=int, default=48)
     synth.add_argument("--noise", type=float, default=0.2)

@@ -25,6 +25,7 @@ from itertools import zip_longest
 import numpy as np
 
 from ..errors import CapacityExceeded, DecodeFailure, ShapeError, read_table
+from .bitstream import as_bits
 from .galois import GaloisField
 
 CODE_TABLE_RESOURCE = "bch_1023_codes.csv"
@@ -33,20 +34,14 @@ CODE_TABLE_RESOURCE = "bch_1023_codes.csv"
 def bits_to_int(bits: np.ndarray) -> int:
     """Pack a coefficient array (index = degree) into a Python int."""
     bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if len(bits) == 0:
-        return 0
-    rev = bits[::-1]
-    pad = (-len(rev)) % 8
-    if pad:
-        rev = np.concatenate([np.zeros(pad, dtype=np.uint8), rev])
-    return int.from_bytes(np.packbits(rev).tobytes(), "big")
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(),
+                          "little")
 
 
 def int_to_bits(x: int, width: int) -> np.ndarray:
     """Inverse of bits_to_int, producing exactly `width` coefficients."""
-    raw = x.to_bytes((width + 7) // 8, "big")
-    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
-    return arr[len(arr) - width:][::-1].copy()
+    raw = np.frombuffer(x.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=width, bitorder="little")
 
 
 def _gf2_poly_mod(a: int, g: int) -> int:
@@ -166,19 +161,9 @@ def bch_generator(m_gf: int, t: int) -> BchCode:
     return code
 
 
-def _bits(word, what: str) -> np.ndarray:
-    """`word` flattened to a fresh uint8 array; ShapeError if any entry is
-    not 0 or 1 (checked before the cast, which would wrap 256 to 0 and
-    truncate 0.5 to 0)."""
-    word = np.asarray(word).ravel()
-    if np.any((word != 0) & (word != 1)):
-        raise ShapeError(f"{what} must hold only 0s and 1s")
-    return word.astype(np.uint8)
-
-
 def bch_encode(code: BchCode, message: np.ndarray) -> np.ndarray:
     """Systematic codeword: message in the top k coefficients, parity below."""
-    message = _bits(message, "message")
+    message = as_bits(message, "message")
     if len(message) != code.k:
         raise ShapeError(f"message must have {code.k} bits, got {len(message)}")
     shifted = bits_to_int(message) << (code.n - code.k)
@@ -244,7 +229,7 @@ def _chien_roots(code: BchCode, locator: np.ndarray) -> np.ndarray:
 def bch_decode(code: BchCode, received: np.ndarray):
     """-> (message bits, corrected error count); DecodeFailure when the
     error pattern is beyond the code's reach."""
-    r = _bits(received, "received word")
+    r = as_bits(received, "received word")
     if len(r) != code.n:
         raise ShapeError(f"received word must have {code.n} bits, got {len(r)}")
     positions = np.nonzero(r)[0].astype(np.int64)

@@ -1,4 +1,4 @@
-"""Per-object framing of encoded payload bits.
+"""Per-object framing of encoded payload bits, and the check of what a bit is.
 
 A stream is the concatenation of per-object payloads plus out-of-band frame
 metadata: each frame records its object id, payload bit length, and the
@@ -17,6 +17,17 @@ import numpy as np
 from ..errors import CapacityExceeded, ShapeError
 
 FRAME_FIELD_BITS = 16
+
+
+def as_bits(word, what: str) -> np.ndarray:
+    """`word` flattened to a fresh uint8 array; ShapeError if any entry is
+    not 0 or 1 (checked before the cast, which would wrap 256 to 0 and
+    truncate 0.5 to 0)."""
+    word = np.asarray(word).ravel()
+    # x == (x != 0) holds for 0 and 1 only; NaN fails it too
+    if (word != (word != 0)).any():
+        raise ShapeError(f"{what} must hold only 0s and 1s")
+    return word.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -52,9 +63,7 @@ class BitStream:
     frames: tuple
 
     def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=np.uint8).ravel()
-        if np.any(bits > 1):
-            raise ValueError("payload must be 0/1 valued")
+        bits = as_bits(self.bits, "payload")
         total = sum(f.n_bits for f in self.frames)
         if total != len(bits):
             raise ShapeError(
@@ -80,7 +89,7 @@ def pack_objects(encoded) -> BitStream:
     frames = []
     chunks = []
     for object_id, bits, channel_counts in encoded:
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
+        bits = np.asarray(bits).ravel()  # not cast: BitStream checks it
         frames.append(Frame(object_id=object_id, n_bits=len(bits),
                             channel_counts=tuple(int(c) for c in channel_counts)))
         chunks.append(bits)

@@ -116,7 +116,8 @@ class DecodeFailure(PipelineError):
 
 
 class CapacityExceeded(PipelineError):
-    """Requested error-correcting capability leaves no message bits."""
+    """Requested error-correcting capability leaves no message bits, or a
+    payload length or symbol count overflows its frame field."""
 
 
 class TrainingDiverged(PipelineError):

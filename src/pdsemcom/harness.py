@@ -19,20 +19,20 @@ from pathlib import Path
 import numpy as np
 
 from .channel import BscChannel, transmit, transmit_bits
-from .codec import (Frame, bch_encode, bch_generator, build_huffman,
+from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
                     decode_or_passthrough, huffman_decode, huffman_encode,
                     pack_objects)
 from .dataset import load_pointcloud_file, synth_dataset
-from .errors import ParseError, PipelineError, read_table
+from .errors import ParseError, PipelineError, ShapeError, read_table
 from .homology import load_pd_file, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)
 from .inference import (AccuracyReport, CvSchedule, evaluate_accuracy,
                         perslay_vectorize, rasterize_raw, train_classifier)
-from .quantizer import QuantizerGrid, quantize_diagram, quantize_set
+from .quantizer import (SOURCE_KINDS, QuantizerGrid, quantize_diagram,
+                        quantize_set)
 
-PIPELINE_KINDS = ("pd", "raw", "latent")
 CURVE_KINDS = ("dr", "ad", "ar", "ar-coded")
 
 SEED_ENV = "PDSEMCOM_SEED"
@@ -88,7 +88,7 @@ class ExperimentConfig:
         if not self.pipelines:
             raise ValueError("at least one pipeline kind is required")
         for p in self.pipelines:
-            if p not in PIPELINE_KINDS:
+            if p not in SOURCE_KINDS:
                 raise ValueError(f"unknown pipeline kind {p!r}")
         if len(set(self.pipelines)) != len(self.pipelines):
             raise ValueError("duplicate pipeline kinds")
@@ -455,7 +455,7 @@ def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
     for t, (train, _) in enumerate(ctx.schedule.folds):
         fold_seed = int(np.random.SeedSequence(
             entropy=cfg.train_seed,
-            spawn_key=(PIPELINE_KINDS.index(pipeline), t),
+            spawn_key=(SOURCE_KINDS.index(pipeline), t),
         ).generate_state(1)[0])
         classifiers.append(train_classifier(
             features[train], ctx.labels[train], hidden_sizes=cfg.hidden,
@@ -464,16 +464,45 @@ def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
                           classifiers=classifiers)
 
 
-def _build_bch(spec: tuple):
-    """Stage 3: one BCH code, checked against the configured k."""
+# The BCH payload coder of the sweep and of `pdsemcom code bch`. It lives
+# here, not in codec, because sweepbench/spans.py wraps bch_generator,
+# bch_encode and decode_or_passthrough where this module looks them up.
+def build_bch(spec: tuple):
+    """Stage 3: the designed-distance code for an (n, k, t) spec; a
+    ValueError unless it has that n and k."""
     n, k, t = spec
-    m_gf = (n + 1).bit_length() - 1
-    code = bch_generator(m_gf, t)
-    if code.k != k:
+    code = bch_generator((n + 1).bit_length() - 1, t)
+    if (code.n, code.k) != (n, k):
         raise ValueError(
             f"designed-distance construction at t={t} yields "
-            f"k={code.k}, config says {k}")
+            f"n={code.n}, k={code.k}, not n={n}, k={k}")
     return code
+
+
+def encode_payload(code, bits) -> np.ndarray:
+    """`bits` zero-padded to whole k-bit blocks, the n-bit codewords of the
+    blocks concatenated."""
+    bits = as_bits(bits, "payload")
+    padded = np.zeros(-(-len(bits) // code.k) * code.k, dtype=np.uint8)
+    padded[:len(bits)] = bits
+    return np.array([bch_encode(code, block)
+                     for block in padded.reshape(-1, code.k)],
+                    dtype=np.uint8).ravel()
+
+
+def decode_payload(code, words):
+    """-> (message bits of whole n-bit `words`, failed block count); a block
+    the decoder cannot correct passes its systematic bits through."""
+    words = np.asarray(words).ravel()
+    if len(words) % code.n:
+        raise ShapeError(f"received length {len(words)} is not a multiple "
+                         f"of {code.n}")
+    messages, failures = [], 0
+    for word in words.reshape(-1, code.n):
+        message, _, failed = decode_or_passthrough(code, word)
+        messages.append(message)
+        failures += failed
+    return np.array(messages, dtype=np.uint8).ravel(), failures
 
 
 def _test_mean(ctx, per_object) -> float:
@@ -483,7 +512,7 @@ def _test_mean(ctx, per_object) -> float:
 
 # Stage 4: what every cell of one (pipeline, m) group shares; `shared` holds
 # the record fields that no channel or classifier changes
-_CellPrep = namedtuple("_CellPrep", "grid streams bits huffman shared")
+_CellPrep = namedtuple("_CellPrep", "grid streams bitstream huffman shared")
 
 
 def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
@@ -491,7 +520,7 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
     grid = QuantizerGrid(box_side=cfg.box_for(pipeline), n_bins=m)
     probs = cell_probabilities(state.density, grid)
     huffman = build_huffman(probs)
-    streams, bits = {}, {}
+    streams, payloads = {}, []
     for i in ctx.unique_test:
         if pipeline == "pd":
             q = quantize_diagram(grid, state.diagrams[i],
@@ -500,7 +529,11 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
             q = quantize_set(grid, state.points[i],
                              collapse_duplicates=cfg.collapse_duplicates)
         streams[i] = q
-        bits[i] = huffman_encode(huffman, q.indices)
+        payloads.append((int(ctx.object_ids[i]),
+                         huffman_encode(huffman, q.indices), q.channel_counts))
+    # framed once for every cell of the group, so a payload or symbol count
+    # too large for its frame field fails the whole group here
+    bitstream = pack_objects(payloads)
     mean_symbols = _test_mean(ctx, {i: len(q) for i, q in streams.items()})
     rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols)
     shared = dict(
@@ -508,20 +541,19 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
         mean_symbols=rate.mean_symbols_per_object,
         rate_cells=rate.rate_bits_per_object,
         rate_selfinfo=rate.self_information_bits_per_object,
-        huffman_bits=_test_mean(ctx, {i: len(b) for i, b in bits.items()}),
+        huffman_bits=_test_mean(ctx, {i: f.n_bits for i, f in zip(
+            ctx.unique_test, bitstream.frames)}),
         avg_codeword_len=huffman.expected_length(probs[huffman.symbols - 1]),
         mse=mse_distortion(state.density, grid),
         bottleneck=bottleneck_style_distortion(
             [state.points[i] for i in ctx.test_multiset], grid))
-    return _CellPrep(grid=grid, streams=streams, bits=bits, huffman=huffman,
-                     shared=shared)
+    return _CellPrep(grid=grid, streams=streams, bitstream=bitstream,
+                     huffman=huffman, shared=shared)
 
 
 def _send_uncoded(ctx, prep, channel):
     """-> ({i: received payload bits}, {i: wire bits}, decoder failures)."""
-    triples = [(int(ctx.object_ids[i]), prep.bits[i],
-                prep.streams[i].channel_counts) for i in ctx.unique_test]
-    sent = transmit(channel, pack_objects(triples))
+    sent = transmit(channel, prep.bitstream)
     received, wire = {}, {}
     for i, (frame, payload) in zip(ctx.unique_test, sent.payloads()):
         received[i] = payload
@@ -531,30 +563,18 @@ def _send_uncoded(ctx, prep, channel):
 
 def _send_coded(ctx, prep, channel, code):
     """_send_uncoded with each payload BCH-coded, padded to whole blocks."""
-    n, k = code.n, code.k
     received, wire = {}, {}
     failures = 0
-    for i in ctx.unique_test:
-        payload = prep.bits[i]
-        oid = int(ctx.object_ids[i])
-        # the same frame, with its field limits, that uncoded streams charge
-        overhead = Frame(oid, len(payload),
-                         prep.streams[i].channel_counts).overhead_bits
-        received[i], wire[i] = payload, overhead
+    for i, (frame, payload) in zip(ctx.unique_test, prep.bitstream.payloads()):
+        received[i], wire[i] = payload, frame.overhead_bits
         if len(payload) == 0:
             continue
-        blocks = int(np.ceil(len(payload) / k))
-        padded = np.zeros(blocks * k, dtype=np.uint8)
-        padded[:len(payload)] = payload
-        words = [bch_encode(code, msg) for msg in padded.reshape(blocks, k)]
-        noisy = transmit_bits(channel, np.concatenate(words), key=(oid,))
-        pieces = []
-        for word in noisy.reshape(blocks, n):
-            msg, _, failed = decode_or_passthrough(code, word)
-            failures += int(failed)
-            pieces.append(msg)
-        received[i] = np.concatenate(pieces)[:len(payload)]
-        wire[i] += blocks * n
+        words = encode_payload(code, payload)
+        noisy = transmit_bits(channel, words, key=(frame.object_id,))
+        message, failed = decode_payload(code, noisy)
+        received[i] = message[:len(payload)]
+        wire[i] += len(words)
+        failures += failed
     return received, wire, failures
 
 
@@ -660,7 +680,7 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     # stages 2 and 3, each built once, only for the cells still to run
     states = {p: _attempt(_build_pipeline, ctx, p) for p in config.pipelines
               if any(c[1] == p for c in pending)}
-    codes = {s: _attempt(_build_bch, s) for s in config.codes
+    codes = {s: _attempt(build_bch, s) for s in config.codes
              if any(c[4] == s for c in pending)}
 
     records = list(existing)
@@ -875,7 +895,7 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     records = [r for r in records if r.status == "ok"]
     if not records:
         raise ValueError("no successful records to plot")
-    pipelines = [p for p in PIPELINE_KINDS
+    pipelines = [p for p in SOURCE_KINDS
                  if any(r.pipeline == p for r in records)]
 
     # rows and series are built before either file is opened, so a call

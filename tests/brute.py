@@ -38,6 +38,15 @@ package takes every point's shift in one pass and each object's maximum by
 `np.maximum.reduceat`) is the package's former
 `bottleneck_style_distortion`, moved here verbatim as
 `bottleneck_style_distortion_loop`.
+
+The bit packing through big-endian bytes of the reversed array (the
+package packs little-endian with `np.packbits`/`np.unpackbits(count=)`)
+is the package's former `bits_to_int` and `int_to_bits`, moved here
+verbatim as `bits_to_int_reversed` and `int_to_bits_reversed`. The BCH
+block loops that pad a message to whole k-bit blocks and encode or decode
+one block at a time are the command line's former `code bch` loops,
+moved here as `bch_encode_blocks` and `bch_decode_blocks` (the package
+codes payloads with the sweep's `encode_payload`/`decode_payload`).
 """
 
 import itertools
@@ -45,6 +54,7 @@ import math
 
 import numpy as np
 
+from pdsemcom.codec import bch_encode, decode_or_passthrough
 from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
                              ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
@@ -491,6 +501,45 @@ def bch_decode_by_products(code, received: np.ndarray):
     error_positions = (n - roots) % n
     r[error_positions] ^= 1
     return r[code.n - code.k:], int(deg)
+
+
+def bits_to_int_reversed(bits: np.ndarray) -> int:
+    """Pack a coefficient array (index = degree) into a Python int."""
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    if len(bits) == 0:
+        return 0
+    rev = bits[::-1]
+    pad = (-len(rev)) % 8
+    if pad:
+        rev = np.concatenate([np.zeros(pad, dtype=np.uint8), rev])
+    return int.from_bytes(np.packbits(rev).tobytes(), "big")
+
+
+def int_to_bits_reversed(x: int, width: int) -> np.ndarray:
+    """Inverse of bits_to_int, producing exactly `width` coefficients."""
+    raw = x.to_bytes((width + 7) // 8, "big")
+    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    return arr[len(arr) - width:][::-1].copy()
+
+
+def bch_encode_blocks(code, bits: np.ndarray) -> np.ndarray:
+    """`bits` zero-padded to whole k-bit blocks, encoded block by block."""
+    if len(bits) % code.k:
+        pad = code.k - len(bits) % code.k
+        bits = np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
+    words = [bch_encode(code, bits[i:i + code.k])
+             for i in range(0, len(bits), code.k)]
+    return np.array(words, dtype=np.uint8).ravel()
+
+
+def bch_decode_blocks(code, bits: np.ndarray):
+    """-> (messages of whole n-bit blocks, failed block count)."""
+    out, failures = [], 0
+    for i in range(0, len(bits), code.n):
+        msg, _, failed = decode_or_passthrough(code, bits[i:i + code.n])
+        failures += int(failed)
+        out.append(msg)
+    return np.array(out, dtype=np.uint8).ravel(), failures
 
 
 def canonical_codewords(symbols: np.ndarray,

@@ -4,11 +4,15 @@ import itertools
 import numpy as np
 import pytest
 
-from pdsemcom.codec import (bch_decode, bch_encode, bch_generator, bits_to_int,
-                            coded_rate, decode_or_passthrough, int_to_bits,
-                            load_code_table, select_compatible_codes)
+from pdsemcom.channel import BscChannel, transmit_bits
+from pdsemcom.codec import (BitStream, Frame, bch_decode, bch_encode,
+                            bch_generator, bits_to_int, coded_rate,
+                            decode_or_passthrough, int_to_bits,
+                            load_code_table, pack_objects,
+                            select_compatible_codes)
 from pdsemcom.codec.galois import PRIMITIVE_POLYS, GaloisField
 from pdsemcom.errors import DecodeFailure, ShapeError
+from pdsemcom.harness import decode_payload, encode_payload
 
 
 def test_field_tables_are_consistent():
@@ -200,13 +204,21 @@ def test_codes_compare_by_parameters_not_tables():
     np.full(15, np.nan),
 ])
 def test_non_binary_words_rejected(word):
+    # every place bits enter the wire layer applies the one 0/1 check
     code = bch_generator(4, 3)
-    with pytest.raises(ShapeError, match="0s and 1s"):
-        bch_decode(code, word)
-    with pytest.raises(ShapeError, match="0s and 1s"):
-        decode_or_passthrough(code, word)
-    with pytest.raises(ShapeError, match="0s and 1s"):
-        bch_encode(code, word[:code.k])
+    ones = np.ones(3, dtype=np.uint8)
+    for reject in (
+            lambda: bch_decode(code, word),
+            lambda: decode_or_passthrough(code, word),
+            lambda: bch_encode(code, word[:code.k]),
+            lambda: encode_payload(code, word),
+            lambda: decode_payload(code, word),
+            lambda: pack_objects([(1, ones, (3,)), (2, word, (15,))]),
+            lambda: BitStream(bits=word, frames=(Frame(1, 15, (15,)),)),
+            lambda: transmit_bits(BscChannel(alpha=0.0), word),
+            lambda: transmit_bits(BscChannel(alpha=0.3), word)):
+        with pytest.raises(ShapeError, match="0s and 1s"):
+            reject()
 
 
 def test_binary_words_of_any_dtype_accepted():

@@ -38,7 +38,7 @@ def test_payload_length_mismatch_rejected():
     with pytest.raises(ShapeError):
         BitStream(bits=np.zeros(3, dtype=np.uint8),
                   frames=(Frame(1, 2, (1,)),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ShapeError, match="0s and 1s"):
         BitStream(bits=np.array([0, 2], dtype=np.uint8),
                   frames=(Frame(1, 2, (1,)),))
 

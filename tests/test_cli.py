@@ -37,10 +37,13 @@ def test_dataset_synth_and_pd_compute(tmp_path, capsys):
 
 
 def test_dataset_synth_rejects_other_class_counts(tmp_path, capsys):
-    rc = main(["dataset", "synth", "--classes", "4",
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 2
-    assert "3-class" in capsys.readouterr().err
+    # the generator has 3 classes and no option to ask for another count
+    with pytest.raises(SystemExit) as exc:
+        main(["dataset", "synth", "--classes", "4",
+              "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "--classes" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_dataset_from_grid(tmp_path, capsys):
@@ -128,8 +131,14 @@ def test_bch_cli_validation(tmp_path, capsys):
     # wrong k for the designed t
     rc = main(["code", "bch", "encode", "--n", "15", "--k", "6", "--t", "2",
                "--in", str(msg), "--out", str(tmp_path / "o.bits")])
-    assert rc == 2
-    assert "construction" in capsys.readouterr().err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "construction" in err
+    # a length that is not 2^g - 1
+    rc = main(["code", "bch", "encode", "--n", "16", "--k", "5", "--t", "3",
+               "--in", str(msg), "--out", str(tmp_path / "o.bits")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
     # (n, k) not in the packaged table and no --t given
     rc = main(["code", "bch", "encode", "--n", "15", "--k", "5",
                "--in", str(msg), "--out", str(tmp_path / "o.bits")])
@@ -138,7 +147,10 @@ def test_bch_cli_validation(tmp_path, capsys):
     # decode input must be whole blocks
     rc = main(["code", "bch", "decode", "--n", "15", "--k", "5", "--t", "3",
                "--in", str(msg), "--out", str(tmp_path / "o.bits")])
-    assert rc == 2
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "multiple of 15" in err
+    assert not (tmp_path / "o.bits").exists()
 
 
 def test_channel_bsc_cli(tmp_path):

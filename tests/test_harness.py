@@ -3,20 +3,17 @@ import hashlib
 import importlib.util
 import shutil
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pdsemcom.channel import BscChannel
-from pdsemcom.codec import bch_generator
 from pdsemcom.dataset import (LabeledDataset, PointCloud, synth_dataset,
                               write_pointcloud_file)
-from pdsemcom.errors import CapacityExceeded, ParseError
+from pdsemcom.errors import ParseError
 from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
                               emit_curves, folds_path_for, load_config,
                               parse_config, read_results, run_sweep,
-                              write_config, _normalize_latents, _send_coded)
+                              write_config, _normalize_latents)
 from pdsemcom.inference import CvSchedule
 from pdsemcom.quantizer import upper_triangle_cells
 
@@ -469,15 +466,29 @@ TRACED_COUNTERS = {
 }
 
 
-def test_coded_cell_checks_frame_capacity():
-    # a payload of 2^16 bits overflows the 16-bit length field of its frame,
-    # on the coded path as on the uncoded one
-    ctx = SimpleNamespace(unique_test=[0], object_ids=np.array([1]))
-    prep = SimpleNamespace(
-        bits={0: np.zeros(1 << 16, dtype=np.uint8)},
-        streams={0: SimpleNamespace(channel_counts=(3, 1))})
-    with pytest.raises(CapacityExceeded):
-        _send_coded(ctx, prep, BscChannel(alpha=0.0), bch_generator(4, 1))
+def test_frame_capacity_fails_every_cell_of_its_group(tmp_path):
+    # 8000 points spread over the box: at m=27 (about 9.5 Huffman bits a
+    # symbol) the object's payload overflows the 16-bit length field of its
+    # frame, at m=5 (about 4.6) it fits; the group is framed once, so every
+    # cell of it, coded or not, fails the same way
+    ds = synth_dataset(per_class=6, n_points=16, noise=0.2, seed=7)
+    objects = list(ds.objects)
+    i = CvSchedule(n_objects=len(objects), T=2, seed=1).folds[0][1][0]
+    points = np.random.default_rng(0).uniform(0, 28, size=(8000, 2))
+    objects[i] = PointCloud(points=points, label=objects[i].label,
+                            id=objects[i].id)
+    data = tmp_path / "clouds.csv"
+    write_pointcloud_file(data, LabeledDataset(objects=objects))
+    config = _small_config(tmp_path / "r.csv", pipelines=("raw",),
+                           dataset=str(data), m_values=(5, 27),
+                           alphas=(0.0,), epochs=5, cv_seed=1)
+    records = run_sweep(config)
+    assert {(r.m, r.code): r.status for r in records} == {
+        (5, "none"): "ok", (5, "15:5:3"): "ok",
+        (27, "none"): "error", (27, "15:5:3"): "error"}
+    errors = {r.error for r in records if r.m == 27}
+    assert len(errors) == 1
+    assert errors.pop().startswith("CapacityExceeded: payload of ")
 
 
 def test_empty_payloads_pass_both_paths(tmp_path):

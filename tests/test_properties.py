@@ -6,9 +6,10 @@ table-driven BCH syndromes, Chien search and decoder against the
 multiply-and-mod ones, the bottleneck search against brute-force
 matchings, degree-0 counts of Rips diagrams, the Rips filtration against
 the lexsorted one, Rips diagrams against the triangle-column reduction,
-the one-pass bottleneck-style distortion against the per-object loop, and
-the MLP fit on the columns the training rows fill against the fit over
-every column."""
+the one-pass bottleneck-style distortion against the per-object loop, the
+MLP fit on the columns the training rows fill against the fit over every
+column, the little-endian bit packing against the reversed big-endian one,
+and the BCH payload coder against a block-by-block loop."""
 
 import functools
 
@@ -17,20 +18,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import (bch_decode_by_products, berlekamp_massey_general,
-                   bottleneck_exhaustive, bottleneck_style_distortion_loop,
-                   canonical_codewords, chien_roots_by_products,
-                   density_mass_loop, filtration_by_lexsort,
-                   huffman_decode_bitwalk, persistence_by_triangle_columns,
+from brute import (bch_decode_blocks, bch_decode_by_products,
+                   bch_encode_blocks, berlekamp_massey_general,
+                   bits_to_int_reversed, bottleneck_exhaustive,
+                   bottleneck_style_distortion_loop, canonical_codewords,
+                   chien_roots_by_products, density_mass_loop,
+                   filtration_by_lexsort, huffman_decode_bitwalk,
+                   int_to_bits_reversed, persistence_by_triangle_columns,
                    rasterize_loop, syndromes_by_products,
                    train_classifier_all_columns)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
-                            build_huffman, decode_or_passthrough,
-                            huffman_decode, huffman_encode)
+                            bits_to_int, build_huffman, decode_or_passthrough,
+                            huffman_decode, huffman_encode, int_to_bits)
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeFailure, EmptyDensity,
                              InconsistentLabel, OutOfBox, ParseError)
+from pdsemcom.harness import decode_payload, encode_payload
 from pdsemcom.homology import (bottleneck_distance, build_vr_filtration,
                                compute_persistence, load_pd_file, vr_diagram)
 from pdsemcom.inference import Classifier, rasterize_raw, train_classifier
@@ -324,6 +328,45 @@ def test_bch_random_words_fail_only_by_decode_failure(data):
     except DecodeFailure:
         return
     assert len(decoded) == code.k and 0 <= corrected <= code.t
+
+
+@PROPERTY
+@given(bits=st.lists(st.integers(0, 1), max_size=1100),
+       extra=st.integers(0, 17))
+def test_bit_packing_matches_reversed_bytes(bits, extra):
+    bits = np.array(bits, dtype=np.uint8)
+    x = bits_to_int(bits)
+    assert x == bits_to_int_reversed(bits)
+    for width in (x.bit_length(), len(bits), len(bits) + extra):
+        got, want = int_to_bits(x, width), int_to_bits_reversed(x, width)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_payload_coder_matches_block_loop(data, seed):
+    code = data.draw(_small_code())
+    rng = np.random.default_rng(seed)
+    payload = rng.integers(0, 2, size=data.draw(st.integers(0, 3 * code.k)),
+                           dtype=np.uint8)
+    words = encode_payload(code, payload)
+    want = bch_encode_blocks(code, payload)
+    assert words.dtype == want.dtype and words.tolist() == want.tolist()
+    # up to t flips per block always decode; t + 1 and t + 2 may fail
+    most = data.draw(st.integers(0, code.t + 2))
+    noisy = words.copy()
+    for start in range(0, len(noisy), code.n):
+        flips = rng.choice(code.n, size=rng.integers(0, most + 1),
+                           replace=False)
+        noisy[start + flips] ^= 1
+    message, failures = decode_payload(code, noisy)
+    want_message, want_failures = bch_decode_blocks(code, noisy)
+    assert message.dtype == want_message.dtype
+    assert message.tolist() == want_message.tolist()
+    assert failures == want_failures
+    if most <= code.t:
+        assert failures == 0
+        assert message[:len(payload)].tolist() == payload.tolist()
 
 
 # the sweep's two codes are drawn often, next to every field size
