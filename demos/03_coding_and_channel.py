@@ -9,12 +9,12 @@ compares what survives with and without channel protection.
 
 import numpy as np
 
-from pdsemcom import (BscChannel, QuantizerGrid, bch_encode, bch_generator,
+from pdsemcom import (BscChannel, QuantizerGrid, bch_generator,
                       build_huffman, cell_probabilities, coded_rate,
-                      decode_or_passthrough, estimate_density,
-                      huffman_decode, huffman_encode, quantize_diagram,
-                      select_compatible_codes, synth_dataset, transmit_bits,
-                      vr_diagram)
+                      estimate_density, huffman_decode, huffman_encode,
+                      quantize_diagram, select_compatible_codes,
+                      synth_dataset, transmit_bits, vr_diagram)
+from pdsemcom.harness import decode_payload, encode_payload, symbol_error_rate
 
 dataset = synth_dataset(per_class=20, n_points=48, noise=0.2, seed=7)
 diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in dataset.objects]
@@ -25,8 +25,7 @@ grid = QuantizerGrid(box_side=16.0, n_bins=m)
 density = estimate_density(pd_points, box_side=16.0)
 probs = cell_probabilities(density, grid)
 huffman = build_huffman(probs)
-aligned = probs[huffman.symbols - 1]
-avg = huffman.expected_length(aligned / aligned.sum())
+avg = huffman.expected_length(probs)
 print(f"Huffman over {len(huffman.symbols)} occupied cells: "
       f"avg codeword {avg:.3f} bits")
 
@@ -58,21 +57,16 @@ channel = BscChannel(alpha=alpha, seed=5)
 sym_err_coded = []
 sym_err_plain = []
 for oid, (s, p) in enumerate(zip(streams, payloads)):
-    # coded path: zero-pad to one block, encode, corrupt, decode
-    padded = np.zeros(code.k, dtype=np.uint8)
-    padded[:len(p)] = p
-    word = bch_encode(code, padded)
-    got, _, failed = decode_or_passthrough(
-        code, transmit_bits(channel, word, key=(oid, 0)))
+    # coded path: zero-pad to whole blocks, encode, corrupt, decode
+    words = encode_payload(code, p)
+    got, _ = decode_payload(code, transmit_bits(channel, words, key=(oid, 0)))
     dec = huffman_decode(huffman, got[:len(p)], max_symbols=len(s))
-    n = min(len(dec), len(s))
-    sym_err_coded.append((np.sum(dec[:n] != s[:n]) + abs(len(dec) - len(s))) / len(s))
+    sym_err_coded.append(symbol_error_rate(s, dec))
 
     # uncoded path: corrupt the Huffman payload directly
     noisy = transmit_bits(channel, p, key=(oid, 1))
     dec = huffman_decode(huffman, noisy, max_symbols=len(s))
-    n = min(len(dec), len(s))
-    sym_err_plain.append((np.sum(dec[:n] != s[:n]) + abs(len(dec) - len(s))) / len(s))
+    sym_err_plain.append(symbol_error_rate(s, dec))
 
 print(f"\nat alpha={alpha}:")
 print(f"  coded symbol error rate:   {np.mean(sym_err_coded):.4f}")

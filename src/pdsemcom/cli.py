@@ -2,19 +2,20 @@
 
 Subcommands mirror the pipeline stages: dataset generation, diagram
 computation, source/channel coding, the binary symmetric channel, and the
-sweep runner with its curve emitter. Bit files are ASCII '0'/'1' text.
+sweep runner with its curve emitter. Bit files are ASCII '0'/'1' text;
+ASCII whitespace is ignored and any other byte is an error.
 """
 
 import argparse
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .channel import BscChannel, transmit_bits
-from .codec import build_huffman, load_code_table
+from .codec import as_bits, build_huffman, load_code_table
 from .dataset import (LabeledDataset, load_grid_file, load_pointcloud_file,
                       synth_dataset, threshold_grid, write_pointcloud_file)
-from .errors import ParseError
 from .harness import (CURVE_KINDS, build_bch, decode_payload, emit_curves,
                       encode_payload, load_config, read_results, run_sweep)
 from .homology import vr_diagram, write_pd_file
@@ -22,18 +23,15 @@ from .infotheory import quantizer_entropy
 
 
 def _read_bits(path) -> np.ndarray:
-    with open(path) as f:
-        text = f.read()
-    chars = [c for c in text if not c.isspace()]
-    bad = [c for c in chars if c not in "01"]
-    if bad:
-        raise ParseError(f"bit file contains {bad[0]!r}; expected only 0/1")
-    return np.array([int(c) for c in chars], dtype=np.uint8)
+    data = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
+    # any byte but ASCII whitespace, '0' and '1' wraps to a value above 1
+    data = data[~np.isin(data, list(b" \t\n\r\v\f"))]
+    return as_bits(data - ord("0"), "bit file")
 
 
 def _write_bits(path, bits) -> None:
-    with open(path, "w") as f:
-        f.write("".join(str(int(b)) for b in bits) + "\n")
+    Path(path).write_bytes((np.asarray(bits, dtype=np.uint8)
+                            + ord("0")).tobytes() + b"\n")
 
 
 def _cmd_dataset_synth(args) -> int:
@@ -72,11 +70,10 @@ def _cmd_pd_compute(args) -> int:
 def _cmd_code_huffman(args) -> int:
     p = np.array([float(s) for s in args.probs.split(",")])
     code = build_huffman(p)
-    aligned = p[code.symbols - 1]
     for sym, bits in sorted(code.table().items()):
         print(f"{sym}\t{bits}")
-    print(f"entropy   {quantizer_entropy(p / p.sum()):.6f} bits/symbol")
-    print(f"avg length {code.expected_length(aligned / aligned.sum()):.6f}")
+    print(f"entropy   {quantizer_entropy(p):.6f} bits/symbol")
+    print(f"avg length {code.expected_length(p):.6f}")
     return 0
 
 

@@ -22,17 +22,16 @@ from ..errors import ShapeError, probability_vector
 class HuffmanCode:
     """Canonical prefix code given by its symbols and codeword lengths.
 
-    Derived once per code by the first-code rule: `codewords` aligned with
-    `symbols`, `words` (symbol -> bit string), and the decoder's tables by
-    length l: `first[l]`, `count[l]` and `start[l]`, where the symbols of
-    length l begin in `ordered`, the symbols in (length, symbol) order.
+    Derived once per code by the first-code rule: `words` (symbol -> bit
+    string) and the decoder's tables by length l: `first[l]`, `count[l]`
+    and `start[l]`, where the symbols of length l begin in `ordered`, the
+    symbols in (length, symbol) order.
     Two codes are equal when their symbols and lengths are, since those
     fix everything else.
     """
 
     symbols: np.ndarray    # sorted ascending
     lengths: np.ndarray
-    codewords: np.ndarray = field(init=False)  # value, MSB-first
     first: list = field(init=False, repr=False)
     count: list = field(init=False, repr=False)
     start: list = field(init=False, repr=False)
@@ -60,9 +59,9 @@ class HuffmanCode:
         cw = np.empty(len(sym), dtype=object)
         cw[order] = [first[l] + rank - start[l]
                      for rank, l in enumerate(lens[order].tolist())]
-        for arr in (sym, lens, cw):
+        for arr in (sym, lens):
             arr.setflags(write=False)
-        derived = dict(symbols=sym, lengths=lens, codewords=cw, first=first,
+        derived = dict(symbols=sym, lengths=lens, first=first,
                        count=count, start=start, ordered=sym[order].tolist(),
                        words={s: format(c, f"0{l}b") for s, c, l
                               in zip(sym.tolist(), cw, lens.tolist())})
@@ -79,11 +78,13 @@ class HuffmanCode:
         return hash((self.symbols.tobytes(), self.lengths.tobytes()))
 
     def expected_length(self, p: np.ndarray) -> float:
-        """Mean codeword length under probabilities aligned with `symbols`."""
+        """Mean codeword length under the full probability vector the code
+        was built from: symbol s has probability p[s - 1]."""
         p = np.asarray(p, dtype=float).ravel()
-        if len(p) != len(self.symbols):
-            raise ShapeError("probability vector does not match alphabet")
-        return float(np.sum(p * self.lengths))
+        if len(p) < self.symbols[-1]:
+            raise ShapeError(f"probability vector has {len(p)} entries; "
+                             f"symbol {self.symbols[-1]} needs more")
+        return float(np.sum(p[self.symbols - 1] * self.lengths))
 
     def table(self) -> dict:
         """symbol -> codeword bit string, for display and tests."""

@@ -505,6 +505,14 @@ def decode_payload(code, words):
     return np.array(messages, dtype=np.uint8).ravel(), failures
 
 
+def symbol_error_rate(sent, decoded) -> float:
+    """Share of the `sent` symbols that `decoded` gets wrong or leaves out;
+    `decoded` holds at most len(sent) symbols, as decoding stops there."""
+    n = len(decoded)
+    wrong = np.count_nonzero(sent[:n] != decoded) + len(sent) - n
+    return wrong / max(1, len(sent))
+
+
 def _test_mean(ctx, per_object) -> float:
     """Mean of {object index: value} over every test fold's objects."""
     return float(np.mean([per_object[i] for i in ctx.test_multiset]))
@@ -543,7 +551,7 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
         rate_selfinfo=rate.self_information_bits_per_object,
         huffman_bits=_test_mean(ctx, {i: f.n_bits for i, f in zip(
             ctx.unique_test, bitstream.frames)}),
-        avg_codeword_len=huffman.expected_length(probs[huffman.symbols - 1]),
+        avg_codeword_len=huffman.expected_length(probs),
         mse=mse_distortion(state.density, grid),
         bottleneck=bottleneck_style_distortion(
             [state.points[i] for i in ctx.test_multiset], grid))
@@ -608,10 +616,7 @@ def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
                for i in ctx.unique_test}
     feats, symbol_errors = {}, {}
     for i, symbols in decoded.items():
-        sent = prep.streams[i].indices
-        n = len(symbols)  # decoding stops at len(sent) symbols
-        wrong = np.count_nonzero(sent[:n] != symbols) + len(sent) - n
-        symbol_errors[i] = wrong / max(1, len(sent))
+        symbol_errors[i] = symbol_error_rate(prep.streams[i].indices, symbols)
         feats[i] = _features(ctx, state, prep, pipeline, i, symbols)
     fold_accs = []
     for t, (_, test) in enumerate(ctx.schedule.folds):
@@ -758,6 +763,8 @@ def _svg_chart(series, x_label, y_label, title, vlines=(), log_x=False):
         [np.asarray(ys, dtype=float) for _, _, ys, _ in series]
         + [np.asarray(b, dtype=float) for *_, band in series if band
            for b in band])
+    # a log axis needs every x value and reference line positive
+    log_x = log_x and bool(np.all(xs_all > 0))
     if log_x:
         xs_all = np.log10(xs_all)
     x_lo, x_hi = float(np.min(xs_all)), float(np.max(xs_all))

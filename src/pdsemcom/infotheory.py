@@ -51,11 +51,6 @@ class EmpiricalDensity:
     def cell_width(self) -> float:
         return self.box_side / self.partition
 
-    @property
-    def values(self) -> np.ndarray:
-        """Density values per cell (mass / cell area)."""
-        return self.mass / (self.cell_width ** 2)
-
 
 def estimate_density(point_sets, box_side: float,
                      partition: int = DEFAULT_PARTITION) -> EmpiricalDensity:
@@ -99,9 +94,10 @@ def quantizer_entropy(p: np.ndarray) -> float:
     """Shannon entropy in bits, with 0 * log 0 = 0."""
     p = probability_vector(p)
     nz = p[p > 0]
-    # 0.0 - x rather than -x: a one-symbol distribution has entropy 0.0,
-    # not -0.0
-    return float(0.0 - np.sum(nz * np.log2(nz)))
+    # a vector that sums a few ulps above 1 can hold an entry above 1, whose
+    # log would make the entropy negative; 0.0 - x rather than -x: a
+    # one-symbol distribution has entropy 0.0, not -0.0
+    return float(0.0 - np.sum(nz * np.log2(np.minimum(nz, 1.0))))
 
 
 @dataclass(frozen=True)

@@ -569,7 +569,8 @@ def huffman_decode_bitwalk(code, bits: np.ndarray,
     bits, dropping a truncated final codeword."""
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     by_length: dict[int, dict[int, int]] = {}
-    for s, l, c in zip(code.symbols, code.lengths, code.codewords):
+    for s, l, c in zip(code.symbols, code.lengths,
+                       canonical_codewords(code.symbols, code.lengths)):
         by_length.setdefault(int(l), {})[int(c)] = int(s)
     max_len = int(np.max(code.lengths))
     out = []

@@ -217,7 +217,7 @@ def test_criterion_06_huffman_bounds(corpus, default_run):
             p = cell_probabilities(density, grid)
             h = quantizer_entropy(p)
             code = build_huffman(p)
-            avg = code.expected_length(p[code.symbols - 1])
+            avg = code.expected_length(p)
             assert h - 1e-9 <= avg < h + 1.0, f"m={m}: {avg} vs H={h}"
             combos += 1
 

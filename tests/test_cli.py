@@ -3,8 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsemcom.cli import main
+from pdsemcom.cli import _read_bits, _write_bits, main
 from pdsemcom.dataset import load_pointcloud_file
+from pdsemcom.errors import ShapeError
 from pdsemcom.harness import ExperimentConfig, read_results, write_config
 from pdsemcom.homology import load_pd_file
 
@@ -164,6 +165,43 @@ def test_channel_bsc_cli(tmp_path):
     src.write_text("0102\n")
     assert main(["channel", "bsc", "--alpha", "0.1",
                  "--in", str(src), "--out", str(out)]) == 1
+
+
+@pytest.mark.parametrize("data, want", [
+    (b"01\r\n10\r\n", [0, 1, 1, 0]),
+    (b"0\t1 1\v0\f", [0, 1, 1, 0]),
+    (b"0110", [0, 1, 1, 0]),
+    (b"", []),
+    (b" \n", []),
+])
+def test_read_bits_drops_ascii_whitespace(tmp_path, data, want):
+    path = tmp_path / "in.bits"
+    path.write_bytes(data)
+    bits = _read_bits(path)
+    assert bits.dtype == np.uint8 and bits.tolist() == want
+
+
+@pytest.mark.parametrize("data", [b"0120\n", b"01x\n", "01\u00e9\n".encode(),
+                                  b"01\xa0\n", b"01\x00"])
+def test_bad_bit_files_are_exit_1(tmp_path, capsys, data):
+    path = tmp_path / "in.bits"
+    path.write_bytes(data)
+    with pytest.raises(ShapeError):
+        _read_bits(path)
+    out = tmp_path / "out.bits"
+    assert main(["channel", "bsc", "--alpha", "0.1",
+                 "--in", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_bit_file_round_trip(tmp_path):
+    bits = np.random.default_rng(4).integers(0, 2, 100_000).astype(np.uint8)
+    path = tmp_path / "b.bits"
+    _write_bits(path, bits)
+    data = path.read_bytes()
+    assert data == "".join(map(str, bits.tolist())).encode() + b"\n"
+    assert np.array_equal(_read_bits(path), bits)
 
 
 def test_missing_input_is_exit_1(tmp_path, capsys):

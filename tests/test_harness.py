@@ -13,7 +13,8 @@ from pdsemcom.errors import ParseError
 from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
                               emit_curves, folds_path_for, load_config,
                               parse_config, read_results, run_sweep,
-                              write_config, _normalize_latents)
+                              symbol_error_rate, write_config,
+                              _normalize_latents)
 from pdsemcom.inference import CvSchedule
 from pdsemcom.quantizer import upper_triangle_cells
 
@@ -159,6 +160,17 @@ def test_read_results_requires_hash_header(tmp_path):
 def test_folds_path():
     assert folds_path_for("a/b.csv") == "a/b_folds.csv"
     assert folds_path_for("plain") == "plain_folds.csv"
+
+
+def test_symbol_error_rate_counts_wrong_and_missing_symbols():
+    sent = np.array([3, 1, 4, 1])
+    assert symbol_error_rate(sent, sent) == 0.0
+    # one wrong symbol, two never decoded
+    assert symbol_error_rate(sent, np.array([3, 5])) == 0.75
+    assert symbol_error_rate(sent, np.array([], dtype=int)) == 1.0
+    # an object with no symbols has nothing to get wrong
+    empty = np.array([], dtype=int)
+    assert symbol_error_rate(empty, empty) == 0.0
 
 
 def test_normalize_latents():
@@ -515,6 +527,23 @@ def test_empty_payloads_pass_both_paths(tmp_path):
         "1ad7a031f0df420e0a47be50eef7cb00d407c19b0dd1ba915a037ea6e45cb0a4")
 
 
+def test_one_cell_density_has_zero_rate(tmp_path):
+    # a single point has one diagram point, the essential H0 class at
+    # (0, gamma_max), so the pooled density sits in one cell; its cell
+    # probability sums a few ulps above 1, which must not fail the group
+    objects = [PointCloud(points=np.array([[1.0 + i, 2.0]]), label=1 + i % 3,
+                          id=i + 1) for i in range(12)]
+    data = tmp_path / "clouds.csv"
+    write_pointcloud_file(data, LabeledDataset(objects=objects))
+    config = _small_config(tmp_path / "r.csv", pipelines=("pd",),
+                           dataset=str(data), m_values=(2, 3), alphas=(0.0,),
+                           codes=(), epochs=5, hidden=(8,), cv_seed=0)
+    records = run_sweep(config)
+    assert [(r.m, r.status) for r in records] == [(2, "ok"), (3, "ok")]
+    assert all(r.entropy_bits == 0.0 and r.rate_selfinfo == 0.0
+               for r in records)
+
+
 def test_sweep_rejects_foreign_results_file(small_sweep):
     config, _ = small_sweep
     other = ExperimentConfig(**{**config.__dict__, "noise": 0.25})
@@ -663,6 +692,21 @@ def test_golden_curves(tmp_path):
         assert Path(csv_path).read_bytes().decode() == text, kind
         with open(svg_path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == svg_sha, kind
+
+
+def test_curves_with_a_zero_rate_use_a_linear_axis(tmp_path):
+    # a zero rate has no logarithm: the rate charts, and the coded chart
+    # whose reference line sits at that rate, fall back to a linear x axis
+    records = [
+        _curve_record("pd", 5, 0.0, "none", 0.0, 0.75, 0.8, 57.0),
+        _curve_record("pd", 8, 0.0, "none", 40.0, 0.25, 0.9, 72.0),
+        _curve_record("pd", 5, 0.3, "none", 0.0, 0.75, 0.55, 57.0),
+    ]
+    for kind in ("dr", "ar", "ar-coded"):
+        _, svg_path = emit_curves(records, kind, tmp_path)
+        # the first x tick, below the axis box, reads 0
+        assert ('y="410" text-anchor="middle" font-family="sans-serif" '
+                'font-size="11">0</text>') in Path(svg_path).read_text(), kind
 
 
 def test_failed_emit_curves_writes_nothing(small_sweep, tmp_path):

@@ -38,13 +38,26 @@ def test_entropy_bound_on_random_distributions():
 
 def test_canonical_assignment_is_deterministic_and_ordered():
     p = np.array([0.4, 0.2, 0.2, 0.1, 0.1])
-    a = build_huffman(p)
-    b = build_huffman(p.copy())
-    assert np.array_equal(a.codewords, b.codewords)
+    table = build_huffman(p).table()
+    assert table == build_huffman(p.copy()).table()
     # in (length, symbol) order the codeword values strictly increase
-    order = np.lexsort((a.symbols, a.lengths))
-    vals = [int(a.codewords[i]) for i in order]
+    vals = [int(w, 2) for _, w in sorted(table.items(),
+                                         key=lambda sw: (len(sw[1]), sw[0]))]
     assert vals == sorted(vals) and len(set(vals)) == len(vals)
+
+
+def test_expected_length_reads_the_full_probability_vector():
+    # zero-probability cells in the middle and at the end get no codeword;
+    # symbol s has probability p[s - 1]
+    p = np.array([0.5, 0.0, 0.25, 0.0, 0.125, 0.125, 0.0, 0.0])
+    code = build_huffman(p)
+    assert code.symbols.tolist() == [1, 3, 5, 6]
+    assert code.expected_length(p) == 1.75
+    assert code.expected_length(p[:6]) == 1.75  # trailing zeros are optional
+    with pytest.raises(ShapeError):  # symbol 6 has no entry
+        code.expected_length(p[:5])
+    with pytest.raises(ShapeError):  # the occupied cells alone are too short
+        code.expected_length(p[code.symbols - 1])
 
 
 def test_golden_table_with_ties_and_zeros():

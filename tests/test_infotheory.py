@@ -101,6 +101,18 @@ def test_entropy_validation():
     assert str(quantizer_entropy(np.array([1.0, 0.0]))) == "0.0"
 
 
+def test_entropy_of_one_cell_a_few_ulps_above_one_is_zero():
+    # a density in one partition cell integrates to 1.0000000000000027 over
+    # the quantizer cell that holds it; its log must not make H negative
+    density = estimate_density([np.array([[0.0, 16.0]])], box_side=16.0)
+    for m in (2, 3):
+        p = cell_probabilities(density, QuantizerGrid(box_side=16.0, n_bins=m))
+        assert p.max() > 1.0
+        h = quantizer_entropy(p)
+        assert str(h) == "0.0"
+        assert semantic_rate(h, "pd", m, 1.0).rate_bits_per_object == 0.0
+
+
 def test_uniform_mse_is_exact():
     dens = _uniform_density()
     for m in (5, 10, 27):
