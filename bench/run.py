@@ -1,0 +1,150 @@
+"""Measure this checkout and write the next free BENCH_<n>.json at its root.
+
+    OPENBLAS_NUM_THREADS=1 python3 bench/run.py
+
+The file records the machine, the tier-1 suite's wall time with its ten
+slowest entries, the default sweep's wall time and the SHA-256 of its
+results and folds files, the criterion-11 coded sweep's wall time, and the
+per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
+benchmark workloads. Each step runs in a fresh interpreter, one at a time,
+with pdsemcom imported from this checkout's src/. Wall times are plain
+wall seconds, not the sweep benchmark's reference seconds, so compare only
+files measured on the same machine. Nothing is written if a sweep fails;
+a failing tier-1 run is recorded with its counts. It takes about five
+minutes on a 2-core machine.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy
+
+ROOT = Path(__file__).resolve().parent.parent
+# the tier-1 command of ROADMAP.md, plus the slowest entries
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
+         "--durations=10"]
+# the criterion-11 config of tests/test_acceptance.py
+CRITERION_11 = ("pipelines = pd\nm_values = 10\nalphas = 0, 0.12\n"
+                "codes = 1023:123:170\n")
+TRACE_SECONDS = 50
+DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", re.M)
+OUTCOME = re.compile(r"(\d+) (passed|failed|errors?|skipped|deselected|"
+                     r"xfailed|xpassed)")
+
+
+def _env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
+def _run(args, check=True):
+    """-> (completed process, wall seconds) of one child interpreter."""
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=_env(),
+                          capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if check and proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(args)} exited with {proc.returncode}:"
+                           f"\n{proc.stderr.strip()}")
+    return proc, wall
+
+
+def machine() -> dict:
+    cpu = None
+    with open("/proc/cpuinfo") as f:
+        for line in f:
+            if line.startswith("model name"):
+                cpu = line.split(":", 1)[1].strip()
+                break
+    try:
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (KeyError, TypeError, ValueError):
+        blas = "unknown"
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
+            "python": platform.python_version(), "numpy": numpy.__version__,
+            "blas": blas,
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+
+
+def src_sha256() -> str:
+    """One digest over the package sources, to tell which tree was measured."""
+    h = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "pdsemcom").rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            h.update(str(path.relative_to(ROOT)).encode() + b"\0")
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def tier1() -> dict:
+    proc, wall = _run(TIER1, check=False)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
+    return {
+        "wall_s": round(wall, 2),
+        "exit_code": proc.returncode,
+        "outcomes": {kind: int(n) for n, kind in OUTCOME.findall(summary)},
+        "durations": [{"s": float(s), "phase": phase, "test": test}
+                      for s, phase, test in DURATION.findall(proc.stdout)],
+    }
+
+
+def sweep(workdir: Path, name: str, config_text: str) -> dict:
+    """Run one sweep through the CLI; -> wall seconds and file digests."""
+    out = workdir / name / "results.csv"
+    out.parent.mkdir()
+    config = out.with_suffix(".cfg")
+    config.write_text(config_text + f"out = {out}\n")
+    _, wall = _run(["-m", "pdsemcom.cli", "sweep", "run", "--config",
+                    str(config), "--quiet"])
+    folds = out.with_name(out.stem + "_folds.csv")
+    return {"wall_s": round(wall, 2),
+            "results_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
+            "folds_sha256": hashlib.sha256(folds.read_bytes()).hexdigest()}
+
+
+def traced(workload: str) -> dict:
+    proc, wall = _run(["sweepbench/run.py", "--workload", workload,
+                       "--seed", "1", "--seconds", str(TRACE_SECONDS),
+                       "--trace", "1"])
+    result = json.loads(proc.stdout.splitlines()[-1])
+    return {"wall_s": round(wall, 2), "correct": result["correct"],
+            "layers": {k: v["value"] for k, v in result["metrics"].items()}}
+
+
+def main() -> int:
+    bench = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+             "src_sha256": src_sha256(), "machine": machine()}
+    print("tier-1 ...", file=sys.stderr)
+    bench["tier1"] = tier1()
+    with tempfile.TemporaryDirectory() as tmp:
+        print("default sweep ...", file=sys.stderr)
+        bench["default_sweep"] = sweep(Path(tmp), "default", "")
+        print("criterion-11 sweep ...", file=sys.stderr)
+        crit11 = sweep(Path(tmp), "criterion_11", CRITERION_11)
+        bench["criterion_11_sweep"] = {"wall_s": crit11["wall_s"]}
+    bench["per_layer_seed_1"] = {}
+    for workload in ("clean_sweep", "coded_raw"):
+        print(f"sweepbench {workload} --trace 1 ...", file=sys.stderr)
+        bench["per_layer_seed_1"][workload] = traced(workload)
+    n = 1
+    while (ROOT / f"BENCH_{n}.json").exists():
+        n += 1
+    path = ROOT / f"BENCH_{n}.json"
+    path.write_text(json.dumps(bench, indent=1) + "\n")
+    print(f"wrote {path}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

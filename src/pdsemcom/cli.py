@@ -43,12 +43,10 @@ def _cmd_dataset_synth(args) -> int:
 
 
 def _cmd_dataset_from_grid(args) -> int:
-    entries = load_grid_file(getattr(args, "in"))
-    clouds = []
-    for i, (grid, label) in enumerate(entries, start=1):
-        clouds.append(threshold_grid(grid, args.threshold, object_id=i,
-                                     label=label))
-    write_pointcloud_file(args.out, LabeledDataset(objects=tuple(clouds)))
+    grids, labels = load_grid_file(getattr(args, "in"))
+    clouds = [threshold_grid(grid, args.threshold, label, object_id=i)
+              for i, (grid, label) in enumerate(zip(grids, labels), start=1)]
+    write_pointcloud_file(args.out, LabeledDataset(objects=clouds))
     print(f"wrote {len(clouds)} objects to {args.out}")
     return 0
 

@@ -22,10 +22,10 @@ VALID_CLASSES = (1, 2, 3)
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """A deduplicated set of 2D points with an optional class label."""
+    """A deduplicated set of 2D points with a class label."""
 
     points: np.ndarray
-    label: int | None = None
+    label: int
     id: int = 0
 
     def __post_init__(self):
@@ -41,40 +41,13 @@ class PointCloud:
         pts = np.unique(pts, axis=0)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.label is not None and self.label not in VALID_CLASSES:
-            raise ValueError(f"label must be in {VALID_CLASSES}, got {self.label}")
+        if self.label not in VALID_CLASSES:
+            raise ValueError(f"object {self.id}: label must be in "
+                             f"{VALID_CLASSES}, got {self.label}")
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GrayscaleGrid:
-    """Row-major grayscale values in [-1, 1] on a width x height pixel grid."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("grid dimensions must be positive")
-        vals = np.asarray(self.values, dtype=float).ravel()
-        if vals.size != self.width * self.height:
-            raise ValueError(
-                f"expected {self.width * self.height} values, got {vals.size}"
-            )
-        if np.any(vals < -1.0) or np.any(vals > 1.0):
-            raise ValueError("grayscale values must lie in [-1, 1]")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def from_array(cls, image: np.ndarray) -> "GrayscaleGrid":
-        image = np.asarray(image, dtype=float)
-        h, w = image.shape
-        return cls(width=w, height=h, values=image.ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +56,6 @@ class LabeledDataset:
 
     objects: list
 
-    def __post_init__(self):
-        for obj in self.objects:
-            if obj.label is None:
-                raise ValueError(f"object {obj.id} is unlabeled")
-
     def __len__(self):
         return len(self.objects)
 
@@ -95,13 +63,13 @@ class LabeledDataset:
         return np.array([obj.label for obj in self.objects], dtype=int)
 
 
-def threshold_grid(grid: GrayscaleGrid, threshold: float, object_id: int = 0,
-                   label: int | None = None) -> PointCloud:
-    """Keep the 1-based (x=column, y=row) coordinates with value >= threshold."""
+def threshold_grid(grid: np.ndarray, threshold: float, label: int,
+                   object_id: int = 0) -> PointCloud:
+    """Keep the 1-based (x=column, y=row) coordinates of a 2-D grid whose
+    value is >= threshold."""
     if not -1.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [-1, 1], got {threshold}")
-    vals = grid.values.reshape(grid.height, grid.width)
-    rows, cols = np.nonzero(vals >= threshold)
+    rows, cols = np.nonzero(np.asarray(grid) >= threshold)
     if rows.size == 0:
         raise EmptyObject(
             f"object {object_id}: no pixel reaches threshold {threshold}"
@@ -215,28 +183,26 @@ def synth_dataset(per_class: int = 200, n_points: int = 36, noise: float = 0.25,
     return LabeledDataset(objects=objects)
 
 
-def load_grid_file(path) -> list:
-    """Read a `.npz` of grayscale grids: array `grids` (N,H,W), optional
-    whole-number `labels` (N,)."""
+def load_grid_file(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read a `.npz` of grayscale grids into `(grids, labels)`: `grids`
+    (N, H, W) with every value in [-1, 1], whole-number `labels` (N,)."""
     # numpy leaves a file it opened itself open when the zip is corrupt
     with open(path, "rb") as f:
         data = np.load(f)
-        if "grids" not in data:
-            raise ParseError("npz file must contain a 'grids' array")
-        grids = data["grids"]
-        labels = data["labels"] if "labels" in data else None
-    if grids.ndim != 3:
-        raise ParseError(
-            f"'grids' must be 3-D (N, H, W), got shape {grids.shape}")
-    if labels is None:
-        labels = [None] * len(grids)
-    else:
-        if labels.shape != (len(grids),):
-            raise ParseError(f"'labels' must have shape ({len(grids)},), "
-                             f"got {labels.shape}")
-        if labels.dtype.kind not in "iuf" or not np.all(
-                np.isfinite(labels) & (labels == np.floor(labels))):
-            raise ParseError("labels must be whole numbers")
-        labels = [int(lab) for lab in labels]
-    return [(GrayscaleGrid.from_array(g), lab)
-            for g, lab in zip(grids, labels)]
+        for key in ("grids", "labels"):
+            if key not in data:
+                raise ParseError(f"npz file must contain a {key!r} array")
+        grids, labels = data["grids"].astype(float), data["labels"]
+    if grids.ndim != 3 or 0 in grids.shape:
+        raise ParseError(f"'grids' must be 3-D (N, H, W) with no zero "
+                         f"size, got shape {grids.shape}")
+    # written so that NaN fails: it compares false both ways
+    if not np.all((grids >= -1.0) & (grids <= 1.0)):
+        raise ParseError("grid values must lie in [-1, 1]")
+    if labels.shape != (len(grids),):
+        raise ParseError(f"'labels' must have shape ({len(grids)},), "
+                         f"got {labels.shape}")
+    if labels.dtype.kind not in "iuf" or not np.all(
+            np.isfinite(labels) & (labels == np.floor(labels))):
+        raise ParseError("labels must be whole numbers")
+    return grids, labels.astype(int)

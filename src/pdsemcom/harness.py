@@ -11,7 +11,7 @@ import hashlib
 import math
 import os
 from collections import namedtuple
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import product
 from operator import attrgetter
 from pathlib import Path
@@ -34,8 +34,6 @@ from .quantizer import (SOURCE_KINDS, QuantizerGrid, quantize_diagram,
                         quantize_set)
 
 CURVE_KINDS = ("dr", "ad", "ar", "ar-coded")
-
-SEED_ENV = "PDSEMCOM_SEED"
 
 
 def _fmt(x) -> str:
@@ -239,15 +237,9 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Read a config file; PDSEMCOM_SEED=s replaces all four seeds (dataset,
-    cv, train, channel get s, s+1, s+2, s+3)."""
+    """Read a config file; its four seed keys are the sweep's only seeds."""
     with open(path) as f:
-        config = parse_config(f.read())
-    if os.environ.get(SEED_ENV):
-        s = int(os.environ[SEED_ENV])
-        config = replace(config, dataset_seed=s, cv_seed=s + 1,
-                         train_seed=s + 2, channel_seed=s + 3)
-    return config
+        return parse_config(f.read())
 
 
 def write_config(path, config: ExperimentConfig) -> None:
@@ -398,8 +390,6 @@ class _SweepContext:
             self.dataset = load_pointcloud_file(config.dataset)
         n = len(self.dataset.objects)
         self.labels = self.dataset.labels()
-        if np.any(self.labels <= 0):
-            raise ValueError("sweep requires a label for every object")
         self.object_ids = np.array([o.id for o in self.dataset.objects])
         self.schedule = CvSchedule(n_objects=n, T=config.T,
                                    seed=config.cv_seed)

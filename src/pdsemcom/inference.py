@@ -226,6 +226,11 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
             vh += ADAM_EPS
             mh /= vh
             p -= mh
+    # a saturated fit (g**2 overflows) leaves v infinite and every later
+    # step zero at a finite loss; it has learned nothing
+    if not all(np.all(np.isfinite(vi)) for vi in v):
+        raise TrainingDiverged("ADAM second moment is not finite",
+                               step=net.step)
     W0[keep] = net.weights[0]
     net.weights[0] = W0
     net.layer_sizes = full_sizes

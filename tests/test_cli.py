@@ -10,11 +10,6 @@ from pdsemcom.harness import ExperimentConfig, read_results, write_config
 from pdsemcom.homology import load_pd_file
 
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    monkeypatch.delenv("PDSEMCOM_SEED", raising=False)
-
-
 def _bits(path):
     return [c for c in Path(path).read_text() if c in "01"]
 
@@ -61,6 +56,17 @@ def test_dataset_from_grid(tmp_path, capsys):
     ds = load_pointcloud_file(out)
     assert [len(o.points) for o in ds.objects] == [2, 1]
     assert [o.label for o in ds.objects] == [1, 2]
+
+
+def test_dataset_from_grid_needs_labels(tmp_path, capsys):
+    npz = tmp_path / "grids.npz"
+    np.savez(npz, grids=np.ones((2, 8, 8)))
+    out = tmp_path / "cloud.csv"
+    rc = main(["dataset", "from-grid", "--in", str(npz), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "labels" in err
+    assert not out.exists()
 
 
 def test_code_huffman_table(capsys):

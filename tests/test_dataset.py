@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdsemcom.dataset import (GrayscaleGrid, PointCloud, load_grid_file,
+from pdsemcom.dataset import (PointCloud, load_grid_file,
                               load_pointcloud_file, synth_dataset,
                               synth_loops, threshold_grid,
                               write_pointcloud_file)
@@ -10,7 +10,7 @@ from pdsemcom.errors import EmptyObject, InconsistentLabel, ParseError
 
 def test_pointcloud_dedups_and_sorts():
     pts = np.array([[2.0, 1.0], [1.0, 1.0], [2.0, 1.0], [1.0, 3.0]])
-    cloud = PointCloud(points=pts, id=1)
+    cloud = PointCloud(points=pts, label=1, id=1)
     assert cloud.n_points == 3
     assert np.array_equal(cloud.points,
                           np.array([[1.0, 1.0], [1.0, 3.0], [2.0, 1.0]]))
@@ -18,27 +18,31 @@ def test_pointcloud_dedups_and_sorts():
 
 def test_pointcloud_rejects_empty_and_bad_values():
     with pytest.raises(EmptyObject):
-        PointCloud(points=np.empty((0, 2)), id=1)
+        PointCloud(points=np.empty((0, 2)), label=1, id=1)
     with pytest.raises(ValueError):
-        PointCloud(points=np.array([[1.0, np.nan]]), id=1)
+        PointCloud(points=np.array([[1.0, np.nan]]), label=1, id=1)
     with pytest.raises(ValueError):
-        PointCloud(points=np.array([[-0.5, 1.0]]), id=1)
+        PointCloud(points=np.array([[-0.5, 1.0]]), label=1, id=1)
+
+
+@pytest.mark.parametrize("label", [None, 0, 4])
+def test_pointcloud_requires_a_valid_label(label):
+    with pytest.raises(ValueError, match="object 7: label"):
+        PointCloud(points=np.array([[1.0, 1.0]]), label=label, id=7)
 
 
 def test_threshold_grid_pixel_coordinates():
     values = np.zeros((28, 28))
     values[0, 0] = 1.0   # row 0, col 0 -> (x, y) = (1, 1)
     values[5, 2] = 0.9   # row 5, col 2 -> (x, y) = (3, 6)
-    grid = GrayscaleGrid.from_array(values)
-    cloud = threshold_grid(grid, 0.7, object_id=4, label=2)
+    cloud = threshold_grid(values, 0.7, 2, object_id=4)
     assert cloud.label == 2
     assert np.array_equal(cloud.points, np.array([[1.0, 1.0], [3.0, 6.0]]))
 
 
 def test_threshold_grid_empty_raises():
-    grid = GrayscaleGrid.from_array(np.zeros((28, 28)))
     with pytest.raises(EmptyObject):
-        threshold_grid(grid, 0.5)
+        threshold_grid(np.zeros((28, 28)), 0.5, 1)
 
 
 def test_pointcloud_file_round_trip(tmp_path):
@@ -121,9 +125,9 @@ def test_load_grid_file(tmp_path):
     grids[0, 3, 4] = 1.0
     grids[1, 5, 5] = 1.0
     np.savez(tmp_path / "g.npz", grids=grids, labels=np.array([1, 2]))
-    entries = load_grid_file(tmp_path / "g.npz")
-    assert len(entries) == 2
-    assert entries[0][1] == 1 and entries[1][1] == 2
+    loaded, labels = load_grid_file(tmp_path / "g.npz")
+    assert np.array_equal(loaded, grids)
+    assert labels.tolist() == [1, 2]
     np.savez(tmp_path / "bad.npz", other=grids)
     with pytest.raises(ParseError):
         load_grid_file(tmp_path / "bad.npz")
@@ -134,9 +138,17 @@ def test_load_grid_file(tmp_path):
     (np.zeros((2, 4, 4)), np.array([1.0, np.nan]), "whole numbers"),
     (np.zeros((2, 4, 4)), np.array([1, 2, 3]), "(2,)"),
     (np.zeros((4, 4)), np.array([1, 2, 3, 1]), "(4, 4)"),
+    (np.full((2, 4, 4), np.nan), np.array([1, 2]), "[-1, 1]"),
+    (np.full((2, 4, 4), 1.5), np.array([1, 2]), "[-1, 1]"),
+    (np.zeros((2, 4, 4)), None, "'labels'"),
+    (np.zeros((2, 0, 4)), np.array([1, 2]), "(2, 0, 4)"),
+    (np.zeros((0, 4, 4)), np.zeros(0), "(0, 4, 4)"),
 ])
 def test_load_grid_file_rejects_bad_arrays(tmp_path, grids, labels, message):
-    np.savez(tmp_path / "g.npz", grids=grids, labels=labels)
+    arrays = {"grids": grids}
+    if labels is not None:
+        arrays["labels"] = labels
+    np.savez(tmp_path / "g.npz", **arrays)
     with pytest.raises(ParseError) as err:
         load_grid_file(tmp_path / "g.npz")
     assert message in str(err.value)

@@ -37,8 +37,7 @@ def small_sweep(tmp_path_factory):
 
 # -- config parsing ---------------------------------------------------------
 
-def test_config_text_round_trip(tmp_path, monkeypatch):
-    monkeypatch.delenv("PDSEMCOM_SEED", raising=False)
+def test_config_text_round_trip(tmp_path):
     latent = tmp_path / "latents.csv"
     latent.write_text("")
     config = _small_config(tmp_path / "r.csv", latent_file=str(latent),
@@ -107,13 +106,13 @@ def test_config_rejects_non_finite_values(key, value):
         parse_config(f"{key} = {value}\n")
 
 
-def test_env_overrides(tmp_path, monkeypatch):
+def test_seeds_come_only_from_the_config_file(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
-    write_config(path, ExperimentConfig(out=str(tmp_path / "r.csv")))
+    config = ExperimentConfig(dataset_seed=5, cv_seed=6, train_seed=7,
+                              channel_seed=8, out=str(tmp_path / "r.csv"))
+    write_config(path, config)
     monkeypatch.setenv("PDSEMCOM_SEED", "99")
-    cfg = load_config(path)
-    assert (cfg.dataset_seed, cfg.cv_seed, cfg.train_seed,
-            cfg.channel_seed) == (99, 100, 101, 102)
+    assert load_config(path) == config
 
 
 def test_config_hashes_are_pinned():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from pdsemcom import (AccuracyReport, BitStream, CvSchedule, EmpiricalDensity,
-                      Frame, GrayscaleGrid, LabeledDataset, PointCloud,
+                      Frame, LabeledDataset, PointCloud,
                       QuantizedPointSet, build_vr_filtration, vr_diagram)
 
 _POINTS = [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
 
 FACTORIES = {
     "PointCloud": lambda: PointCloud(points=_POINTS, label=1),
-    "GrayscaleGrid": lambda: GrayscaleGrid.from_array(np.zeros((2, 3))),
     "LabeledDataset": lambda: LabeledDataset(
         objects=[PointCloud(points=_POINTS, label=1)]),
     "PersistenceDiagram": lambda: vr_diagram(_POINTS),
