@@ -9,18 +9,23 @@ caller decides whether to pass the systematic bits through.
 
 Decoding reads tables built once per code, so a block costs gathers and
 XOR-reductions with no multiply or modulo per element: the odd syndromes
-are one gather of `powers` rows at the received word's 1-positions, the
+are one gather of `powers` rows at the received word's 1-positions, and the
 Chien search adds the log of each locator coefficient lambda_j to row j of
 `ij` (i * j mod n) and looks the sums up in `exp2`, the exp table doubled
-to length 2n, and Berlekamp-Massey forms every product as
-exp2[log a + log b] too.
+to length 2n. Berlekamp-Massey works in a log domain with a zero sentinel:
+`log0` maps 0 to 2n and `exp0` is `exp2` followed by a zero tail, so a
+product exp0[log0[a] + log0[b]] is 0 whenever a or b is, with no branch.
+Each of its t odd steps is then a few array operations on fixed-width
+int64 registers: the discrepancy is one gather of the locator's logs plus
+a slice of the reversed syndrome logs, looked up in `exp0` and
+XOR-reduced, and the update is one gather-add of the scaled correction
+polynomial XORed into a slice of the locator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from importlib import resources
-from itertools import zip_longest
 
 import numpy as np
 
@@ -92,13 +97,17 @@ def _minimal_poly(field: GaloisField, coset) -> int:
 class BchCode:
     """An (n, k, t) binary BCH code over GF(2^m) with n = 2^m - 1.
 
-    Derived once per code, as read-only int16 arrays left out of the
+    Derived once per code, as read-only arrays left out of the
     constructor, repr, equality and hash, for the decoder:
     `powers[p, j]` = alpha^((2j + 1) p), shape n x t, the contribution of
     a 1 at position p to the odd syndrome s_(2j+1); `ij[j, i]` = i j mod n,
     shape (t + 1) x n, the log of (alpha^i)^j for the Chien search, one
     contiguous row per locator term; and `exp2`, the field's exp table
-    repeated to length 2n, so that a sum of two logs needs no modulo.
+    repeated to length 2n, so that a sum of two logs needs no modulo (all
+    three int16). For Berlekamp-Massey, two int64 tables with a zero
+    sentinel: `log0`, the field's log table with log 0 = 2n, and `exp0`,
+    `exp2` followed by a zero tail of 2n + 1 entries, so exp0[log0[a] +
+    log0[b]] = a b for all a, b, zero operands included.
     """
 
     field: GaloisField
@@ -109,6 +118,8 @@ class BchCode:
     powers: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     ij: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     exp2: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    log0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    exp0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != self.field.order:
@@ -120,10 +131,15 @@ class BchCode:
         i = np.arange(self.n, dtype=np.int32)
         odd = np.arange(1, 2 * self.t, 2, dtype=np.int32)
         exp2 = np.tile(self.field.exp.astype(np.int16), 2)
+        log0 = self.field.log.copy()
+        log0[0] = 2 * self.n
+        # a sum with a zero operand lies in 2n..4n, the zero tail
+        exp0 = np.zeros(4 * self.n + 1, dtype=np.int64)
+        exp0[:2 * self.n] = exp2
         tables = dict(powers=exp2[np.outer(i, odd) % self.n],
                       ij=(np.outer(np.arange(self.t + 1, dtype=np.int32), i)
                           % self.n).astype(np.int16),
-                      exp2=exp2)
+                      exp2=exp2, log0=log0, exp0=exp0)
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -192,29 +208,31 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     L + 1 coefficients for linear complexity L. Binary form: s_2i = s_i^2
     zeroes every even-step discrepancy, so only the odd steps r = 1, 3, ...,
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
-    binary BCH chapter)."""
-    n = code.n
-    exp2 = code.exp2.tolist()  # exp2[a + b] for logs a, b < n
-    log = code.field.log.tolist()  # log[0] = -1
-    log_s = code.field.log[s].tolist()
-    # C, the locator, always holds L + 1 coefficients (the top one may be
-    # 0); B is its value before L last grew
-    C, B = [1], [1]
+    binary BCH chapter). Each step is a few gathers from `log0` and `exp0`
+    on registers of 2t + 1 coefficients."""
+    n, log0, exp0 = code.n, code.log0, code.exp0
+    top = 2 * code.t
+    # rev[top - i] = log s_i, so s_(r-1), s_(r-2), ... is a forward slice
+    rev = log0[s[::-1]]
+    # C, the locator, holds L + 1 coefficients (the top one may be 0) and
+    # zeros above; log_B holds the logs of B, C's value before L last grew.
+    # C x^shift B reaches degree r - L, so C keeps max(len C, shift + len B)
+    # = L + 1 coefficients after each step
+    C = np.zeros(top + 1, dtype=np.int64)
+    C[0] = 1
+    log_B = np.zeros(1, dtype=np.int64)
     L, shift, log_b = 0, 1, 0
-    for r in range(1, 2 * code.t, 2):
-        d = int(s[r])
-        for c, e in zip(C[1:], reversed(log_s[r - L:r])):
-            if c and e >= 0:
-                d ^= exp2[log[c] + e]
+    for r in range(1, top, 2):
+        log_C = log0[C[:L + 1]]
+        d = int(s[r]) ^ int(np.bitwise_xor.reduce(
+            exp0[log_C[1:] + rev[top - r + 1:top - r + 1 + L]]))
         if d:
-            log_coef = (log[d] - log_b) % n
-            term = [0] * shift + [exp2[log[x] + log_coef] if x else 0
-                                  for x in B]
-            C, prev = [a ^ b for a, b in zip_longest(C, term, fillvalue=0)], C
+            log_d = int(log0[d])
+            C[shift:shift + len(log_B)] ^= exp0[log_B + (log_d - log_b) % n]
             if 2 * L <= r - 1:
-                B, L, log_b, shift = prev, r - L, log[d], 0
+                log_B, L, log_b, shift = log_C, r - L, log_d, 0
         shift += 2
-    return np.array(C, dtype=np.int64)
+    return C[:L + 1]
 
 
 def _chien_roots(code: BchCode, locator: np.ndarray) -> np.ndarray:

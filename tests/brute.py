@@ -14,7 +14,12 @@ syndromes and Chien search by multiplying exponents and reducing them mod n
 on every call (the package gathers from tables built once per code) are the
 package's former `_syndromes` body and Chien evaluation, moved here
 verbatim, and `bch_decode_by_products` is the package's former
-`bch_decode` built from them and the general Berlekamp-Massey.
+`bch_decode` built from them and the general Berlekamp-Massey. The t-step
+binary Berlekamp-Massey over Python lists of field elements, with a branch
+per zero coefficient (the package runs each step as a few gathers from
+zero-sentinel log and exp tables on fixed-width numpy registers), is the
+package's former binary `_berlekamp_massey`, moved here verbatim as
+`berlekamp_massey_lists`.
 
 The canonical Huffman codewords by walking the symbols in (length, symbol)
 order and the Huffman decoder that walks the bits against a table of every
@@ -51,10 +56,11 @@ codes payloads with the sweep's `encode_payload`/`decode_payload`).
 
 import itertools
 import math
+from itertools import zip_longest
 
 import numpy as np
 
-from pdsemcom.codec import bch_encode, decode_or_passthrough
+from pdsemcom.codec import BchCode, bch_encode, decode_or_passthrough
 from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
                              ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
@@ -448,6 +454,36 @@ def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:
             C = C ^ scaled
             shift += 1
     return C[:L + 1]
+
+
+def berlekamp_massey_lists(code: BchCode, s: np.ndarray) -> np.ndarray:
+    """Error locator polynomial from syndromes s[1..2t] (index = degree), as
+    L + 1 coefficients for linear complexity L. Binary form: s_2i = s_i^2
+    zeroes every even-step discrepancy, so only the odd steps r = 1, 3, ...,
+    2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
+    binary BCH chapter)."""
+    n = code.n
+    exp2 = code.exp2.tolist()  # exp2[a + b] for logs a, b < n
+    log = code.field.log.tolist()  # log[0] = -1
+    log_s = code.field.log[s].tolist()
+    # C, the locator, always holds L + 1 coefficients (the top one may be
+    # 0); B is its value before L last grew
+    C, B = [1], [1]
+    L, shift, log_b = 0, 1, 0
+    for r in range(1, 2 * code.t, 2):
+        d = int(s[r])
+        for c, e in zip(C[1:], reversed(log_s[r - L:r])):
+            if c and e >= 0:
+                d ^= exp2[log[c] + e]
+        if d:
+            log_coef = (log[d] - log_b) % n
+            term = [0] * shift + [exp2[log[x] + log_coef] if x else 0
+                                  for x in B]
+            C, prev = [a ^ b for a, b in zip_longest(C, term, fillvalue=0)], C
+            if 2 * L <= r - 1:
+                B, L, log_b, shift = prev, r - L, log[d], 0
+        shift += 2
+    return np.array(C, dtype=np.int64)
 
 
 def syndromes_by_products(code, positions: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from pdsemcom.codec import (BitStream, Frame, bch_decode, bch_encode,
                             decode_or_passthrough, int_to_bits,
                             load_code_table, pack_objects,
                             select_compatible_codes)
+from pdsemcom.codec.bch import _berlekamp_massey, _syndromes
 from pdsemcom.codec.galois import PRIMITIVE_POLYS, GaloisField
 from pdsemcom.errors import DecodeFailure, ShapeError
 from pdsemcom.harness import decode_payload, encode_payload
@@ -125,6 +126,30 @@ def test_corrects_up_to_capability():
         bad[flips] ^= 1
         decoded, n = bch_decode(code, bad)
         assert np.array_equal(decoded, msg) and n == 3
+
+
+def test_decoder_leaves_its_inputs_unchanged():
+    # the locator registers are updated in place, so nothing the caller
+    # passes may be written through, and no two calls may share a result
+    code = bch_generator(10, 170)
+    rng = np.random.default_rng(17)
+    msg = rng.integers(0, 2, size=code.k, dtype=np.uint8)
+    received = bch_encode(code, msg)
+    received[rng.choice(code.n, size=120, replace=False)] ^= 1
+    before = received.copy()
+    s = _syndromes(code, np.nonzero(received)[0])
+    s_before = s.copy()
+    first = _berlekamp_massey(code, s)
+    second = _berlekamp_massey(code, s)
+    assert np.array_equal(s, s_before)
+    assert len(first) == 121 and np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+    decoded, corrected = bch_decode(code, received)
+    assert np.array_equal(decoded, msg) and corrected == 120
+    assert np.array_equal(received, before)
+    decoded, corrected, failed = decode_or_passthrough(code, received)
+    assert np.array_equal(decoded, msg) and (corrected, failed) == (120, False)
+    assert np.array_equal(received, before)
 
 
 def test_beyond_capability_never_returns_the_original():

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from brute import (bch_decode_blocks, bch_decode_by_products,
                    bch_encode_blocks, berlekamp_massey_general,
+                   berlekamp_massey_lists,
                    bits_to_int_reversed, bottleneck_exhaustive,
                    bottleneck_style_distortion_loop, canonical_codewords,
                    chien_roots_by_products, density_mass_loop,
@@ -392,6 +393,26 @@ def test_binary_locator_matches_general_berlekamp_massey(code, encoded, data,
     got = _berlekamp_massey(code, s)
     want = berlekamp_massey_general(code, s)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@PROPERTY
+@given(code=_LOCATOR_CODE, encoded=st.booleans(), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_locator_matches_list_berlekamp_massey(code, encoded, data,
+                                                      seed):
+    rng = np.random.default_rng(seed)
+    if encoded:
+        word = bch_encode(code, rng.integers(0, 2, size=code.k,
+                                             dtype=np.uint8))
+        flips = data.draw(st.integers(0, min(2 * code.t + 3, code.n)))
+        word[rng.choice(code.n, size=flips, replace=False)] ^= 1
+    else:
+        word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+    s = _syndromes(code, np.nonzero(word)[0])
+    got = _berlekamp_massey(code, s)
+    want = berlekamp_massey_lists(code, s)
+    assert got.dtype == want.dtype and len(got) == len(want)
+    assert got.tolist() == want.tolist()
 
 
 @st.composite
