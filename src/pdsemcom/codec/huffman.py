@@ -6,16 +6,28 @@ integers, and with count[l] codewords of length l the first of length l is
 first[l] = (first[l-1] + count[l-1]) << 1 (Moffat & Turpin, 1997). So
 encoder and decoder rebuild the identical code from the probability vector
 alone. A single-symbol alphabet gets the codeword 0.
+
+The decoder reads one codeword per step, not one bit. Left-justified to the
+longest length lmax, the codewords of length l fill the interval
+[limit[l-1], limit[l]) with limit[l] = (first[l] + count[l]) << (lmax - l),
+so the length of the codeword at the head of the bits is the smallest l
+whose limit exceeds the next lmax bits. A first-level table over the next
+min(lmax, 10) bits gives the symbol and length of every codeword that
+short; a longer one is found by bisecting the limits.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ShapeError, probability_vector
+
+# bits indexed by the decoder's first-level table
+TABLE_BITS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -25,7 +37,10 @@ class HuffmanCode:
     Derived once per code by the first-code rule: `words` (symbol -> bit
     string) and the decoder's tables by length l: `first[l]`, `count[l]`
     and `start[l]`, where the symbols of length l begin in `ordered`, the
-    symbols in (length, symbol) order.
+    symbols in (length, symbol) order; `limits`, the left-justified limits
+    of lengths 1..lmax; and the first-level table `lookup`, which maps the
+    next `table_bits` bits to (length, symbol) of the codeword they start,
+    or to (0, 0) when that codeword is longer or there is none.
     Two codes are equal when their symbols and lengths are, since those
     fix everything else.
     """
@@ -36,6 +51,9 @@ class HuffmanCode:
     count: list = field(init=False, repr=False)
     start: list = field(init=False, repr=False)
     ordered: list = field(init=False, repr=False)
+    limits: list = field(init=False, repr=False)
+    table_bits: int = field(init=False, repr=False)
+    lookup: list = field(init=False, repr=False)
     words: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -56,13 +74,32 @@ class HuffmanCode:
             first[l] = (first[l - 1] + count[l - 1]) << 1
             start[l] = start[l - 1] + count[l - 1]
         order = np.lexsort((sym, lens))
+        ordered = sym[order]
         cw = np.empty(len(sym), dtype=object)
         cw[order] = [first[l] + rank - start[l]
                      for rank, l in enumerate(lens[order].tolist())]
+        lmax = len(count) - 1
+        k = min(lmax, TABLE_BITS)
+        # each k-bit prefix's codeword length is the smallest l <= k whose
+        # limit, cut to k bits, exceeds the prefix; 0 marks a longer one
+        prefix = np.arange(1 << k)
+        cut = [(first[l] + count[l]) << (k - l) for l in range(1, k + 1)]
+        plen = np.searchsorted(cut, prefix, side="right") + 1
+        plen[plen > k] = 0
+        short = np.flatnonzero(plen)
+        ls = plen[short]
+        symbol = np.zeros(1 << k, dtype=int)
+        symbol[short] = ordered[np.array(start[:k + 1])[ls]
+                                - np.array(first[:k + 1])[ls]
+                                + (short >> (k - ls))]
         for arr in (sym, lens):
             arr.setflags(write=False)
         derived = dict(symbols=sym, lengths=lens, first=first,
-                       count=count, start=start, ordered=sym[order].tolist(),
+                       count=count, start=start, ordered=ordered.tolist(),
+                       limits=[(first[l] + count[l]) << (lmax - l)
+                               for l in range(1, lmax + 1)],
+                       table_bits=k,
+                       lookup=list(zip(plen.tolist(), symbol.tolist())),
                        words={s: format(c, f"0{l}b") for s, c, l
                               in zip(sym.tolist(), cw, lens.tolist())})
         for name, value in derived.items():
@@ -92,23 +129,28 @@ class HuffmanCode:
 
 
 def _codeword_lengths(p: np.ndarray) -> np.ndarray:
-    """Huffman merge with deterministic tie-breaking, returning bit lengths."""
+    """Huffman merge with deterministic tie-breaking, returning bit lengths.
+
+    Merge j makes node n + j, the parent of the two nodes it merges; a
+    parent's id exceeds its children's, so one pass down from the root
+    gives every depth.
+    """
     n = len(p)
     if n == 1:
         return np.array([1])
     # heap entries are (probability, node id); ties go to the older node
-    heap = [(float(p[i]), i) for i in range(n)]
+    heap = list(zip(p.tolist(), range(n)))
     heapq.heapify(heap)
-    leaves = [[i] for i in range(n)]  # node id -> the symbols below it
-    lengths = np.zeros(n, dtype=int)
-    while len(heap) > 1:
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
         pa, a = heapq.heappop(heap)
-        pb, b = heapq.heappop(heap)
-        merged = leaves[a] + leaves[b]
-        lengths[merged] += 1
-        heapq.heappush(heap, (pa + pb, len(leaves)))
-        leaves.append(merged)
-    return lengths
+        pb, b = heap[0]
+        heapq.heapreplace(heap, (pa + pb, node))
+        parent[a] = parent[b] = node
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return np.array(depth[:n])
 
 
 def build_huffman(p: np.ndarray) -> HuffmanCode:
@@ -136,27 +178,43 @@ def huffman_encode(code: HuffmanCode, symbols: np.ndarray) -> np.ndarray:
 
 def huffman_decode(code: HuffmanCode, bits: np.ndarray,
                    max_symbols: int) -> np.ndarray:
-    """Greedy prefix walk over a bit array, one bit per step, that stops
-    after `max_symbols` symbols and ignores the surplus bits.
+    """Greedy prefix decode over a bit array, one codeword per step, that
+    stops after `max_symbols` symbols and ignores the surplus bits.
 
-    The l-bit prefix v is the codeword of ordered[start[l] + v - first[l]]
-    when v - first[l] < count[l]; a prefix that is no codeword is at least
-    first[l] + count[l], so v - first[l] is never negative. The walk
-    tolerates bits damaged by a noisy channel: it stops at a prefix longer
-    than any codeword and drops a truncated final codeword.
+    Each step reads the next lmax bits v, zero-padded past the end: the
+    first-level table gives the codeword's length l and symbol when l is
+    at most `table_bits`, and otherwise l is the smallest length with
+    v < limits[l - 1] and the symbol is ordered[start[l] + (v >> (lmax - l))
+    - first[l]]. The decode tolerates bits damaged by a noisy channel: it
+    stops at a prefix longer than any codeword (no limit exceeds v) and
+    drops a truncated final codeword (one that reaches into the padding).
     """
-    first, count, start_of = code.first, code.count, code.start
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    n = len(bits)
+    lmax = len(code.count) - 1
+    # the bits as one integer, padded to whole bytes and then by lmax zeros;
+    # bit `pos` starts the window (word >> (top - pos)) & mask
+    top = -(-n // 8) * 8
+    word = int.from_bytes(np.packbits(bits).tobytes(), "big") << lmax
+    mask = (1 << lmax) - 1
+    head = top + lmax - code.table_bits
+    head_mask = (1 << code.table_bits) - 1
+    lookup, limits = code.lookup, code.limits
     out = []
-    acc = length = 0
-    for bit in np.asarray(bits, dtype=np.uint8).ravel().tolist():
-        if len(out) >= max_symbols:
+    pos = 0
+    # at pos == n the window is all padding, which starts the all-zero
+    # codeword, so the truncation test below also ends the bits
+    for _ in range(max_symbols):
+        length, symbol = lookup[(word >> (head - pos)) & head_mask]
+        if not length:
+            v = (word >> (top - pos)) & mask
+            length = bisect_right(limits, v) + 1
+            if length > lmax:  # longer than the longest codeword
+                break
+            symbol = code.ordered[code.start[length] - code.first[length]
+                                  + (v >> (lmax - length))]
+        pos += length
+        if pos > n:
             break
-        acc = (acc << 1) | bit
-        length += 1
-        if length == len(count):  # longer than the longest codeword
-            break
-        offset = acc - first[length]
-        if offset < count[length]:
-            out.append(code.ordered[start_of[length] + offset])
-            acc = length = 0
+        out.append(symbol)
     return np.array(out, dtype=int)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,22 @@ class PersistenceDiagram:
     def __post_init__(self):
         b = np.asarray(self.births, dtype=float).ravel()
         d = np.asarray(self.deaths, dtype=float).ravel()
-        dm = np.asarray(self.dims, dtype=int).ravel()
+        dm = np.asarray(self.dims).ravel()
         es = np.asarray(self.essential, dtype=bool).ravel()
         if not (len(b) == len(d) == len(dm) == len(es)):
             raise ShapeError("birth/death/dim/essential lengths differ")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+        # over both arrays and 0, so an empty diagram passes; a NaN makes
+        # both extremes NaN
+        lo = b.min(initial=d.min(initial=0.0))
+        hi = b.max(initial=d.max(initial=0.0))
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("diagram coordinates must be finite")
-        if np.any(b < 0) or np.any(d < 0):
+        if lo < 0:
             raise ValueError("diagram coordinates must be nonnegative")
-        if len(dm) and not np.all((dm == 0) | (dm == 1)):
+        # checked before the int cast, which would truncate 0.5 to 0
+        if not ((dm == 0) | (dm == 1)).all():
             raise ValueError("homology degree must be 0 or 1")
+        dm = dm.astype(int, copy=False)
         for name, arr in (("births", b), ("deaths", d), ("dims", dm),
                           ("essential", es)):
             arr.setflags(write=False)
@@ -137,6 +144,12 @@ class PersistenceDiagram:
         """(n, 2) array of (birth, death) rows, optionally one degree only."""
         mask = slice(None) if dim is None else self.dims == dim
         return np.column_stack([self.births[mask], self.deaths[mask]])
+
+    def degree_order(self) -> tuple:
+        """(order, n0): the indices of the degree-0 points then of the
+        degree-1 points, each in diagram order, and the degree-0 count."""
+        return (np.argsort(self.dims, kind="stable"),
+                len(self.dims) - np.count_nonzero(self.dims))
 
     def count(self, dim: int) -> int:
         return int(np.sum(self.dims == dim))

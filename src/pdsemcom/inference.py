@@ -24,6 +24,7 @@ order by BLAS, so trained weights can differ in the last bits (up to about
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -55,44 +56,48 @@ TOP_K = 2
 RASTER_BINS = 28
 
 
-def _channel_features(points: np.ndarray, box_side: float) -> np.ndarray:
-    """Top-k reduction of weighted tent evaluations for one channel.
-
-    Each tent evaluates max(0, BANDWIDTH - ||(b, d - b) - center||_inf) and
-    is scaled by persistence^WEIGHT_EXPONENT; a channel with fewer than
-    TOP_K points is padded with zeros.
-    """
-    n = N_BIRTH * N_PERS
-    if len(points) == 0:
-        return np.zeros(TOP_K * n)
-    birth = points[:, 0]
-    pers = points[:, 1] - points[:, 0]
-    # tent centers in (birth, persistence), birth-major
+@functools.lru_cache(maxsize=16)
+def _tent_centers(box_side: float) -> tuple:
+    """(birth, persistence) coordinates of the tent centers, birth-major,
+    each as a (1, N_BIRTH * N_PERS) row."""
     b = (np.arange(N_BIRTH) + 0.5) * (box_side / N_BIRTH)
     p = (np.arange(N_PERS) + 0.5) * (box_side / N_PERS)
-    bb, pp = np.meshgrid(b, p, indexing="ij")
-    centers = np.column_stack([bb.ravel(), pp.ravel()])
-    d_inf = np.maximum(
-        np.abs(birth[:, None] - centers[None, :, 0]),
-        np.abs(pers[:, None] - centers[None, :, 1]),
-    )
-    tents = np.maximum(0.0, BANDWIDTH - d_inf)
-    weighted = (pers ** WEIGHT_EXPONENT)[:, None] * tents
-    if len(points) < TOP_K:
-        weighted = np.vstack([weighted, np.zeros((TOP_K - len(points), n))])
-    # descending sort per tent, keep the k largest
-    top = -np.sort(-weighted, axis=0)[:TOP_K]
-    return top.reshape(-1)
+    centers = (np.repeat(b, N_PERS)[None, :], np.tile(p, N_BIRTH)[None, :])
+    for c in centers:
+        c.setflags(write=False)
+    return centers
 
 
 def perslay_vectorize(diagram: PersistenceDiagram,
                       box_side: float) -> np.ndarray:
-    """Permutation-invariant feature vector, degree 0 then degree 1; empty
-    channels map to zeros."""
-    return np.concatenate([
-        _channel_features(diagram.points(0), box_side),
-        _channel_features(diagram.points(1), box_side),
-    ])
+    """Permutation-invariant feature vector, degree 0 then degree 1.
+
+    Each tent evaluates max(0, BANDWIDTH - ||(b, d - b) - center||_inf) and
+    is scaled by persistence^WEIGHT_EXPONENT, for all the diagram's points
+    at once; each degree then keeps the TOP_K largest values per tent. A
+    degree with fewer than TOP_K points is padded with zeros, and one with
+    none maps to zeros.
+    """
+    n = N_BIRTH * N_PERS
+    order, n0 = diagram.degree_order()
+    birth = diagram.births[order]
+    pers = diagram.deaths[order] - birth
+    center_b, center_p = _tent_centers(box_side)
+    # d_inf, then the tents, then the weighted tents, in one buffer
+    out = np.abs(birth[:, None] - center_b)
+    np.maximum(out, np.abs(pers[:, None] - center_p), out=out)
+    np.subtract(BANDWIDTH, out, out=out)
+    np.maximum(0.0, out, out=out)
+    np.multiply((pers ** WEIGHT_EXPONENT)[:, None], out, out=out)
+    top = np.zeros((2, TOP_K, n))
+    for dim, rows in enumerate((out[:n0], out[n0:])):
+        if len(rows) == 0:
+            continue
+        if len(rows) < TOP_K:
+            rows = np.vstack([rows, np.zeros((TOP_K - len(rows), n))])
+        # descending sort per tent, keep the k largest
+        top[dim] = -np.sort(-rows, axis=0)[:TOP_K]
+    return top.reshape(-1)
 
 
 def rasterize_raw(points: np.ndarray, box_side: float = 28.0) -> np.ndarray:

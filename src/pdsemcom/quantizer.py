@@ -1,7 +1,11 @@
 """Uniform 2D vector quantization onto an m x m grid over a square box.
 
-Cells are half-open [k*delta, (k+1)*delta) with the final cell closed, so the
-box is partitioned exactly and boundary ties resolve to the higher cell.
+A coordinate x falls in bin floor(x / delta), clipped to m - 1, with
+delta = box_side / m: cells are half-open [k*delta, (k+1)*delta) up to the
+rounding of x / delta, and the final cell is closed, so the far edge of the
+box stays inside. A coordinate computed as k * delta can round into bin
+k - 1 (box 10, m 36, k 31: 31 * delta / delta is 30.999999999999996). The
+binning and the digests pinned on it depend on this exact rule.
 Cell indices are 1-based and row-major by (x-bin, y-bin): index k satisfies
 k - 1 = x_bin * m + y_bin. This layout is fixed in the wire format.
 """
@@ -48,8 +52,10 @@ class QuantizerGrid:
         return self.n_bins * self.n_bins
 
     def _bins(self, coords: np.ndarray) -> np.ndarray:
-        bad = ~((coords >= 0) & (coords <= self.box_side))
-        if np.any(bad):
+        # NaN fails both comparisons
+        if not (coords.min(initial=0.0) >= 0
+                and coords.max(initial=0.0) <= self.box_side):
+            bad = ~((coords >= 0) & (coords <= self.box_side))
             raise OutOfBox(
                 f"coordinate {coords[bad][0]} outside [0, {self.box_side}]")
         bins = np.floor(coords / self.cell_width).astype(int)
@@ -63,20 +69,26 @@ class QuantizerGrid:
         return bins[:, 0] * self.n_bins + bins[:, 1] + 1
 
     def bins_of(self, indices: np.ndarray) -> tuple:
-        """(x bins, y bins) of 1-based indices; invalid index -> CorruptSymbol."""
-        idx = np.asarray(indices, dtype=int).ravel()
-        bad = (idx < 1) | (idx > self.n_cells)
-        if np.any(bad):
+        """(x bins, y bins) of 1-based indices; an index that is not a
+        whole number in 1..n_cells -> CorruptSymbol."""
+        idx = np.asarray(indices).ravel()
+        # checked before the int cast, which would truncate 16.5 to 16;
+        # NaN fails every comparison
+        ok = (idx >= 1) & (idx <= self.n_cells) & (idx == np.trunc(idx))
+        if not ok.all():
             raise CorruptSymbol(
-                f"cell index {idx[bad][0]} outside 1..{self.n_cells}"
-            )
-        return (idx - 1) // self.n_bins, (idx - 1) % self.n_bins
+                f"cell index {idx[~ok][0]} is not one of 1..{self.n_cells}")
+        return np.divmod(idx.astype(int) - 1, self.n_bins)
+
+    def _center_coords(self, indices: np.ndarray) -> tuple:
+        """(x, y) arrays of the cell centers of 1-based indices."""
+        x_bin, y_bin = self.bins_of(indices)
+        w = self.cell_width
+        return (x_bin + 0.5) * w, (y_bin + 0.5) * w
 
     def centers_of(self, indices: np.ndarray) -> np.ndarray:
         """Cell centers for 1-based indices; invalid index -> CorruptSymbol."""
-        x_bin, y_bin = self.bins_of(indices)
-        w = self.cell_width
-        return np.column_stack([(x_bin + 0.5) * w, (y_bin + 0.5) * w])
+        return np.column_stack(self._center_coords(indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,22 +122,24 @@ class QuantizedPointSet:
         return self.indices[start:start + self.channel_counts[c]]
 
 
-def _cells(grid: QuantizerGrid, points, collapse_duplicates: bool):
-    idx = grid.quantize_points(points)
-    return np.unique(idx) if collapse_duplicates else idx
-
-
 def quantize_set(grid: QuantizerGrid, points: np.ndarray, *,
                  collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a point multiset; multiplicity kept unless collapsing."""
-    return QuantizedPointSet(indices=_cells(grid, points, collapse_duplicates))
+    idx = grid.quantize_points(points)
+    return QuantizedPointSet(
+        indices=np.unique(idx) if collapse_duplicates else idx)
 
 
 def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
                      collapse_duplicates: bool = False) -> QuantizedPointSet:
-    """Quantize a diagram's (birth, death) points, degree 0 then degree 1."""
-    parts = [_cells(grid, diagram.points(dim), collapse_duplicates)
-             for dim in (0, 1)]
+    """Quantize a diagram's (birth, death) points, degree 0 then degree 1,
+    each degree in diagram order; collapsing applies to each degree."""
+    order, n0 = diagram.degree_order()
+    idx = grid.quantize_points(
+        np.array((diagram.births[order], diagram.deaths[order])).T)
+    parts = (idx[:n0], idx[n0:])
+    if collapse_duplicates:
+        parts = tuple(np.unique(p) for p in parts)
     return QuantizedPointSet(indices=np.concatenate(parts),
                              channel_counts=tuple(len(p) for p in parts))
 
@@ -137,17 +151,16 @@ def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
     Decoded cell centers can land below the diagonal; no class is flagged
     essential.
     """
-    idx = np.asarray(indices, dtype=int).ravel()
-    if sum(channel_counts) != len(idx):
+    n = np.size(indices)
+    if sum(channel_counts) != n:
         raise ShapeError(
-            f"channel counts {channel_counts} do not partition {len(idx)} symbols"
+            f"channel counts {channel_counts} do not partition {n} symbols"
         )
-    centers = grid.centers_of(idx)
+    births, deaths = grid._center_coords(indices)
     dims = np.repeat(np.arange(len(channel_counts)),
                      np.array(channel_counts, dtype=int))
-    return PersistenceDiagram(births=centers[:, 0], deaths=centers[:, 1],
-                              dims=dims,
-                              essential=np.zeros(len(idx), dtype=bool))
+    return PersistenceDiagram(births=births, deaths=deaths, dims=dims,
+                              essential=np.zeros(n, dtype=bool))
 
 
 def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,

@@ -52,8 +52,30 @@ block loops that pad a message to whole k-bit blocks and encode or decode
 one block at a time are the command line's former `code bch` loops,
 moved here as `bch_encode_blocks` and `bch_decode_blocks` (the package
 codes payloads with the sweep's `encode_payload`/`decode_payload`).
+
+The canonical Huffman decoder that walks one bit per step against the
+per-length first-code tables (the package reads one codeword per step
+from a first-level table and bisects the left-justified limits for longer
+codewords) is the package's former `huffman_decode`, moved here verbatim
+as `huffman_decode_per_bit`. The Huffman merge that keeps the list of
+leaves below every node and adds 1 to the lengths of all of them at each
+merge (the package records parent pointers and takes the depths in one
+pass) is the package's former `_codeword_lengths`, moved here verbatim as
+`codeword_lengths_leaf_lists`. The tent features computed one degree at a
+time, each with its own tent grid (the package evaluates all the points
+once against cached centers and splits the rows by degree), are the
+package's former `_channel_features` and `perslay_vectorize`, moved here
+verbatim as `channel_features` and `perslay_vectorize_per_degree`. The
+diagram quantizer that quantizes each degree's points in its own call (the
+package quantizes all the points at once and splits them by degree) is the
+package's former `quantize_diagram` with its `_cells` helper, moved here
+verbatim as `quantize_diagram_per_degree`; the diagram rebuilt through
+`centers_of` (the package takes the centers' coordinates from one
+`bins_of` call) is the package's former `diagram_from_symbols`, moved here
+verbatim as `diagram_from_symbols_via_centers`.
 """
 
+import heapq
 import itertools
 import math
 from itertools import zip_longest
@@ -65,9 +87,11 @@ from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
                              ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
                                Filtration, PersistenceDiagram)
-from pdsemcom.inference import (ADAM_EPS, BETA1, BETA2, LEARNING_RATE,
+from pdsemcom.inference import (ADAM_EPS, BANDWIDTH, BETA1, BETA2,
+                                LEARNING_RATE, N_BIRTH, N_PERS, TOP_K,
+                                WEIGHT_EXPONENT,
                                 N_CLASSES, Classifier, loss_and_gradients)
-from pdsemcom.quantizer import QuantizerGrid
+from pdsemcom.quantizer import QuantizedPointSet, QuantizerGrid
 
 
 def rank_gf2(mat: np.ndarray) -> int:
@@ -626,3 +650,128 @@ def huffman_decode_bitwalk(code, bits: np.ndarray,
         elif length > max_len:
             break
     return np.array(out, dtype=int)
+
+
+def huffman_decode_per_bit(code, bits: np.ndarray,
+                           max_symbols: int) -> np.ndarray:
+    """Greedy prefix walk over a bit array, one bit per step, that stops
+    after `max_symbols` symbols and ignores the surplus bits.
+
+    The l-bit prefix v is the codeword of ordered[start[l] + v - first[l]]
+    when v - first[l] < count[l]; a prefix that is no codeword is at least
+    first[l] + count[l], so v - first[l] is never negative. The walk
+    tolerates bits damaged by a noisy channel: it stops at a prefix longer
+    than any codeword and drops a truncated final codeword.
+    """
+    first, count, start_of = code.first, code.count, code.start
+    out = []
+    acc = length = 0
+    for bit in np.asarray(bits, dtype=np.uint8).ravel().tolist():
+        if len(out) >= max_symbols:
+            break
+        acc = (acc << 1) | bit
+        length += 1
+        if length == len(count):  # longer than the longest codeword
+            break
+        offset = acc - first[length]
+        if offset < count[length]:
+            out.append(code.ordered[start_of[length] + offset])
+            acc = length = 0
+    return np.array(out, dtype=int)
+
+
+def codeword_lengths_leaf_lists(p: np.ndarray) -> np.ndarray:
+    """Huffman merge with deterministic tie-breaking, returning bit lengths."""
+    n = len(p)
+    if n == 1:
+        return np.array([1])
+    # heap entries are (probability, node id); ties go to the older node
+    heap = [(float(p[i]), i) for i in range(n)]
+    heapq.heapify(heap)
+    leaves = [[i] for i in range(n)]  # node id -> the symbols below it
+    lengths = np.zeros(n, dtype=int)
+    while len(heap) > 1:
+        pa, a = heapq.heappop(heap)
+        pb, b = heapq.heappop(heap)
+        merged = leaves[a] + leaves[b]
+        lengths[merged] += 1
+        heapq.heappush(heap, (pa + pb, len(leaves)))
+        leaves.append(merged)
+    return lengths
+
+
+def channel_features(points: np.ndarray, box_side: float) -> np.ndarray:
+    """Top-k reduction of weighted tent evaluations for one channel.
+
+    Each tent evaluates max(0, BANDWIDTH - ||(b, d - b) - center||_inf) and
+    is scaled by persistence^WEIGHT_EXPONENT; a channel with fewer than
+    TOP_K points is padded with zeros.
+    """
+    n = N_BIRTH * N_PERS
+    if len(points) == 0:
+        return np.zeros(TOP_K * n)
+    birth = points[:, 0]
+    pers = points[:, 1] - points[:, 0]
+    # tent centers in (birth, persistence), birth-major
+    b = (np.arange(N_BIRTH) + 0.5) * (box_side / N_BIRTH)
+    p = (np.arange(N_PERS) + 0.5) * (box_side / N_PERS)
+    bb, pp = np.meshgrid(b, p, indexing="ij")
+    centers = np.column_stack([bb.ravel(), pp.ravel()])
+    d_inf = np.maximum(
+        np.abs(birth[:, None] - centers[None, :, 0]),
+        np.abs(pers[:, None] - centers[None, :, 1]),
+    )
+    tents = np.maximum(0.0, BANDWIDTH - d_inf)
+    weighted = (pers ** WEIGHT_EXPONENT)[:, None] * tents
+    if len(points) < TOP_K:
+        weighted = np.vstack([weighted, np.zeros((TOP_K - len(points), n))])
+    # descending sort per tent, keep the k largest
+    top = -np.sort(-weighted, axis=0)[:TOP_K]
+    return top.reshape(-1)
+
+
+def perslay_vectorize_per_degree(diagram: PersistenceDiagram,
+                                 box_side: float) -> np.ndarray:
+    """Permutation-invariant feature vector, degree 0 then degree 1; empty
+    channels map to zeros."""
+    return np.concatenate([
+        channel_features(diagram.points(0), box_side),
+        channel_features(diagram.points(1), box_side),
+    ])
+
+
+def _cells(grid: QuantizerGrid, points, collapse_duplicates: bool):
+    idx = grid.quantize_points(points)
+    return np.unique(idx) if collapse_duplicates else idx
+
+
+def quantize_diagram_per_degree(grid: QuantizerGrid,
+                                diagram: PersistenceDiagram, *,
+                                collapse_duplicates: bool = False
+                                ) -> QuantizedPointSet:
+    """Quantize a diagram's (birth, death) points, degree 0 then degree 1."""
+    parts = [_cells(grid, diagram.points(dim), collapse_duplicates)
+             for dim in (0, 1)]
+    return QuantizedPointSet(indices=np.concatenate(parts),
+                             channel_counts=tuple(len(p) for p in parts))
+
+
+def diagram_from_symbols_via_centers(grid: QuantizerGrid, indices: np.ndarray,
+                                     channel_counts: tuple
+                                     ) -> PersistenceDiagram:
+    """Rebuild a (possibly corrupted) diagram from decoded cell indices.
+
+    Decoded cell centers can land below the diagonal; no class is flagged
+    essential.
+    """
+    idx = np.asarray(indices, dtype=int).ravel()
+    if sum(channel_counts) != len(idx):
+        raise ShapeError(
+            f"channel counts {channel_counts} do not partition {len(idx)} symbols"
+        )
+    centers = grid.centers_of(idx)
+    dims = np.repeat(np.arange(len(channel_counts)),
+                     np.array(channel_counts, dtype=int))
+    return PersistenceDiagram(births=centers[:, 0], deaths=centers[:, 1],
+                              dims=dims,
+                              essential=np.zeros(len(idx), dtype=bool))

@@ -108,6 +108,17 @@ def test_diagram_validation():
     assert pd.births[0] > pd.deaths[0]
 
 
+@pytest.mark.parametrize("dims", [[0.5, 1.9], [0.0, np.nan], [2, 0], [-1, 1]])
+def test_degrees_must_be_zero_or_one(dims):
+    # checked before the int cast, which would turn [0.5, 1.9] into [0, 1]
+    with pytest.raises(ValueError, match="homology degree must be 0 or 1"):
+        PersistenceDiagram(births=np.zeros(2), deaths=np.ones(2), dims=dims,
+                           essential=np.zeros(2, dtype=bool))
+    ok = PersistenceDiagram(births=np.zeros(2), deaths=np.ones(2),
+                            dims=[1.0, 0.0], essential=np.zeros(2, dtype=bool))
+    assert ok.dims.dtype == int and ok.dims.tolist() == [1, 0]
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 10.0, size=(40, 2))

@@ -9,7 +9,11 @@ the lexsorted one, Rips diagrams against the triangle-column reduction,
 the one-pass bottleneck-style distortion against the per-object loop, the
 MLP fit on the columns the training rows fill against the fit over every
 column, the little-endian bit packing against the reversed big-endian one,
-and the BCH payload coder against a block-by-block loop."""
+the BCH payload coder against a block-by-block loop, the codeword-per-step
+Huffman decoder against the per-bit walk, the parent-pointer Huffman
+lengths against the leaf-list merge, the one-pass tent features against
+the per-degree ones, and the one-pass diagram quantizer and rebuild
+against the per-degree quantizer and the rebuild through cell centers."""
 
 import functools
 
@@ -23,25 +27,31 @@ from brute import (bch_decode_blocks, bch_decode_by_products,
                    berlekamp_massey_lists,
                    bits_to_int_reversed, bottleneck_exhaustive,
                    bottleneck_style_distortion_loop, canonical_codewords,
-                   chien_roots_by_products, density_mass_loop,
+                   chien_roots_by_products, codeword_lengths_leaf_lists,
+                   density_mass_loop, diagram_from_symbols_via_centers,
                    filtration_by_lexsort, huffman_decode_bitwalk,
-                   int_to_bits_reversed, persistence_by_triangle_columns,
-                   rasterize_loop, syndromes_by_products,
-                   train_classifier_all_columns)
+                   huffman_decode_per_bit, int_to_bits_reversed,
+                   perslay_vectorize_per_degree,
+                   persistence_by_triangle_columns,
+                   quantize_diagram_per_degree, rasterize_loop,
+                   syndromes_by_products, train_classifier_all_columns)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             bits_to_int, build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode, int_to_bits)
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
+from pdsemcom.codec.huffman import _codeword_lengths
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import (CapacityExceeded, DecodeFailure, EmptyDensity,
                              InconsistentLabel, OutOfBox, ParseError)
 from pdsemcom.harness import decode_payload, encode_payload
-from pdsemcom.homology import (bottleneck_distance, build_vr_filtration,
-                               compute_persistence, load_pd_file, vr_diagram)
-from pdsemcom.inference import Classifier, rasterize_raw, train_classifier
+from pdsemcom.homology import (PersistenceDiagram, bottleneck_distance,
+                               build_vr_filtration, compute_persistence,
+                               load_pd_file, vr_diagram)
+from pdsemcom.inference import (Classifier, perslay_vectorize, rasterize_raw,
+                                train_classifier)
 from pdsemcom.infotheory import bottleneck_style_distortion, estimate_density
-from pdsemcom.quantizer import (QuantizerGrid, load_symbol_stream,
-                                quantize_diagram)
+from pdsemcom.quantizer import (QuantizerGrid, diagram_from_symbols,
+                                load_symbol_stream, quantize_diagram)
 
 # bounded so that the unit tests stay fast; the tmp_path file is rewritten
 # by every example
@@ -223,7 +233,10 @@ def test_training_matches_all_column_fit(case):
 def _huffman_case(draw):
     """(code, symbols from its alphabet) for a random distribution with
     zeros; about one in five has a one-symbol alphabet."""
-    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    # powers of two give codewords longer than the decoder's table
+    power = st.integers(0, 40).map(lambda k: 2.0 ** -k)
+    weights = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0),
+                                      power),
                             min_size=1, max_size=40))
     p = np.array(weights)
     if not np.any(p > 0) or draw(st.integers(0, 4)) == 0:
@@ -285,6 +298,29 @@ def test_huffman_tables_match_bit_walk(case, cap):
         got = huffman_decode(code, bits, max_symbols=max_symbols)
         want = huffman_decode_bitwalk(code, bits, max_symbols=max_symbols)
         assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@PROPERTY
+@given(case=_huffman_stream())
+def test_huffman_codeword_steps_match_per_bit_walk(case):
+    code, bits, n_symbols = case
+    for max_symbols in range(n_symbols + 3):
+        got = huffman_decode(code, bits, max_symbols=max_symbols)
+        want = huffman_decode_per_bit(code, bits, max_symbols=max_symbols)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@PROPERTY
+@given(p=st.one_of(
+    # small integer weights tie often, and ties decide the merge order
+    st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60),
+    st.lists(st.integers(0, 60).map(lambda k: 2.0 ** -k), min_size=1,
+             max_size=60)))
+def test_codeword_lengths_match_leaf_lists(p):
+    p = np.array(p, dtype=float) / np.sum(p)
+    got, want = _codeword_lengths(p), codeword_lengths_leaf_lists(p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @functools.lru_cache(maxsize=None)
@@ -519,3 +555,75 @@ def test_persistence_matches_triangle_columns(points, cap, max_dim, m):
     grid = QuantizerGrid(box_side=16.0, n_bins=m)
     x_bin, y_bin = grid.bins_of(quantize_diagram(grid, got).indices)
     assert np.all(x_bin <= y_bin)
+
+
+@st.composite
+def _degree_diagram(draw, box):
+    """A diagram inside [0, box]^2 with unsorted degrees, 0 or 1 point in a
+    degree as often as more, repeated points, points on the box edges and
+    points below the diagonal."""
+    coord = st.one_of(st.floats(0.0, box), st.sampled_from([0.0, box]),
+                      st.integers(0, 8).map(lambda j: j * box / 8))
+    n = draw(st.integers(0, 9))
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+    pairs = np.array(pairs + pairs[:draw(st.integers(0, 3))],
+                     dtype=float).reshape(-1, 2)
+    dims = draw(st.lists(st.integers(0, 1), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return PersistenceDiagram(births=pairs[:, 0], deaths=pairs[:, 1],
+                              dims=np.array(dims, dtype=int),
+                              essential=np.zeros(len(pairs), dtype=bool))
+
+
+_BOX = st.sampled_from([0.3, 12.0, 16.0])
+
+
+@PROPERTY
+@given(data=st.data(), box=_BOX)
+def test_tent_features_match_per_degree(data, box):
+    diagram = data.draw(_degree_diagram(box))
+    got = perslay_vectorize(diagram, box)
+    want = perslay_vectorize_per_degree(diagram, box)
+    # bytes, so the sign of a zero counts too
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(data=st.data(), box=_BOX, m=st.integers(1, 30),
+       collapse=st.booleans())
+def test_diagram_quantizer_matches_per_degree(data, box, m, collapse):
+    diagram = data.draw(_degree_diagram(box))
+    grid = QuantizerGrid(box_side=box, n_bins=m)
+    got = quantize_diagram(grid, diagram, collapse_duplicates=collapse)
+    want = quantize_diagram_per_degree(grid, diagram,
+                                       collapse_duplicates=collapse)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.channel_counts == want.channel_counts
+    rebuilt = diagram_from_symbols(grid, got.indices, got.channel_counts)
+    via_centers = diagram_from_symbols_via_centers(grid, got.indices,
+                                                   got.channel_counts)
+    for name in ("births", "deaths", "dims", "essential"):
+        a, b = getattr(rebuilt, name), getattr(via_centers, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@PROPERTY
+@given(values=st.lists(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0),
+    st.just(0.0)), min_size=2, max_size=8))
+def test_diagram_checks_match_per_array_checks(values):
+    half = len(values) // 2
+    b, d = np.array(values[:half]), np.array(values[half:2 * half])
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(d))):
+        want = "diagram coordinates must be finite"
+    elif np.any(b < 0) or np.any(d < 0):
+        want = "diagram coordinates must be nonnegative"
+    else:
+        want = None
+    try:
+        PersistenceDiagram(births=b, deaths=d, dims=np.zeros(half, dtype=int),
+                           essential=np.zeros(half, dtype=bool))
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    assert got == want

@@ -54,6 +54,28 @@ def test_corrupt_symbol_detected():
         grid.centers_of(np.array([17]))
 
 
+@pytest.mark.parametrize("bad", [16.5, 0.5, 3.7, np.nan, np.inf, 1e30])
+def test_fractional_cell_index_is_corrupt(bad):
+    # checked before the int cast, which would read 16.5 as cell 16
+    grid = QuantizerGrid(box_side=16.0, n_bins=4)
+    with pytest.raises(CorruptSymbol):
+        grid.bins_of(np.array([1.0, bad]))
+    with pytest.raises(CorruptSymbol):
+        grid.centers_of([bad])
+    with pytest.raises(CorruptSymbol):
+        diagram_from_symbols(grid, [1.5, bad], (1, 1))
+    # whole numbers of any dtype are cells
+    assert np.array_equal(grid.centers_of([16.0, 1]), grid.centers_of([16, 1]))
+
+
+def test_bin_rule_is_floor_of_the_cell_ratio():
+    # the rule is floor(x / delta) clipped to m - 1, so a coordinate
+    # computed as k * delta can round into bin k - 1
+    grid = QuantizerGrid(box_side=10.0, n_bins=36)
+    x = 31 * grid.cell_width
+    assert grid.quantize_points([[x, 10.0]]).tolist() == [30 * 36 + 35 + 1]
+
+
 def test_clean_diagram_occupies_upper_triangle_only():
     grid = QuantizerGrid(box_side=16.0, n_bins=6)
     pts = np.random.default_rng(4).uniform(2.0, 10.0, size=(20, 2))
