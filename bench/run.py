@@ -1,17 +1,19 @@
 """Measure this checkout and write the next free BENCH_<n>.json at its root.
 
-    OPENBLAS_NUM_THREADS=1 python3 bench/run.py
+    python3 bench/run.py
 
-The file records the machine, the tier-1 suite's wall time with its ten
-slowest entries, the default sweep's wall time and the SHA-256 of its
-results and folds files, the criterion-11 coded sweep's wall time, and the
-per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
-benchmark workloads. Each step runs in a fresh interpreter, one at a time,
-with pdsemcom imported from this checkout's src/. Wall times are plain
-wall seconds, not the sweep benchmark's reference seconds, so compare only
-files measured on the same machine. Nothing is written if a sweep fails;
-a failing tier-1 run is recorded with its counts. It takes about five
-minutes on a 2-core machine.
+Every step runs in a fresh interpreter, one at a time, with pdsemcom
+imported from this checkout's src/ and OPENBLAS_NUM_THREADS=1 set for it:
+the classifier's matrix products are small, so a second OpenBLAS thread
+only spins (43.1 s of CPU against 26.3 s for one default sweep). The file
+records the machine, the tier-1 suite's wall time with its ten slowest
+entries, the default sweep's wall time and the SHA-256 of its results and
+folds files, the criterion-11 coded sweep's wall time, and the per-layer
+medians of `sweepbench/run.py --trace 1 --seed 1` on both benchmark
+workloads. Wall times are plain wall seconds, not the sweep benchmark's
+reference seconds, so compare only files measured on the same machine.
+Nothing is written if a sweep fails; a failing tier-1 run is recorded with
+its counts. It takes about five minutes on a 2-core machine.
 """
 
 import hashlib
@@ -35,13 +37,14 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
 CRITERION_11 = ("pipelines = pd\nm_values = 10\nalphas = 0, 0.12\n"
                 "codes = 1023:123:170\n")
 TRACE_SECONDS = 50
+BLAS_THREADS = "1"
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", re.M)
 OUTCOME = re.compile(r"(\d+) (passed|failed|errors?|skipped|deselected|"
                      r"xfailed|xpassed)")
 
 
 def _env():
-    env = dict(os.environ)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=BLAS_THREADS)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     return env
@@ -74,7 +77,7 @@ def machine() -> dict:
     return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "blas": blas,
-            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS")}
+            "OPENBLAS_NUM_THREADS": BLAS_THREADS}
 
 
 def src_sha256() -> str:

@@ -9,14 +9,15 @@ distortion measures as m moves through the sweep range.
 
 import numpy as np
 
-from pdsemcom import (QuantizerGrid, bottleneck_style_distortion,
-                      cell_probabilities, estimate_density, mse_distortion,
-                      quantize_diagram, quantizer_entropy, semantic_rate,
-                      synth_dataset, upper_triangle_cells, vr_diagram)
+from pdsemcom import (EmpiricalDensity, QuantizerGrid,
+                      bottleneck_style_distortion, cell_probabilities,
+                      estimate_density, mse_distortion, quantize_diagram,
+                      quantizer_entropy, semantic_rate, synth_dataset,
+                      upper_triangle_cells, vr_diagram)
 
 dataset = synth_dataset(per_class=30, n_points=48, noise=0.2, seed=7)
 diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in dataset.objects]
-pd_points = [np.vstack([d.points(0), d.points(1)]) for d in diagrams]
+pd_points = [d.points() for d in diagrams]
 raw_points = [o.points for o in dataset.objects]
 
 # densities live on a fixed 28-cell partition per axis; the projection onto
@@ -49,16 +50,15 @@ for m in (10, 13, 18, 22, 27):
     r_raw = semantic_rate(quantizer_entropy(p_raw), "raw", m, n_raw)
     mse = mse_distortion(pd_density, gpd)
     bn = bottleneck_style_distortion(pd_points, gpd)
+    if m == 10:
+        ratio = (r_raw.self_information_bits_per_object
+                 / r_pd.self_information_bits_per_object)
     print(f"{m:>3} {r_pd.entropy_bits_per_symbol:>6.3f} "
           f"{r_pd.self_information_bits_per_object:>8.2f} "
           f"{r_raw.entropy_bits_per_symbol:>6.3f} "
           f"{r_raw.self_information_bits_per_object:>8.2f} "
           f"{mse:>8.4f} {bn:>7.4f}")
 
-ratio = (semantic_rate(quantizer_entropy(cell_probabilities(raw_density, QuantizerGrid(28.0, 10))), "raw", 10,
-                       float(np.mean([len(p) for p in raw_points]))).self_information_bits_per_object /
-         semantic_rate(quantizer_entropy(cell_probabilities(pd_density, QuantizerGrid(16.0, 10))), "pd", 10,
-                       float(np.mean([len(p) for p in pd_points]))).self_information_bits_per_object)
 print()
 print(f"at m=10 the diagram costs {ratio:.1f}x fewer bits per object than "
       f"the raw cloud")
@@ -67,7 +67,6 @@ print(f"at m=10 the diagram costs {ratio:.1f}x fewer bits per object than "
 # log2(m^2) exactly and the mean squared error is cell_width^2 / 6
 m = 16
 grid = QuantizerGrid(box_side=16.0, n_bins=m)
-from pdsemcom import EmpiricalDensity
 flat = EmpiricalDensity(box_side=16.0, partition=28,
                         mass=np.full((28, 28), 1.0 / 784))
 p = cell_probabilities(flat, grid)

@@ -18,7 +18,7 @@ from pdsemcom.harness import decode_payload, encode_payload, symbol_error_rate
 
 dataset = synth_dataset(per_class=20, n_points=48, noise=0.2, seed=7)
 diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in dataset.objects]
-pd_points = [np.vstack([d.points(0), d.points(1)]) for d in diagrams]
+pd_points = [d.points() for d in diagrams]
 
 m = 10
 grid = QuantizerGrid(box_side=16.0, n_bins=m)

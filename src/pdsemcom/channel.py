@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec.bitstream import BitStream, as_bits
+from .errors import substream
 
 
 @dataclass(frozen=True)
@@ -29,16 +30,11 @@ class BscChannel:
             )
 
 
-def _substream(channel: BscChannel, key: tuple) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=channel.seed, spawn_key=tuple(key))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 def flip_mask(channel: BscChannel, n_bits: int, key: tuple = ()) -> np.ndarray:
     """Deterministic Bernoulli(alpha) mask for the given substream key."""
     if channel.alpha == 0.0:
         return np.zeros(n_bits, dtype=np.uint8)
-    rng = _substream(channel, key)
+    rng = substream(channel.seed, *key)
     return (rng.random(n_bits) < channel.alpha).astype(np.uint8)
 
 

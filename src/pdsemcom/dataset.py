@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
-                     one_of, read_table)
+                     one_of, read_table, substream)
 
 RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
@@ -112,12 +112,6 @@ def write_pointcloud_file(path, dataset: LabeledDataset) -> None:
                 writer.writerow([obj.id, f"{x:.9g}", f"{y:.9g}", obj.label])
 
 
-def _rng_for(seed: int, *key: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key))
-    )
-
-
 def synth_loops(class_id: int, n_points: int = 36, noise: float = 0.25,
                 seed: int = 0, object_id: int = 0) -> PointCloud:
     """Generate one labeled shape inside [0, 28]^2.
@@ -133,7 +127,7 @@ def synth_loops(class_id: int, n_points: int = 36, noise: float = 0.25,
         raise ValueError("n_points must be at least 8")
     if noise < 0:
         raise ValueError("noise must be nonnegative")
-    rng = _rng_for(seed, class_id, object_id)
+    rng = substream(seed, class_id, object_id)
     center = np.array([14.0, 14.0]) + rng.uniform(-1.5, 1.5, size=2)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     rot = np.array([[np.cos(theta), -np.sin(theta)],

@@ -1,6 +1,6 @@
 """Exception types shared across the pipeline, the CSV table reader
-whose every complaint is a ParseError, and the input checks whose every
-complaint is a ValueError."""
+whose every complaint is a ParseError, the input checks whose every
+complaint is a ValueError, and the one seeded substream generator."""
 
 import csv
 
@@ -89,6 +89,13 @@ def probability_vector(p, tol: float = 1e-9) -> np.ndarray:
     if abs(total - 1.0) > tol:
         raise ValueError(f"probabilities sum to {total}, expected 1")
     return p
+
+
+def substream(seed: int, *key) -> np.random.Generator:
+    """The Philox generator of substream `key` under `seed`: the same draws
+    for the same (seed, key), whatever else was drawn before."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 class InconsistentLabel(PipelineError):

@@ -393,16 +393,19 @@ class _SweepContext:
         self.object_ids = np.array([o.id for o in self.dataset.objects])
         self.schedule = CvSchedule(n_objects=n, T=config.T,
                                    seed=config.cv_seed)
-        # every index that ever lands in a test fold, plus its multiplicity
+        # every index that ever lands in a test fold, plus its multiplicity,
+        # and its positions in unique_test (row t: fold t's test set)
         self.test_multiset = np.concatenate(
             [test for _, test in self.schedule.folds])
-        self.unique_test = np.unique(self.test_multiset)
+        self.unique_test, test_pos = np.unique(self.test_multiset,
+                                               return_inverse=True)
+        self.test_pos = test_pos.reshape(config.T, -1)
 
 
-# Stage 2: one pipeline's clean diagrams (pd only), points, density and T
-# fold classifiers
+# Stage 2: one pipeline's clean sources (the diagrams for pd, the points
+# otherwise), points, density and T fold classifiers
 _PipelineState = namedtuple("_PipelineState",
-                            "diagrams points density classifiers")
+                            "sources points density classifiers")
 
 
 def _latent_points(ctx):
@@ -411,8 +414,7 @@ def _latent_points(ctx):
     if missing:
         raise ValueError(f"latent file lacks object {missing[0]} (and "
                          f"{len(missing) - 1} more)")
-    raw = [np.vstack([entries[oid].points(0), entries[oid].points(1)])
-           for oid in ctx.object_ids]
+    raw = [entries[oid].points() for oid in ctx.object_ids]
     counts = {len(p) for p in raw}
     if len(counts) != 1:
         raise ValueError(
@@ -420,24 +422,31 @@ def _latent_points(ctx):
     return _normalize_latents(raw, ctx.config.box_latent)
 
 
+def _vectorize(cfg, pipeline: str, source, width: int) -> np.ndarray:
+    """Features of a clean or received source: a diagram's tents, a raw
+    set's raster, or a latent set cut or zero-padded to `width` points."""
+    if pipeline == "pd":
+        return perslay_vectorize(source, cfg.box_pd)
+    if pipeline == "raw":
+        return rasterize_raw(source, box_side=cfg.box_raw)
+    padded = np.zeros((width, 2))
+    padded[:min(width, len(source))] = source[:width]
+    return padded.ravel()
+
+
 def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
     cfg = ctx.config
-    diagrams = None
     if pipeline == "pd":
-        diagrams = []
+        sources = []
         for obj in ctx.dataset.objects:
             d = vr_diagram(obj.points, gamma_max=cfg.gamma_max)
-            diagrams.append(d.drop_essential() if cfg.drop_essential else d)
-        points = [np.vstack([d.points(0), d.points(1)]) for d in diagrams]
-        features = np.array([perslay_vectorize(d, cfg.box_pd)
-                             for d in diagrams])
-    elif pipeline == "raw":
-        points = [o.points for o in ctx.dataset.objects]
-        features = np.array([rasterize_raw(o.points, box_side=cfg.box_raw)
-                             for o in ctx.dataset.objects])
+            sources.append(d.drop_essential() if cfg.drop_essential else d)
+        points = [d.points() for d in sources]
     else:
-        points = _latent_points(ctx)
-        features = np.array([p.ravel() for p in points])
+        points = sources = (_latent_points(ctx) if pipeline == "latent"
+                            else [o.points for o in ctx.dataset.objects])
+    features = np.array([_vectorize(cfg, pipeline, s, len(p))
+                         for s, p in zip(sources, points)])
     density = estimate_density([points[i] for i in ctx.test_multiset],
                                box_side=cfg.box_for(pipeline),
                                partition=cfg.partition)
@@ -450,7 +459,7 @@ def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
         classifiers.append(train_classifier(
             features[train], ctx.labels[train], hidden_sizes=cfg.hidden,
             epochs=cfg.epochs, seed=fold_seed))
-    return _PipelineState(diagrams=diagrams, points=points, density=density,
+    return _PipelineState(sources=sources, points=points, density=density,
                           classifiers=classifiers)
 
 
@@ -504,12 +513,13 @@ def symbol_error_rate(sent, decoded) -> float:
 
 
 def _test_mean(ctx, per_object) -> float:
-    """Mean of {object index: value} over every test fold's objects."""
-    return float(np.mean([per_object[i] for i in ctx.test_multiset]))
+    """Mean over every test fold's objects of per-object values given in
+    unique_test order."""
+    return float(np.mean(np.asarray(per_object)[ctx.test_pos]))
 
 
-# Stage 4: what every cell of one (pipeline, m) group shares; `shared` holds
-# the record fields that no channel or classifier changes
+# Stage 4: what every cell of one (pipeline, m) group shares, per object in
+# unique_test order; `shared` holds the fields no channel or classifier sets
 _CellPrep = namedtuple("_CellPrep", "grid streams bitstream huffman shared")
 
 
@@ -518,29 +528,23 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
     grid = QuantizerGrid(box_side=cfg.box_for(pipeline), n_bins=m)
     probs = cell_probabilities(state.density, grid)
     huffman = build_huffman(probs)
-    streams, payloads = {}, []
-    for i in ctx.unique_test:
-        if pipeline == "pd":
-            q = quantize_diagram(grid, state.diagrams[i],
-                                 collapse_duplicates=cfg.collapse_duplicates)
-        else:
-            q = quantize_set(grid, state.points[i],
-                             collapse_duplicates=cfg.collapse_duplicates)
-        streams[i] = q
-        payloads.append((int(ctx.object_ids[i]),
-                         huffman_encode(huffman, q.indices), q.channel_counts))
+    quantize = quantize_diagram if pipeline == "pd" else quantize_set
+    streams = [quantize(grid, state.sources[i],
+                        collapse_duplicates=cfg.collapse_duplicates)
+               for i in ctx.unique_test]
     # framed once for every cell of the group, so a payload or symbol count
     # too large for its frame field fails the whole group here
-    bitstream = pack_objects(payloads)
-    mean_symbols = _test_mean(ctx, {i: len(q) for i, q in streams.items()})
+    bitstream = pack_objects(
+        (int(ctx.object_ids[i]), huffman_encode(huffman, q.indices),
+         q.channel_counts) for i, q in zip(ctx.unique_test, streams))
+    mean_symbols = _test_mean(ctx, [len(q) for q in streams])
     rate = semantic_rate(quantizer_entropy(probs), pipeline, m, mean_symbols)
     shared = dict(
         entropy_bits=rate.entropy_bits_per_symbol,
         mean_symbols=rate.mean_symbols_per_object,
         rate_cells=rate.rate_bits_per_object,
         rate_selfinfo=rate.self_information_bits_per_object,
-        huffman_bits=_test_mean(ctx, {i: f.n_bits for i, f in zip(
-            ctx.unique_test, bitstream.frames)}),
+        huffman_bits=_test_mean(ctx, [f.n_bits for f in bitstream.frames]),
         avg_codeword_len=huffman.expected_length(probs),
         mse=mse_distortion(state.density, grid),
         bottleneck=bottleneck_style_distortion(
@@ -549,70 +553,62 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
                      huffman=huffman, shared=shared)
 
 
-def _send_uncoded(ctx, prep, channel):
-    """-> ({i: received payload bits}, {i: wire bits}, decoder failures)."""
+def _send_uncoded(prep, channel):
+    """-> (payloads, wire bits, failures); lists in unique_test order."""
     sent = transmit(channel, prep.bitstream)
-    received, wire = {}, {}
-    for i, (frame, payload) in zip(ctx.unique_test, sent.payloads()):
-        received[i] = payload
-        wire[i] = frame.n_bits + frame.overhead_bits
-    return received, wire, 0
+    wire = [frame.n_bits + frame.overhead_bits for frame in sent.frames]
+    return [payload for _, payload in sent.payloads()], wire, 0
 
 
-def _send_coded(ctx, prep, channel, code):
+def _send_coded(prep, channel, code):
     """_send_uncoded with each payload BCH-coded, padded to whole blocks."""
-    received, wire = {}, {}
+    received, wire = [], []
     failures = 0
-    for i, (frame, payload) in zip(ctx.unique_test, prep.bitstream.payloads()):
-        received[i], wire[i] = payload, frame.overhead_bits
-        if len(payload) == 0:
-            continue
-        words = encode_payload(code, payload)
-        noisy = transmit_bits(channel, words, key=(frame.object_id,))
-        message, failed = decode_payload(code, noisy)
-        received[i] = message[:len(payload)]
-        wire[i] += len(words)
-        failures += failed
+    for frame, payload in prep.bitstream.payloads():
+        wire.append(frame.overhead_bits)
+        if len(payload):
+            words = encode_payload(code, payload)
+            noisy = transmit_bits(channel, words, key=(frame.object_id,))
+            message, failed = decode_payload(code, noisy)
+            payload = message[:len(payload)]
+            wire[-1] += len(words)
+            failures += failed
+        received.append(payload)
     return received, wire, failures
 
 
-def _features(ctx, state, prep, pipeline, i, symbols):
+def _features(cfg, prep, pipeline, stream, symbols, width):
+    """Received features of one object whose `stream` decoded to `symbols`."""
     if pipeline == "pd":
-        c0 = min(prep.streams[i].channel_counts[0], len(symbols))
+        c0 = min(stream.channel_counts[0], len(symbols))
         # imported at call time: sweepbench/spans.py wraps it in quantizer
         from .quantizer import diagram_from_symbols
-        diag = diagram_from_symbols(prep.grid, symbols,
-                                    (c0, len(symbols) - c0))
-        return perslay_vectorize(diag, ctx.config.box_pd)
-    centers = prep.grid.centers_of(symbols)
-    if pipeline == "raw":
-        return rasterize_raw(centers, box_side=ctx.config.box_raw)
-    want = len(state.points[i])
-    padded = np.zeros((want, 2))
-    padded[:min(want, len(centers))] = centers[:want]
-    return padded.ravel()
+        source = diagram_from_symbols(prep.grid, symbols,
+                                      (c0, len(symbols) - c0))
+    else:
+        source = prep.grid.centers_of(symbols)
+    return _vectorize(cfg, pipeline, source, width)
 
 
 def _run_cell(ctx, state, prep, pipeline, m, alpha, label, code):
     channel = BscChannel(alpha=alpha, seed=ctx.config.channel_seed)
     if code is None:
-        received, wire, failures = _send_uncoded(ctx, prep, channel)
+        received, wire, failures = _send_uncoded(prep, channel)
     else:
-        received, wire, failures = _send_coded(ctx, prep, channel, code)
+        received, wire, failures = _send_coded(prep, channel, code)
     # the receiver, the same for coded and uncoded cells; decoding every
     # object before the numpy work runs faster than interleaving the two
-    decoded = {i: huffman_decode(prep.huffman, received[i],
-                                 max_symbols=len(prep.streams[i]))
-               for i in ctx.unique_test}
-    feats, symbol_errors = {}, {}
-    for i, symbols in decoded.items():
-        symbol_errors[i] = symbol_error_rate(prep.streams[i].indices, symbols)
-        feats[i] = _features(ctx, state, prep, pipeline, i, symbols)
-    fold_accs = []
-    for t, (_, test) in enumerate(ctx.schedule.folds):
-        X = np.stack([feats[i] for i in test])
-        fold_accs.append(evaluate_accuracy(state.classifiers[t],
-                                           X, ctx.labels[test]))
+    decoded = [huffman_decode(prep.huffman, bits, max_symbols=len(q))
+               for bits, q in zip(received, prep.streams)]
+    feats, symbol_errors = [], []
+    for i, q, symbols in zip(ctx.unique_test, prep.streams, decoded):
+        symbol_errors.append(symbol_error_rate(q.indices, symbols))
+        feats.append(_features(ctx.config, prep, pipeline, q, symbols,
+                               len(state.points[i])))
+    feats = np.array(feats)
+    fold_accs = [evaluate_accuracy(net, feats[pos], ctx.labels[test])
+                 for net, pos, (_, test) in zip(
+                     state.classifiers, ctx.test_pos, ctx.schedule.folds)]
     report = AccuracyReport(fold_accs)
     record = TradeoffRecord(
         pipeline=pipeline, m=m, alpha=alpha, code=label, status="ok",

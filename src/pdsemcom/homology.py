@@ -117,7 +117,7 @@ class PersistenceDiagram:
         b = np.asarray(self.births, dtype=float).ravel()
         d = np.asarray(self.deaths, dtype=float).ravel()
         dm = np.asarray(self.dims).ravel()
-        es = np.asarray(self.essential, dtype=bool).ravel()
+        es = np.asarray(self.essential).ravel()
         if not (len(b) == len(d) == len(dm) == len(es)):
             raise ShapeError("birth/death/dim/essential lengths differ")
         # over both arrays and 0, so an empty diagram passes; a NaN makes
@@ -132,6 +132,10 @@ class PersistenceDiagram:
         if not ((dm == 0) | (dm == 1)).all():
             raise ValueError("homology degree must be 0 or 1")
         dm = dm.astype(int, copy=False)
+        # likewise: the bool cast would turn 0.5 into True
+        if es.dtype != bool and not ((es == 0) | (es == 1)).all():
+            raise ValueError("essential flags must be 0 or 1")
+        es = es.astype(bool, copy=False)
         for name, arr in (("births", b), ("deaths", d), ("dims", dm),
                           ("essential", es)):
             arr.setflags(write=False)
@@ -141,9 +145,10 @@ class PersistenceDiagram:
         return len(self.births)
 
     def points(self, dim: int | None = None) -> np.ndarray:
-        """(n, 2) array of (birth, death) rows, optionally one degree only."""
-        mask = slice(None) if dim is None else self.dims == dim
-        return np.column_stack([self.births[mask], self.deaths[mask]])
+        """(n, 2) array of (birth, death) rows of degree `dim`, or of degree
+        0 then degree 1 (each in diagram order) if `dim` is None."""
+        rows = self.degree_order()[0] if dim is None else self.dims == dim
+        return np.column_stack([self.births[rows], self.deaths[rows]])
 
     def degree_order(self) -> tuple:
         """(order, n0): the indices of the degree-0 points then of the

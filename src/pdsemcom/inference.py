@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, TrainingDiverged
+from .errors import ParseError, ShapeError, TrainingDiverged, substream
 from .homology import PersistenceDiagram
 from .quantizer import QuantizerGrid
 
@@ -113,30 +113,32 @@ class Classifier:
     """Fully connected ReLU network with a softmax head."""
 
     def __init__(self, layer_sizes, seed: int = 0):
-        self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        if len(self.layer_sizes) < 2:
+        sizes = tuple(int(s) for s in layer_sizes)
+        if len(sizes) < 2:
             raise ValueError("need at least input and output layers")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed))
-        )
+        rng = substream(seed)
         self.weights = []
         self.biases = []
-        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
             self.biases.append(np.zeros(fan_out))
         self.step = 0
         self.loss_history = []
 
+    @property
+    def layer_sizes(self) -> tuple:
+        """Input width, then each layer's output width."""
+        return (self.weights[0].shape[0], *(W.shape[1] for W in self.weights))
+
     def forward(self, X: np.ndarray):
         """-> (probabilities, per-layer activations for backprop)."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if X.shape[1] != self.layer_sizes[0]:
-            raise ShapeError(
-                f"expected {self.layer_sizes[0]} features, got {X.shape[1]}"
-            )
+        if X.shape[1] != len(self.weights[0]):
+            raise ShapeError(f"expected {len(self.weights[0])} features, "
+                             f"got {X.shape[1]}")
         activations = [X]
         h = X
         for i, (W, b) in enumerate(zip(self.weights, self.biases)):
@@ -199,8 +201,7 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     # drawn at full width, so the kept columns do not change the draw; the
     # fit then runs on a network narrowed to the kept columns
     keep = np.flatnonzero(np.any(X != 0, axis=0))
-    full_sizes, W0 = net.layer_sizes, net.weights[0]
-    net.layer_sizes = (len(keep), *full_sizes[1:])
+    W0 = net.weights[0]
     net.weights[0] = W0[keep]
     X = X[:, keep]
     # weights then biases; parameters, moments and the bias-corrected
@@ -238,7 +239,6 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
                                step=net.step)
     W0[keep] = net.weights[0]
     net.weights[0] = W0
-    net.layer_sizes = full_sizes
     return net
 
 
@@ -292,10 +292,7 @@ class CvSchedule:
         half = self.n_objects // 2
         folds = []
         for t in range(self.T):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(entropy=self.seed, spawn_key=(t,))
-            ))
-            perm = rng.permutation(self.n_objects)
+            perm = substream(self.seed, t).permutation(self.n_objects)
             train = np.sort(perm[:half])
             test = np.sort(perm[half:])
             train.setflags(write=False)

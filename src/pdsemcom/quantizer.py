@@ -103,7 +103,12 @@ class QuantizedPointSet:
     channel_counts: tuple = ()
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=int).ravel()
+        idx = np.asarray(self.indices).ravel()
+        # checked before the int cast, which would truncate 1.5 and wrap 1e30
+        if idx.dtype.kind not in "iu" and not (
+                (idx == np.trunc(idx)) & (np.abs(idx) < 2.0 ** 63)).all():
+            raise CorruptSymbol("cell indices must be whole 64-bit numbers")
+        idx = idx.astype(int, copy=False)
         if not self.channel_counts:
             object.__setattr__(self, "channel_counts", (len(idx),))
         if sum(self.channel_counts) != len(idx):
@@ -134,9 +139,8 @@ def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
                      collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a diagram's (birth, death) points, degree 0 then degree 1,
     each degree in diagram order; collapsing applies to each degree."""
-    order, n0 = diagram.degree_order()
-    idx = grid.quantize_points(
-        np.array((diagram.births[order], diagram.deaths[order])).T)
+    n0 = diagram.count(0)
+    idx = grid.quantize_points(diagram.points())
     parts = (idx[:n0], idx[n0:])
     if collapse_duplicates:
         parts = tuple(np.unique(p) for p in parts)

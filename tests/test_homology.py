@@ -119,6 +119,18 @@ def test_degrees_must_be_zero_or_one(dims):
     assert ok.dims.dtype == int and ok.dims.tolist() == [1, 0]
 
 
+@pytest.mark.parametrize("flags", [[0.5, 2], [0, np.nan], [-1, 1]])
+def test_essential_flags_must_be_zero_or_one(flags):
+    # checked before the bool cast, which would turn [0.5, 2] into True
+    with pytest.raises(ValueError, match="essential flags must be 0 or 1"):
+        PersistenceDiagram(births=np.zeros(2), deaths=np.ones(2),
+                           dims=[0, 1], essential=flags)
+    ok = PersistenceDiagram(births=np.zeros(2), deaths=np.ones(2),
+                            dims=[0, 1], essential=[1.0, 0])
+    assert ok.essential.dtype == bool
+    assert ok.essential.tolist() == [True, False]
+
+
 def test_determinism():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.0, 10.0, size=(40, 2))
@@ -180,6 +192,15 @@ def test_pd_file_round_trip(tmp_path):
         assert np.allclose(got.deaths, pd.deaths, atol=1e-7)
         assert np.array_equal(got.dims, pd.dims)
         assert pd.essential.any() and not got.essential.any()
+    # rows that interleave degrees load in file order; points() gives the
+    # degree-0 rows, then the degree-1 rows
+    path.write_text("object,dim,birth,death\n"
+                    "7,1,1,3\n7,0,0,2\n7,1,2,5\n7,0,0,4\n")
+    mixed = load_pd_file(path)[7]
+    assert mixed.dims.tolist() == [1, 0, 1, 0]
+    assert mixed.points().tolist() == [[0, 2], [0, 4], [1, 3], [2, 5]]
+    assert np.array_equal(mixed.points(),
+                          np.vstack([mixed.points(0), mixed.points(1)]))
 
 
 def test_pd_file_keeps_pairs_that_die_at_the_cap(tmp_path):

@@ -110,6 +110,15 @@ def test_diagram_from_symbols_handles_corruption():
         diagram_from_symbols(grid, np.array([1, 2, 3]), (1, 1))
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.7, np.nan, np.inf, 1e30])
+def test_point_set_rejects_fractional_indices(bad):
+    # checked before the int cast, which would hold [1.5, 2.7] as [1, 2]
+    with pytest.raises(CorruptSymbol, match="must be whole 64-bit numbers"):
+        QuantizedPointSet(indices=[1.0, bad])
+    q = QuantizedPointSet(indices=[1.0, 2.0])
+    assert q.indices.dtype == int and q.indices.tolist() == [1, 2]
+
+
 def test_channel_counts_must_partition():
     grid = QuantizerGrid(box_side=16.0, n_bins=4)
     with pytest.raises(ShapeError):
