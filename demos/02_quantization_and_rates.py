@@ -15,10 +15,10 @@ from pdsemcom import (EmpiricalDensity, QuantizerGrid,
                       quantizer_entropy, semantic_rate, synth_dataset,
                       upper_triangle_cells, vr_diagram)
 
-dataset = synth_dataset(per_class=30, n_points=48, noise=0.2, seed=7)
-diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in dataset.objects]
+clouds = synth_dataset(per_class=30, n_points=48, noise=0.2, seed=7)
+diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in clouds]
 pd_points = [d.points() for d in diagrams]
-raw_points = [o.points for o in dataset.objects]
+raw_points = [o.points for o in clouds]
 
 # densities live on a fixed 28-cell partition per axis; the projection onto
 # each m-grid reuses the same histogram, so the density is estimated once

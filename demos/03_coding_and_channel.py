@@ -16,8 +16,8 @@ from pdsemcom import (BscChannel, QuantizerGrid, bch_generator,
                       synth_dataset, transmit_bits, vr_diagram)
 from pdsemcom.harness import decode_payload, encode_payload, symbol_error_rate
 
-dataset = synth_dataset(per_class=20, n_points=48, noise=0.2, seed=7)
-diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in dataset.objects]
+clouds = synth_dataset(per_class=20, n_points=48, noise=0.2, seed=7)
+diagrams = [vr_diagram(o.points, gamma_max=16.0) for o in clouds]
 pd_points = [d.points() for d in diagrams]
 
 m = 10

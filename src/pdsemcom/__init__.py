@@ -15,9 +15,9 @@ from .codec import (BchCode, BitStream, Frame, GaloisField, HuffmanCode,
                     build_huffman, coded_rate, decode_or_passthrough,
                     huffman_decode, huffman_encode, int_to_bits,
                     load_code_table, pack_objects, select_compatible_codes)
-from .dataset import (LabeledDataset, PointCloud, load_grid_file,
-                      load_pointcloud_file, synth_dataset, synth_loops,
-                      threshold_grid, write_pointcloud_file)
+from .dataset import (PointCloud, load_grid_file, load_pointcloud_file,
+                      synth_dataset, synth_loops, threshold_grid,
+                      write_pointcloud_file)
 from .errors import (BudgetExceeded, CapacityExceeded, CorruptSymbol,
                      DecodeFailure, EmptyDensity, EmptyObject,
                      InconsistentLabel, OutOfBox, ParseError, PipelineError,

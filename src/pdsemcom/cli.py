@@ -14,11 +14,13 @@ import numpy as np
 
 from .channel import BscChannel, transmit_bits
 from .codec import as_bits, build_huffman, load_code_table
-from .dataset import (LabeledDataset, load_grid_file, load_pointcloud_file,
-                      synth_dataset, threshold_grid, write_pointcloud_file)
-from .harness import (CURVE_KINDS, build_bch, decode_payload, emit_curves,
-                      encode_payload, load_config, read_results, run_sweep)
-from .homology import vr_diagram, write_pd_file
+from .dataset import (load_grid_file, load_pointcloud_file, synth_dataset,
+                      threshold_grid, write_pointcloud_file)
+from .harness import (CURVE_KINDS, ExperimentConfig, build_bch, decode_payload,
+                      emit_curves, encode_payload, load_config, read_results,
+                      run_sweep)
+from .homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET, vr_diagram,
+                       write_pd_file)
 from .infotheory import quantizer_entropy
 
 
@@ -35,10 +37,10 @@ def _write_bits(path, bits) -> None:
 
 
 def _cmd_dataset_synth(args) -> int:
-    ds = synth_dataset(per_class=args.per_class, n_points=args.n_points,
-                       noise=args.noise, seed=args.seed)
-    write_pointcloud_file(args.out, ds)
-    print(f"wrote {len(ds.objects)} objects to {args.out}")
+    clouds = synth_dataset(per_class=args.per_class, n_points=args.n_points,
+                           noise=args.noise, seed=args.seed)
+    write_pointcloud_file(args.out, clouds)
+    print(f"wrote {len(clouds)} objects to {args.out}")
     return 0
 
 
@@ -46,15 +48,14 @@ def _cmd_dataset_from_grid(args) -> int:
     grids, labels = load_grid_file(getattr(args, "in"))
     clouds = [threshold_grid(grid, args.threshold, label, object_id=i)
               for i, (grid, label) in enumerate(zip(grids, labels), start=1)]
-    write_pointcloud_file(args.out, LabeledDataset(objects=clouds))
+    write_pointcloud_file(args.out, clouds)
     print(f"wrote {len(clouds)} objects to {args.out}")
     return 0
 
 
 def _cmd_pd_compute(args) -> int:
-    ds = load_pointcloud_file(getattr(args, "in"))
     entries = {}
-    for obj in ds.objects:
+    for obj in load_pointcloud_file(getattr(args, "in")):
         d = vr_diagram(obj.points, gamma_max=args.gamma_max,
                        max_dim=args.max_dim, budget=args.budget)
         entries[obj.id] = d.drop_essential() if args.drop_essential else d
@@ -136,10 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     ds = sub.add_parser("dataset", help="generate or convert point clouds")
     ds_sub = ds.add_subparsers(dest="subcommand", required=True)
     synth = ds_sub.add_parser("synth", help="seeded 3-class loop generator")
-    synth.add_argument("--per-class", type=int, default=200)
-    synth.add_argument("--n-points", type=int, default=48)
-    synth.add_argument("--noise", type=float, default=0.2)
-    synth.add_argument("--seed", type=int, default=7)
+    cfg = ExperimentConfig()  # the sweep's dataset settings
+    synth.add_argument("--per-class", type=int, default=cfg.per_class)
+    synth.add_argument("--n-points", type=int, default=cfg.n_points)
+    synth.add_argument("--noise", type=float, default=cfg.noise)
+    synth.add_argument("--seed", type=int, default=cfg.dataset_seed)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=_cmd_dataset_synth)
     fg = ds_sub.add_parser("from-grid",
@@ -154,10 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     comp = pd_sub.add_parser("compute", help="diagrams for every object")
     comp.add_argument("--in", required=True)
     comp.add_argument("--out", required=True)
-    comp.add_argument("--gamma-max", type=float, default=16.0)
+    comp.add_argument("--gamma-max", type=float, default=DEFAULT_GAMMA_MAX)
     comp.add_argument("--max-dim", type=int, default=2, choices=(1, 2))
     comp.add_argument("--drop-essential", action="store_true")
-    comp.add_argument("--budget", type=int, default=2_000_000)
+    comp.add_argument("--budget", type=int, default=DEFAULT_SIMPLEX_BUDGET)
     comp.set_defaults(func=_cmd_pd_compute)
 
     code = sub.add_parser("code", help="source and channel codes")

@@ -8,16 +8,16 @@ no loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
-                     one_of, read_table, substream)
+                     one_of, read_table, substream, write_table)
 
 RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
+POINTCLOUD_HEADER = ("object", "x", "y", "label")
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,17 +50,10 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class LabeledDataset:
-    """A list of labeled point clouds."""
-
-    objects: list
-
-    def __len__(self):
-        return len(self.objects)
-
-    def labels(self) -> np.ndarray:
-        return np.array([obj.label for obj in self.objects], dtype=int)
+class CloudList(list):
+    """A plain list of point clouds whose `objects` is the list itself, the
+    one attribute sweepbench/drift.py still reads from synth_dataset."""
+    objects = property(lambda self: self)
 
 
 def threshold_grid(grid: np.ndarray, threshold: float, label: int,
@@ -78,42 +71,33 @@ def threshold_grid(grid: np.ndarray, threshold: float, label: int,
     return PointCloud(points=points, label=label, id=object_id)
 
 
-def load_pointcloud_file(path) -> LabeledDataset:
-    """Read a `object,x,y,label` CSV into a dataset grouped by object id."""
-    groups: dict[int, list] = {}
-    labels: dict[int, int] = {}
+def load_pointcloud_file(path) -> list[PointCloud]:
+    """Read a `object,x,y,label` CSV into clouds in object id order."""
+    groups: dict[int, tuple] = {}
     with open(path, newline="") as fh:
         for lineno, (obj, x, y, lab) in read_table(
-                fh, ("object", "x", "y", "label"),
+                fh, POINTCLOUD_HEADER,
                 (int, nonnegative, nonnegative,
                  one_of(int, VALID_CLASSES, "label"))):
-            if obj in labels and labels[obj] != lab:
-                raise InconsistentLabel(
-                    f"object {obj}: label {lab} at line {lineno} "
-                    f"conflicts with {labels[obj]}"
-                )
-            labels[obj] = lab
-            groups.setdefault(obj, []).append((x, y))
+            label, pts = groups.setdefault(obj, (lab, []))
+            if label != lab:
+                raise InconsistentLabel(f"object {obj}: label {lab} at line "
+                                        f"{lineno} conflicts with {label}")
+            pts.append((x, y))
     if not groups:
         raise ParseError("file contains no data rows", line_number=2)
-    objects = [
-        PointCloud(points=np.array(pts), label=labels[obj], id=obj)
-        for obj, pts in sorted(groups.items())
-    ]
-    return LabeledDataset(objects=objects)
+    return [PointCloud(points=np.array(pts), label=lab, id=obj)
+            for obj, (lab, pts) in sorted(groups.items())]
 
 
-def write_pointcloud_file(path, dataset: LabeledDataset) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object", "x", "y", "label"])
-        for obj in dataset.objects:
-            for x, y in obj.points:
-                writer.writerow([obj.id, f"{x:.9g}", f"{y:.9g}", obj.label])
+def write_pointcloud_file(path, clouds: list[PointCloud]) -> None:
+    write_table(path, POINTCLOUD_HEADER,
+                ([obj.id, f"{x:.9g}", f"{y:.9g}", obj.label]
+                 for obj in clouds for x, y in obj.points))
 
 
-def synth_loops(class_id: int, n_points: int = 36, noise: float = 0.25,
-                seed: int = 0, object_id: int = 0) -> PointCloud:
+def synth_loops(class_id: int, n_points: int, noise: float, seed: int,
+                object_id: int = 0) -> PointCloud:
     """Generate one labeled shape inside [0, 28]^2.
 
     Class 1 samples one circle, class 2 two tangent circles, class 3 an open
@@ -162,19 +146,14 @@ def synth_loops(class_id: int, n_points: int = 36, noise: float = 0.25,
     return PointCloud(points=pts, label=class_id, id=object_id)
 
 
-def synth_dataset(per_class: int = 200, n_points: int = 36, noise: float = 0.25,
-                  seed: int = 0) -> LabeledDataset:
-    """Balanced 3-class dataset of synthetic shapes (ids 1..3*per_class)."""
-    objects = []
-    oid = 1
-    for class_id in VALID_CLASSES:
-        for _ in range(per_class):
-            objects.append(
-                synth_loops(class_id, n_points=n_points, noise=noise,
-                            seed=seed, object_id=oid)
-            )
-            oid += 1
-    return LabeledDataset(objects=objects)
+def synth_dataset(per_class: int, n_points: int, noise: float,
+                  seed: int) -> CloudList:
+    """Balanced 3-class list of synthetic shapes (ids 1..3*per_class)."""
+    return CloudList(
+        synth_loops(class_id, n_points=n_points, noise=noise, seed=seed,
+                    object_id=oid)
+        for oid, class_id in enumerate(
+            np.repeat(VALID_CLASSES, per_class).tolist(), start=1))
 
 
 def load_grid_file(path) -> tuple[np.ndarray, np.ndarray]:

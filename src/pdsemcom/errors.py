@@ -1,8 +1,9 @@
-"""Exception types shared across the pipeline, the CSV table reader
-whose every complaint is a ParseError, the input checks whose every
+"""Exception types shared across the pipeline, the CSV table reader whose
+every complaint is a ParseError and its writer, the input checks whose every
 complaint is a ValueError, and the one seeded substream generator."""
 
 import csv
+import math
 
 import numpy as np
 
@@ -56,6 +57,15 @@ def read_table(lines, header, converters, first_line: int = 1):
             yield lineno, fields
 
 
+def write_table(path, header, rows) -> None:
+    """Write `header`, then `rows`, as a CSV table with LF line ends (the
+    dialect read_table reads, along with CRLF)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def one_of(convert, allowed, what: str):
     """A converter for read_table: `convert`, then reject what is not in
     `allowed` with a ValueError."""
@@ -67,12 +77,20 @@ def one_of(convert, allowed, what: str):
     return check
 
 
+def finite(text: str) -> float:
+    """A finite coordinate; NaN, inf and anything else is a ValueError."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"coordinate must be finite, got {text.strip()!r}")
+    return value
+
+
 def nonnegative(text: str) -> float:
     """A finite, nonnegative coordinate; anything else is a ValueError."""
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
+    value = finite(text)
+    if value < 0.0:
         raise ValueError(
-            f"coordinate must be finite and nonnegative, got {text.strip()!r}")
+            f"coordinate must be nonnegative, got {text.strip()!r}")
     return value
 
 

@@ -23,8 +23,9 @@ from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
                     decode_or_passthrough, huffman_decode, huffman_encode,
                     pack_objects)
 from .dataset import load_pointcloud_file, synth_dataset
-from .errors import ParseError, PipelineError, ShapeError, read_table
-from .homology import load_pd_file, vr_diagram
+from .errors import (ParseError, PipelineError, ShapeError, finite, one_of,
+                     read_table, write_table)
+from .homology import PD_HEADER, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
                          semantic_rate)
@@ -45,6 +46,11 @@ def _fmt(x) -> str:
 def _text(x) -> str:
     """A record or config value as file text: strings as they are."""
     return x if isinstance(x, str) else _fmt(x)
+
+
+def _code_label(spec) -> str:
+    """The `code` text of an (n, k, t) spec, and "none" for no code."""
+    return "none" if spec is None else "%d:%d:%d" % spec
 
 
 @dataclass(frozen=True)
@@ -201,7 +207,7 @@ _TEXT_BY_KEY = {
     "m_values": (_join, _parse_int_list),
     "alphas": (lambda xs: ",".join(_fmt(a) for a in xs),
                lambda v: tuple(float(s) for s in v.split(","))),
-    "codes": (lambda cs: ",".join("%d:%d:%d" % c for c in cs) or "none",
+    "codes": (lambda cs: ",".join(map(_code_label, cs)) or _code_label(None),
               _parse_codes),
     "hidden": (_join, _parse_int_list),
 }
@@ -382,16 +388,15 @@ class _SweepContext:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         if config.dataset == "synth":
-            self.dataset = synth_dataset(per_class=config.per_class,
+            self.objects = synth_dataset(per_class=config.per_class,
                                          n_points=config.n_points,
                                          noise=config.noise,
                                          seed=config.dataset_seed)
         else:
-            self.dataset = load_pointcloud_file(config.dataset)
-        n = len(self.dataset.objects)
-        self.labels = self.dataset.labels()
-        self.object_ids = np.array([o.id for o in self.dataset.objects])
-        self.schedule = CvSchedule(n_objects=n, T=config.T,
+            self.objects = load_pointcloud_file(config.dataset)
+        self.labels = np.array([o.label for o in self.objects], dtype=int)
+        self.object_ids = np.array([o.id for o in self.objects])
+        self.schedule = CvSchedule(n_objects=len(self.objects), T=config.T,
                                    seed=config.cv_seed)
         # every index that ever lands in a test fold, plus its multiplicity,
         # and its positions in unique_test (row t: fold t's test set)
@@ -409,12 +414,19 @@ _PipelineState = namedtuple("_PipelineState",
 
 
 def _latent_points(ctx):
-    entries = load_pd_file(ctx.config.latent_file)
-    missing = [i for i in ctx.object_ids if i not in entries]
+    """Each object's latent set from a file in the diagram layout: its dim-0
+    rows, then its dim-1 rows, with coordinates of any finite sign."""
+    rows: dict[int, tuple] = {}
+    with open(ctx.config.latent_file, newline="") as fh:
+        for _, (obj, dim, *xy) in read_table(
+                fh, PD_HEADER, (int, one_of(int, (0, 1), "homology degree"),
+                                finite, finite)):
+            rows.setdefault(obj, ([], []))[dim].append(xy)
+    missing = [i for i in ctx.object_ids if i not in rows]
     if missing:
         raise ValueError(f"latent file lacks object {missing[0]} (and "
                          f"{len(missing) - 1} more)")
-    raw = [entries[oid].points() for oid in ctx.object_ids]
+    raw = [np.array(rows[oid][0] + rows[oid][1]) for oid in ctx.object_ids]
     counts = {len(p) for p in raw}
     if len(counts) != 1:
         raise ValueError(
@@ -438,13 +450,13 @@ def _build_pipeline(ctx, pipeline: str) -> _PipelineState:
     cfg = ctx.config
     if pipeline == "pd":
         sources = []
-        for obj in ctx.dataset.objects:
+        for obj in ctx.objects:
             d = vr_diagram(obj.points, gamma_max=cfg.gamma_max)
             sources.append(d.drop_essential() if cfg.drop_essential else d)
         points = [d.points() for d in sources]
     else:
         points = sources = (_latent_points(ctx) if pipeline == "latent"
-                            else [o.points for o in ctx.dataset.objects])
+                            else [o.points for o in ctx.objects])
     features = np.array([_vectorize(cfg, pipeline, s, len(p))
                          for s, p in zip(sources, points)])
     density = estimate_density([points[i] for i in ctx.test_multiset],
@@ -656,8 +668,7 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     """
     ctx = _SweepContext(config)
     # (key, pipeline, m, alpha, code spec) in row order
-    cells = [((p, m, _fmt(a), "none" if c is None else "%d:%d:%d" % c),
-              p, m, a, c)
+    cells = [((p, m, _fmt(a), _code_label(c)), p, m, a, c)
              for p, m, a, c in product(config.pipelines, config.m_values,
                                        config.alphas, (None,) + config.codes)]
 
@@ -871,7 +882,7 @@ _CURVES = {
 
 
 def _is_clean(r) -> bool:
-    return r.alpha == 0.0 and r.code == "none"
+    return r.alpha == 0.0 and r.code == _code_label(None)
 
 
 def emit_curves(records, kind: str, out_dir) -> tuple:
@@ -893,7 +904,7 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
 
     # rows and series are built before either file is opened, so a call
     # that raises writes nothing
-    table, series, vlines = [spec.columns], [], []
+    table, series, vlines = [], [], []
     for p in pipelines:
         clean = [r for r in records if r.pipeline == p and _is_clean(r)]
         if spec.noisy and clean:
@@ -924,8 +935,7 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{kind}.csv")
     svg_path = os.path.join(out_dir, f"{kind}.svg")
-    with open(csv_path, "w", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(table)
+    write_table(csv_path, spec.columns, table)
     with open(svg_path, "w") as f:
         f.write(chart)
     return csv_path, svg_path

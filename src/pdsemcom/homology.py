@@ -15,7 +15,6 @@ over triangle positions. Cohomology yields the same pairs as homology
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (BudgetExceeded, ShapeError, nonnegative, one_of,
-                     read_table)
+                     read_table, write_table)
 
 DEFAULT_GAMMA_MAX = 16.0
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
+# the columns of a diagram file, and of a latent file, which shares its layout
+PD_HEADER = ("object", "dim", "birth", "death")
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,19 +380,14 @@ def bottleneck_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(float(cands[lo]), inf_part)
 
 
-def write_pd_file(path, entries) -> None:
-    """Write diagrams as `object,dim,birth,death` rows, 9 significant digits."""
-    if isinstance(entries, dict):
-        entries = sorted(entries.items())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object", "dim", "birth", "death"])
-        for object_id, pd in entries:
-            for i in range(len(pd)):
-                writer.writerow([
-                    object_id, int(pd.dims[i]),
-                    f"{pd.births[i]:.9g}", f"{pd.deaths[i]:.9g}",
-                ])
+def write_pd_file(path, entries: dict) -> None:
+    """Write {object id: diagram} as `object,dim,birth,death` rows in id
+    order, 9 significant digits."""
+    write_table(path, PD_HEADER,
+                ([object_id, int(pd.dims[i]), f"{pd.births[i]:.9g}",
+                  f"{pd.deaths[i]:.9g}"]
+                 for object_id, pd in sorted(entries.items())
+                 for i in range(len(pd))))
 
 
 def load_pd_file(path) -> dict:
@@ -406,7 +402,7 @@ def load_pd_file(path) -> dict:
     rows: dict[int, list] = {}
     with open(path, newline="") as fh:
         for _, (obj, *row) in read_table(
-                fh, ("object", "dim", "birth", "death"),
+                fh, PD_HEADER,
                 (int, one_of(int, (0, 1), "homology degree"), nonnegative,
                  nonnegative)):
             rows.setdefault(obj, []).append(row)

@@ -280,8 +280,8 @@ class CvSchedule:
     """T random disjoint half/half partitions of {0..n-1}, seeded."""
 
     n_objects: int
-    T: int = 25
-    seed: int = 0
+    T: int
+    seed: int
     folds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):

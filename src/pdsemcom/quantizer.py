@@ -12,16 +12,18 @@ k - 1 = x_bin * m + y_bin. This layout is fixed in the wire format.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (CorruptSymbol, OutOfBox, ParseError, ShapeError, one_of,
-                     read_table)
+                     read_table, write_table)
 from .homology import PersistenceDiagram
 
 SOURCE_KINDS = ("pd", "raw", "latent")
+# a symbol stream file: a grid header and its one row, then a symbol table
+STREAM_GRID_HEADER = ("box_side", "n_bins", "source_kind")
+STREAM_SYMBOL_HEADER = ("object", "channel", "symbol")
 
 
 def upper_triangle_cells(m: int) -> int:
@@ -168,8 +170,8 @@ def diagram_from_symbols(grid: QuantizerGrid, indices: np.ndarray,
 
 
 def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
-                        objects) -> None:
-    """Persist per-object symbol records under a (B, m, source_kind) header.
+                        objects: dict) -> None:
+    """Persist {object id: symbols} under a (B, m, source_kind) header.
 
     Nothing is written that load_symbol_stream rejects: an unknown source
     kind, an object without symbols or with other than 2 channels for pd
@@ -179,8 +181,7 @@ def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
         raise ValueError(f"source kind must be one of {SOURCE_KINDS}, "
                          f"got {source_kind!r}")
     n_chan = 2 if source_kind == "pd" else 1
-    objects = (sorted(objects.items()) if isinstance(objects, dict)
-               else list(objects))
+    objects = sorted(objects.items())
     for object_id, q in objects:
         if len(q) == 0:
             raise ValueError(f"object {object_id} has no symbols to write")
@@ -188,15 +189,11 @@ def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
             raise ValueError(f"object {object_id} has {len(q.channel_counts)}"
                              f" channels, a {source_kind} stream {n_chan}")
         grid.bins_of(q.indices)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["box_side", "n_bins", "source_kind"])
-        writer.writerow([f"{grid.box_side:.9g}", grid.n_bins, source_kind])
-        writer.writerow(["object", "channel", "symbol"])
-        for object_id, q in objects:
-            for c in range(len(q.channel_counts)):
-                for k in q.channel(c):
-                    writer.writerow([object_id, c, int(k)])
+    write_table(path, STREAM_GRID_HEADER, [
+        (f"{grid.box_side:.9g}", grid.n_bins, source_kind),
+        STREAM_SYMBOL_HEADER,
+        *((object_id, c, int(k)) for object_id, q in objects
+          for c in range(n_chan) for k in q.channel(c))])
 
 
 def _symbol(grid: QuantizerGrid, text: str) -> int:
@@ -214,7 +211,7 @@ def load_symbol_stream(path):
     empty), raw and latent streams channel 0 only.
     """
     with open(path, newline="") as fh:
-        preamble = next(read_table(fh, ("box_side", "n_bins", "source_kind"),
+        preamble = next(read_table(fh, STREAM_GRID_HEADER,
                                    (float, int, one_of(str.strip, SOURCE_KINDS,
                                                        "source kind"))), None)
         if preamble is None:
@@ -227,16 +224,13 @@ def load_symbol_stream(path):
         n_chan = 2 if source_kind == "pd" else 1
         per_object: dict[int, list] = {}
         for _, (obj, chan, sym) in read_table(
-                fh, ("object", "channel", "symbol"),
+                fh, STREAM_SYMBOL_HEADER,
                 (int, one_of(int, tuple(range(n_chan)), "channel"),
                  lambda text: _symbol(grid, text)),
                 first_line=lineno + 1):
             chans = per_object.setdefault(obj, [[] for _ in range(n_chan)])
             chans[chan].append(sym)
-    out = {}
-    for obj in sorted(per_object):
-        parts = [np.array(c, dtype=int) for c in per_object[obj]]
-        out[obj] = QuantizedPointSet(
-            indices=np.concatenate(parts),
-            channel_counts=tuple(len(p) for p in parts))
-    return grid, source_kind, out
+    return grid, source_kind, {
+        obj: QuantizedPointSet(indices=np.array(sum(chans, []), dtype=int),
+                               channel_counts=tuple(map(len, chans)))
+        for obj, chans in sorted(per_object.items())}

@@ -59,7 +59,7 @@ def criterion(num, label):
 @pytest.fixture(scope="module")
 def corpus():
     ds = synth_dataset(per_class=200, n_points=48, noise=0.2, seed=7)
-    diagrams = [vr_diagram(obj.points, gamma_max=BOX) for obj in ds.objects]
+    diagrams = [vr_diagram(obj.points, gamma_max=BOX) for obj in ds]
     return ds, diagrams
 
 

@@ -21,13 +21,13 @@ def test_dataset_synth_and_pd_compute(tmp_path, capsys):
     assert rc == 0
     assert "wrote 9 objects" in capsys.readouterr().out
     ds = load_pointcloud_file(cloud)
-    assert len(ds.objects) == 9
+    assert len(ds) == 9
 
     pd_path = tmp_path / "pd.csv"
     rc = main(["pd", "compute", "--in", str(cloud), "--out", str(pd_path)])
     assert rc == 0
     entries = load_pd_file(pd_path)
-    assert sorted(entries) == [o.id for o in ds.objects]
+    assert sorted(entries) == [o.id for o in ds]
     assert all(len(d.births) > 0 for d in entries.values())
     assert not any(d.essential.any() for d in entries.values())
 
@@ -54,8 +54,8 @@ def test_dataset_from_grid(tmp_path, capsys):
                "--threshold", "0.75", "--out", str(out)])
     assert rc == 0
     ds = load_pointcloud_file(out)
-    assert [len(o.points) for o in ds.objects] == [2, 1]
-    assert [o.label for o in ds.objects] == [1, 2]
+    assert [len(o.points) for o in ds] == [2, 1]
+    assert [o.label for o in ds] == [1, 2]
 
 
 def test_dataset_from_grid_needs_labels(tmp_path, capsys):

@@ -49,9 +49,10 @@ def test_pointcloud_file_round_trip(tmp_path):
     ds = synth_dataset(per_class=2, n_points=12, noise=0.1, seed=3)
     path = tmp_path / "clouds.csv"
     write_pointcloud_file(path, ds)
+    assert b"\r" not in path.read_bytes()
     back = load_pointcloud_file(path)
-    assert len(back.objects) == len(ds.objects)
-    for a, b in zip(ds.objects, back.objects):
+    assert len(back) == len(ds)
+    for a, b in zip(ds, back):
         assert a.id == b.id and a.label == b.label
         assert np.allclose(a.points, b.points, atol=1e-7)
 
@@ -84,21 +85,21 @@ def test_loader_rejects_inconsistent_labels(tmp_path):
 def test_synth_dataset_shape_and_determinism():
     a = synth_dataset(per_class=5, n_points=20, noise=0.2, seed=9)
     b = synth_dataset(per_class=5, n_points=20, noise=0.2, seed=9)
-    assert len(a.objects) == 15
-    assert np.bincount(a.labels()).tolist() == [0, 5, 5, 5]
+    assert len(a) == 15
+    assert np.bincount([o.label for o in a]).tolist() == [0, 5, 5, 5]
     # blocked layout: ids 1..15, first block all class 1
-    assert [o.id for o in a.objects] == list(range(1, 16))
-    assert all(o.label == 1 for o in a.objects[:5])
-    for x, y in zip(a.objects, b.objects):
+    assert [o.id for o in a] == list(range(1, 16))
+    assert all(o.label == 1 for o in a[:5])
+    for x, y in zip(a, b):
         assert np.array_equal(x.points, y.points)
     c = synth_dataset(per_class=5, n_points=20, noise=0.2, seed=10)
     assert not all(np.array_equal(x.points, y.points)
-                   for x, y in zip(a.objects, c.objects))
+                   for x, y in zip(a, c))
 
 
 def test_synth_points_stay_in_pixel_box():
     ds = synth_dataset(per_class=10, n_points=40, noise=0.5, seed=1)
-    for obj in ds.objects:
+    for obj in ds:
         assert np.all(obj.points <= 28.0)
 
 
@@ -113,11 +114,6 @@ def test_synth_classes_differ_geometrically():
         return r.std() / r.mean()
 
     assert spread(one) < spread(two)
-
-
-def test_labels_vector_matches_objects():
-    ds = synth_dataset(per_class=3, n_points=12, noise=0.1, seed=4)
-    assert np.array_equal(ds.labels(), np.array([o.label for o in ds.objects]))
 
 
 def test_load_grid_file(tmp_path):

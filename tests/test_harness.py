@@ -7,8 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsemcom.dataset import (LabeledDataset, PointCloud, synth_dataset,
-                              write_pointcloud_file)
+from pdsemcom.dataset import PointCloud, synth_dataset, write_pointcloud_file
 from pdsemcom.errors import ParseError
 from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
                               emit_curves, folds_path_for, load_config,
@@ -482,14 +481,13 @@ def test_frame_capacity_fails_every_cell_of_its_group(tmp_path):
     # symbol) the object's payload overflows the 16-bit length field of its
     # frame, at m=5 (about 4.6) it fits; the group is framed once, so every
     # cell of it, coded or not, fails the same way
-    ds = synth_dataset(per_class=6, n_points=16, noise=0.2, seed=7)
-    objects = list(ds.objects)
+    objects = synth_dataset(per_class=6, n_points=16, noise=0.2, seed=7)
     i = CvSchedule(n_objects=len(objects), T=2, seed=1).folds[0][1][0]
     points = np.random.default_rng(0).uniform(0, 28, size=(8000, 2))
     objects[i] = PointCloud(points=points, label=objects[i].label,
                             id=objects[i].id)
     data = tmp_path / "clouds.csv"
-    write_pointcloud_file(data, LabeledDataset(objects=objects))
+    write_pointcloud_file(data, objects)
     config = _small_config(tmp_path / "r.csv", pipelines=("raw",),
                            dataset=str(data), m_values=(5, 27),
                            alphas=(0.0,), epochs=5, cv_seed=1)
@@ -506,14 +504,13 @@ def test_empty_payloads_pass_both_paths(tmp_path):
     # three copies of one point: one essential H0 class, dropped, and no
     # finite pair, so the object's diagram and payload are empty; it is the
     # first test object of fold 0, so every cell sends it
-    ds = synth_dataset(per_class=6, n_points=16, noise=0.2, seed=7)
-    objects = list(ds.objects)
+    objects = synth_dataset(per_class=6, n_points=16, noise=0.2, seed=7)
     i = CvSchedule(n_objects=len(objects), T=2, seed=1).folds[0][1][0]
     one = objects[i]
     objects[i] = PointCloud(points=np.repeat(one.points[:1], 3, axis=0),
                             label=one.label, id=one.id)
     data = tmp_path / "clouds.csv"
-    write_pointcloud_file(data, LabeledDataset(objects=objects))
+    write_pointcloud_file(data, objects)
     config = _small_config(tmp_path / "r.csv", pipelines=("pd",),
                            dataset=str(data), drop_essential=True,
                            m_values=(8,), alphas=(0.0, 0.1), epochs=5,
@@ -533,7 +530,7 @@ def test_one_cell_density_has_zero_rate(tmp_path):
     objects = [PointCloud(points=np.array([[1.0 + i, 2.0]]), label=1 + i % 3,
                           id=i + 1) for i in range(12)]
     data = tmp_path / "clouds.csv"
-    write_pointcloud_file(data, LabeledDataset(objects=objects))
+    write_pointcloud_file(data, objects)
     config = _small_config(tmp_path / "r.csv", pipelines=("pd",),
                            dataset=str(data), m_values=(2, 3), alphas=(0.0,),
                            codes=(), epochs=5, hidden=(8,), cv_seed=0)
@@ -580,10 +577,12 @@ def test_bad_code_spec_fails_only_coded_cells(tmp_path):
     assert "k=7" in [r for r in records if r.status == "error"][0].error
 
 
-def test_latent_pipeline_end_to_end(tmp_path):
-    # class-coded latent point sets, same CSV layout as diagram files
+def _latent_sweep(tmp_path, offset):
+    # class-coded latent point sets, same CSV layout as diagram files,
+    # written with csv's default CRLF line ends; coordinates are multiples
+    # of 1/64, so that shifting them by `offset` is exact
     rng = np.random.default_rng(3)
-    latent = tmp_path / "latents.csv"
+    latent = tmp_path / f"latents{offset}.csv"
     with open(latent, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["object", "dim", "birth", "death"])
@@ -591,16 +590,40 @@ def test_latent_pipeline_end_to_end(tmp_path):
             cls = (oid - 1) // 6  # matches the synth blocked layout
             base = np.array([[1.0 + 3.0 * cls, 2.0], [5.0, 1.0 + 2.0 * cls],
                              [2.0, 6.0], [6.5, 7.5]])
-            pts = base + rng.normal(0, 0.05, size=base.shape)
-            for x, y in pts:
+            pts = np.round(64 * (base + rng.normal(0, 0.05, base.shape))) / 64
+            for x, y in pts + offset:
                 w.writerow([oid, 0, f"{x:.9g}", f"{y:.9g}"])
-    out = tmp_path / "r.csv"
-    config = _small_config(out, pipelines=("latent",), latent_file=str(latent),
-                           m_values=(6,), alphas=(0.0,), codes=(),
-                           epochs=1200)
-    records = run_sweep(config)
+    config = _small_config(tmp_path / f"r{offset}.csv", pipelines=("latent",),
+                           latent_file=str(latent), m_values=(6,),
+                           alphas=(0.0,), codes=(), epochs=1200)
+    return run_sweep(config)
+
+
+@pytest.fixture(scope="module")
+def latent_records(tmp_path_factory):
+    return _latent_sweep(tmp_path_factory.mktemp("latent"), 0)
+
+
+@pytest.mark.parametrize("offset", [0, -10])
+def test_latent_pipeline_end_to_end(latent_records, tmp_path, offset):
+    # the sets are normalized into the box, so a shift of every coordinate,
+    # negative ones included, changes no record
+    records = _latent_sweep(tmp_path, offset)
     assert len(records) == 1 and records[0].status == "ok"
     assert records[0].acc_mean > 0.5
+    assert records == latent_records
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_latent_file_rejects_non_finite_coordinates(tmp_path, value):
+    latent = tmp_path / "latents.csv"
+    latent.write_text(f"object,dim,birth,death\n1,0,-1,2\n2,0,{value},1\n")
+    config = _small_config(tmp_path / "r.csv", pipelines=("latent",),
+                           latent_file=str(latent), m_values=(6,),
+                           alphas=(0.0,), codes=())
+    [record] = run_sweep(config)
+    assert record.error == (
+        f"ParseError: line 3: coordinate must be finite, got '{value}'")
 
 
 # -- curve emission ---------------------------------------------------------

@@ -156,7 +156,7 @@ def test_golden_diagrams():
     # duplicate points and tied distances, two rings wider than a cap of 4
     # (essential H1 classes) and a run without triangles
     ds = synth_dataset(per_class=200, n_points=48, noise=0.2, seed=7)
-    corpus = [vr_diagram(o.points) for o in ds.objects[::10]]
+    corpus = [vr_diagram(o.points) for o in ds[::10]]
     assert _diagram_digest(corpus) == (
         "3eb7349e7f2c6a004c780ed004dad8a1a99d1d85884e570367f79ecf623526c7")
     rng = np.random.default_rng(17)
@@ -184,6 +184,7 @@ def test_pd_file_round_trip(tmp_path):
         entries[oid] = vr_diagram(pts, gamma_max=16.0)
     path = tmp_path / "pds.csv"
     write_pd_file(path, entries)
+    assert b"\r" not in path.read_bytes()
     back = load_pd_file(path)
     assert sorted(back) == [1, 2, 5]
     for oid, pd in entries.items():

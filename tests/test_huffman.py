@@ -162,7 +162,7 @@ def test_validation():
 def synth_point_sets():
     """(point sets, box side) per pipeline, as the sweep builds them."""
     data = synth_dataset(per_class=4, n_points=48, noise=0.2, seed=7)
-    raw = [o.points for o in data.objects]
+    raw = [o.points for o in data]
     pd = []
     for pts in raw:
         d = vr_diagram(pts, gamma_max=16.0)

@@ -115,14 +115,14 @@ def test_golden_vectorizer_outputs():
         _diagram(pairs[:6], [0] * 6),
         _diagram(pairs[:5], [0, 0, 0, 0, 1]),
         _diagram(np.empty((0, 2)), []),
-    ] + [vr_diagram(o.points, gamma_max=16.0) for o in ds.objects]
+    ] + [vr_diagram(o.points, gamma_max=16.0) for o in ds]
     assert _digest([perslay_vectorize(d, 16.0) for d in diagrams]) == (
         "1f92aa4de69ae6f017747a99fe71fda7030daaf8c69247bdb5bb569446065251")
     assert _digest([perslay_vectorize(d, 12.0) for d in diagrams]) == (
         "3fe1db78f45a64c0ca7e6dd0bc6cdc326d1461fa61b00fe3b9d658cae8417fe2")
     clouds = [rng.uniform(0, 28, size=(40, 2)),
               np.array([[0.0, 0.0], [28.0, 28.0], [14.0, 0.0]]),
-              np.empty((0, 2))] + [o.points for o in ds.objects]
+              np.empty((0, 2))] + [o.points for o in ds]
     assert _digest([rasterize_raw(c) for c in clouds]) == (
         "64f196cbabecb1443e407d1d01f082779d00fe71837b2c456476980e43b5a58b")
 

@@ -134,6 +134,7 @@ def test_symbol_stream_round_trip(tmp_path):
         objects[oid] = quantize_diagram(grid, pd)
     path = tmp_path / "stream.csv"
     write_symbol_stream(path, grid, "pd", objects)
+    assert b"\r" not in path.read_bytes()
     grid2, kind, back = load_symbol_stream(path)
     assert grid2 == grid and kind == "pd"
     for oid, q in objects.items():

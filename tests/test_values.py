@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from pdsemcom import (AccuracyReport, BitStream, CvSchedule, EmpiricalDensity,
-                      Frame, LabeledDataset, PointCloud,
+                      Frame, PointCloud,
                       QuantizedPointSet, build_vr_filtration, vr_diagram)
 
 _POINTS = [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
 
 FACTORIES = {
     "PointCloud": lambda: PointCloud(points=_POINTS, label=1),
-    "LabeledDataset": lambda: LabeledDataset(
-        objects=[PointCloud(points=_POINTS, label=1)]),
     "PersistenceDiagram": lambda: vr_diagram(_POINTS),
     "Filtration": lambda: build_vr_filtration(_POINTS),
     "QuantizedPointSet": lambda: QuantizedPointSet(indices=[1, 5, 5],
