@@ -6,11 +6,12 @@ Every step runs in a fresh interpreter, one at a time, with pdsemcom
 imported from this checkout's src/ and OPENBLAS_NUM_THREADS=1 set for it:
 the classifier's matrix products are small, so a second OpenBLAS thread
 only spins (43.1 s of CPU against 26.3 s for one default sweep). The file
-records the machine, the tier-1 suite's wall time with its ten slowest
-entries, the default sweep's wall time and the SHA-256 of its results and
-folds files, the criterion-11 coded sweep's wall time, and the per-layer
-medians of `sweepbench/run.py --trace 1 --seed 1` on both benchmark
-workloads. Wall times are plain wall seconds, not the sweep benchmark's
+records the machine, the line count of each package module (the files that
+`wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total,
+the tier-1 suite's wall time with its ten slowest entries, the default
+sweep's wall time and the SHA-256 of its results and folds files, the
+criterion-11 coded sweep's wall time, and the per-layer medians of
+`sweepbench/run.py --trace 1 --seed 1` on both benchmark workloads. Wall times are plain wall seconds, not the sweep benchmark's
 reference seconds, so compare only files measured on the same machine.
 Nothing is written if a sweep fails; a failing tier-1 run is recorded with
 its counts. It takes about five minutes on a 2-core machine.
@@ -90,6 +91,14 @@ def src_sha256() -> str:
     return h.hexdigest()
 
 
+def src_lines() -> dict:
+    """Newline count of each module, as `wc -l` reports it, and the total."""
+    pkg = ROOT / "src" / "pdsemcom"
+    modules = {str(path.relative_to(pkg)): path.read_bytes().count(b"\n")
+               for path in sorted([*pkg.glob("*.py"), *pkg.glob("*/*.py")])}
+    return {"total": sum(modules.values()), "modules": modules}
+
+
 def tier1() -> dict:
     proc, wall = _run(TIER1, check=False)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
@@ -127,7 +136,8 @@ def traced(workload: str) -> dict:
 
 def main() -> int:
     bench = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-             "src_sha256": src_sha256(), "machine": machine()}
+             "src_sha256": src_sha256(), "src_lines": src_lines(),
+             "machine": machine()}
     print("tier-1 ...", file=sys.stderr)
     bench["tier1"] = tier1()
     with tempfile.TemporaryDirectory() as tmp:

@@ -67,8 +67,7 @@ print(f"at m=10 the diagram costs {ratio:.1f}x fewer bits per object than "
 # log2(m^2) exactly and the mean squared error is cell_width^2 / 6
 m = 16
 grid = QuantizerGrid(box_side=16.0, n_bins=m)
-flat = EmpiricalDensity(box_side=16.0, partition=28,
-                        mass=np.full((28, 28), 1.0 / 784))
+flat = EmpiricalDensity(QuantizerGrid(16.0, 28), np.full((28, 28), 1.0 / 784))
 p = cell_probabilities(flat, grid)
 print()
 print(f"uniform density at m={m}: entropy={quantizer_entropy(p):.6f} "

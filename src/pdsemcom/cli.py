@@ -208,8 +208,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except Exception as exc:
         # the command line boundary: every failure, expected or not (a
-        # corrupt .npz raises zipfile.BadZipFile), ends as one error line
-        print(f"error: {exc}", file=sys.stderr)
+        # corrupt .npz raises zipfile.BadZipFile), ends as one error line,
+        # named by its type when it has no message (MemoryError has none)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -91,6 +91,9 @@ def load_pointcloud_file(path) -> list[PointCloud]:
 
 
 def write_pointcloud_file(path, clouds: list[PointCloud]) -> None:
+    """Write clouds; an empty list is a ValueError, as the loader rejects it."""
+    if not clouds:
+        raise ValueError("no objects to write")
     write_table(path, POINTCLOUD_HEADER,
                 ([obj.id, f"{x:.9g}", f"{y:.9g}", obj.label]
                  for obj in clouds for x, y in obj.points))

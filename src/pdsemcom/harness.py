@@ -22,19 +22,21 @@ from .channel import BscChannel, transmit, transmit_bits
 from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
                     decode_or_passthrough, huffman_decode, huffman_encode,
                     pack_objects)
-from .dataset import load_pointcloud_file, synth_dataset
-from .errors import (ParseError, PipelineError, ShapeError, finite, one_of,
+from .dataset import RAW_BOX_SIDE, load_pointcloud_file, synth_dataset
+from .errors import (ParseError, PipelineError, ShapeError, finite,
                      read_table, write_table)
-from .homology import PD_HEADER, vr_diagram
-from .infotheory import (bottleneck_style_distortion, cell_probabilities,
-                         estimate_density, mse_distortion, quantizer_entropy,
-                         semantic_rate)
+from .homology import DEFAULT_GAMMA_MAX, read_pd_rows, vr_diagram
+from .infotheory import (DEFAULT_PARTITION, bottleneck_style_distortion,
+                         cell_probabilities, estimate_density, mse_distortion,
+                         quantizer_entropy, semantic_rate)
 from .inference import (AccuracyReport, CvSchedule, evaluate_accuracy,
                         perslay_vectorize, rasterize_raw, train_classifier)
 from .quantizer import (SOURCE_KINDS, QuantizerGrid, quantize_diagram,
                         quantize_set)
 
 CURVE_KINDS = ("dr", "ad", "ar", "ar-coded")
+# the most values an `a..b` range in a config list expands to
+MAX_RANGE = 1000
 
 
 def _fmt(x) -> str:
@@ -70,12 +72,12 @@ class ExperimentConfig:
     n_points: int = 48
     noise: float = 0.2
     dataset_seed: int = 7
-    gamma_max: float = 16.0
+    gamma_max: float = DEFAULT_GAMMA_MAX
     box_pd: float = 16.0
-    box_raw: float = 28.0
+    box_raw: float = RAW_BOX_SIDE
     box_latent: float = 1.0
     m_values: tuple = tuple(range(10, 28))
-    partition: int = 28
+    partition: int = DEFAULT_PARTITION
     T: int = 10
     cv_seed: int = 1
     train_seed: int = 3
@@ -142,8 +144,7 @@ class ExperimentConfig:
             raise ValueError("hidden layer sizes must be positive")
 
     def box_for(self, pipeline: str) -> float:
-        return {"pd": self.box_pd, "raw": self.box_raw,
-                "latent": self.box_latent}[pipeline]
+        return getattr(self, f"box_{pipeline}")
 
     def canonical_text(self, include_artifacts: bool = False) -> str:
         return "".join(
@@ -161,8 +162,10 @@ def _parse_int_list(v: str) -> tuple:
     for tok in v.split(","):
         tok = tok.strip()
         if ".." in tok:
-            lo, hi = tok.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(s) for s in tok.split("..", 1))
+            if hi - lo >= MAX_RANGE:
+                raise ValueError(f"range {tok} has over {MAX_RANGE} values")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(tok))
     return tuple(out)
@@ -415,18 +418,15 @@ _PipelineState = namedtuple("_PipelineState",
 
 def _latent_points(ctx):
     """Each object's latent set from a file in the diagram layout: its dim-0
-    rows, then its dim-1 rows, with coordinates of any finite sign."""
-    rows: dict[int, tuple] = {}
-    with open(ctx.config.latent_file, newline="") as fh:
-        for _, (obj, dim, *xy) in read_table(
-                fh, PD_HEADER, (int, one_of(int, (0, 1), "homology degree"),
-                                finite, finite)):
-            rows.setdefault(obj, ([], []))[dim].append(xy)
+    rows, then its dim-1 rows, each in file order, with coordinates of any
+    finite sign."""
+    rows = read_pd_rows(ctx.config.latent_file, finite)
     missing = [i for i in ctx.object_ids if i not in rows]
     if missing:
         raise ValueError(f"latent file lacks object {missing[0]} (and "
                          f"{len(missing) - 1} more)")
-    raw = [np.array(rows[oid][0] + rows[oid][1]) for oid in ctx.object_ids]
+    raw = [rows[oid][np.argsort(rows[oid][:, 0], kind="stable"), 1:]
+           for oid in ctx.object_ids]
     counts = {len(p) for p in raw}
     if len(counts) != 1:
         raise ValueError(

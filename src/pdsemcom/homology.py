@@ -68,8 +68,10 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
                         max_dim: int = 2,
                         budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
     """Enumerate edges and (optionally) triangles with diameter <= gamma_max."""
-    if gamma_max <= 0:
-        raise ValueError(f"scale cap must be positive, got {gamma_max}")
+    # written so that NaN fails too
+    if not 0 < gamma_max < math.inf:
+        raise ValueError(
+            f"scale cap gamma_max must be positive and finite, got {gamma_max}")
     if max_dim not in (1, 2):
         raise ValueError(f"max_dim must be 1 or 2, got {max_dim}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -208,7 +210,7 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
             merges.append(pos)
-    n_components = len({find(v) for v in range(n)})
+    n_components = n - len(merges)
     positive = np.ones(n_edges, dtype=bool)
     positive[merges] = False
 
@@ -390,6 +392,19 @@ def write_pd_file(path, entries: dict) -> None:
                  for i in range(len(pd))))
 
 
+def read_pd_rows(path, coordinate) -> dict:
+    """{object id: (n, 3) array of its (dim, birth, death) rows in file
+    order} of a file in the diagram layout; `coordinate` converts each birth
+    and death. Any bad row is a ParseError with its line number."""
+    rows: dict[int, list] = {}
+    with open(path, newline="") as fh:
+        for _, (obj, *row) in read_table(
+                fh, PD_HEADER, (int, one_of(int, (0, 1), "homology degree"),
+                                coordinate, coordinate)):
+            rows.setdefault(obj, []).append(row)
+    return {obj: np.array(r) for obj, r in rows.items()}
+
+
 def load_pd_file(path) -> dict:
     """Read a diagram CSV back into {object id: PersistenceDiagram}.
 
@@ -399,17 +414,7 @@ def load_pd_file(path) -> dict:
     Rows below the diagonal are accepted: received diagrams can contain
     them.
     """
-    rows: dict[int, list] = {}
-    with open(path, newline="") as fh:
-        for _, (obj, *row) in read_table(
-                fh, PD_HEADER,
-                (int, one_of(int, (0, 1), "homology degree"), nonnegative,
-                 nonnegative)):
-            rows.setdefault(obj, []).append(row)
-    out = {}
-    for obj in sorted(rows):
-        dims, births, deaths = np.array(rows[obj]).T
-        out[obj] = PersistenceDiagram(
-            births=births, deaths=deaths, dims=dims,
-            essential=np.zeros(len(dims), dtype=bool))
-    return out
+    return {obj: PersistenceDiagram(
+                births=rows[:, 1], deaths=rows[:, 2], dims=rows[:, 0],
+                essential=np.zeros(len(rows), dtype=bool))
+            for obj, rows in sorted(read_pd_rows(path, nonnegative).items())}

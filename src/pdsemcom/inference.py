@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataset import RAW_BOX_SIDE
 from .errors import ParseError, ShapeError, TrainingDiverged, substream
 from .homology import PersistenceDiagram
 from .quantizer import QuantizerGrid
@@ -100,7 +101,7 @@ def perslay_vectorize(diagram: PersistenceDiagram,
     return top.reshape(-1)
 
 
-def rasterize_raw(points: np.ndarray, box_side: float = 28.0) -> np.ndarray:
+def rasterize_raw(points: np.ndarray, box_side=RAW_BOX_SIDE) -> np.ndarray:
     """Binary RASTER_BINS^2 occupancy raster of a point set, flattened
     x-bin major."""
     grid = QuantizerGrid(box_side=box_side, n_bins=RASTER_BINS)
@@ -179,8 +180,7 @@ def loss_and_gradients(classifier: Classifier, X: np.ndarray, y_index: np.ndarra
 
 
 def train_classifier(features: np.ndarray, labels: np.ndarray,
-                     hidden_sizes=(64, 32), epochs: int = 300,
-                     seed: int = 0) -> Classifier:
+                     hidden_sizes, epochs: int, seed: int) -> Classifier:
     """Full-batch ADAM on categorical cross-entropy for a fixed budget.
 
     Columns that are zero in every training row keep their initial weights:

@@ -1,10 +1,10 @@
 """Density estimation, quantizer entropy, semantic rates, and distortions.
 
-The density lives on a fixed partition (default 28x28) of the source box,
-independent of the quantizer resolution m. Cell probabilities and the MSE
-distortion integrate the piecewise-constant density exactly against the
-quantizer grid via 1D overlap weights, so no Monte-Carlo noise enters the
-trade-off curves.
+The density lives on a fixed partition of the source box, a QuantizerGrid
+(default 28x28) independent of the quantizer resolution m. Cell
+probabilities and the MSE distortion integrate the piecewise-constant
+density exactly against the quantizer grid via 1D overlap weights, so no
+Monte-Carlo noise enters the trade-off curves.
 """
 
 from __future__ import annotations
@@ -14,42 +14,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyDensity, ShapeError, probability_vector
-from .quantizer import QuantizerGrid, upper_triangle_cells
+from .quantizer import SOURCE_KINDS, QuantizerGrid, upper_triangle_cells
 
 DEFAULT_PARTITION = 28
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalDensity:
-    """Rescaled histogram over a partition x partition grid on [0, box]^2.
+    """Rescaled histogram over the cells of `grid`.
 
     `mass[a, b]` is the probability mass of the cell with x-bin a and y-bin
     b; masses sum to 1, so the piecewise-constant density mass/cell_area
     integrates to 1 over the box.
     """
 
-    box_side: float
-    partition: int
+    grid: QuantizerGrid
     mass: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.box_side) or self.box_side <= 0:
-            raise ValueError(f"box side must be finite and positive, got "
-                             f"{self.box_side}")
-        if self.partition < 1:
-            raise ValueError("partition must be at least 1")
+        n = self.grid.n_bins
         m = np.array(self.mass, dtype=float)
-        if m.shape != (self.partition, self.partition):
-            raise ShapeError(
-                f"mass must be {self.partition}x{self.partition}, got {m.shape}"
-            )
+        if m.shape != (n, n):
+            raise ShapeError(f"mass must be {n}x{n}, got {m.shape}")
         probability_vector(m.ravel(), tol=1e-12)
         m.setflags(write=False)
         object.__setattr__(self, "mass", m)
-
-    @property
-    def cell_width(self) -> float:
-        return self.box_side / self.partition
 
 
 def estimate_density(point_sets, box_side: float,
@@ -61,20 +50,19 @@ def estimate_density(point_sets, box_side: float,
     if total == 0:
         raise EmptyDensity("no points to estimate a density from")
     counts = np.bincount(np.concatenate(cells) - 1, minlength=grid.n_cells)
-    return EmpiricalDensity(box_side=box_side, partition=partition,
-                            mass=counts.reshape(partition, partition) / total)
+    return EmpiricalDensity(grid, counts.reshape(partition, partition) / total)
 
 
-def _overlap_bounds(density: EmpiricalDensity, grid: QuantizerGrid) -> tuple:
+def _overlap_bounds(part: QuantizerGrid, grid: QuantizerGrid) -> tuple:
     """(lo, hi)[a, i]: the ends of partition cell a intersect quantizer bin i
     on one axis; the intersection is empty where hi <= lo."""
-    if abs(density.box_side - grid.box_side) > 1e-12:
+    if abs(part.box_side - grid.box_side) > 1e-12:
         raise ShapeError(
-            f"density box {density.box_side} differs from grid box {grid.box_side}"
+            f"density box {part.box_side} differs from grid box {grid.box_side}"
         )
-    w = density.cell_width
+    w = part.cell_width
     d = grid.cell_width
-    a = np.arange(density.partition)
+    a = np.arange(part.n_bins)
     i = np.arange(grid.n_bins)
     lo = np.maximum(a[:, None] * w, i[None, :] * d)
     hi = np.minimum((a[:, None] + 1) * w, (i[None, :] + 1) * d)
@@ -84,8 +72,8 @@ def _overlap_bounds(density: EmpiricalDensity, grid: QuantizerGrid) -> tuple:
 def cell_probabilities(density: EmpiricalDensity, grid: QuantizerGrid) -> np.ndarray:
     """Integral of the density over each quantizer cell, k-ordered (length m^2)."""
     # W[a, i] = |partition cell a  intersect  quantizer bin i| / cell width
-    lo, hi = _overlap_bounds(density, grid)
-    W = np.clip(hi - lo, 0.0, None) / density.cell_width
+    lo, hi = _overlap_bounds(density.grid, grid)
+    W = np.clip(hi - lo, 0.0, None) / density.grid.cell_width
     p = W.T @ density.mass @ W
     return p.ravel()
 
@@ -120,12 +108,10 @@ class RateReport:
     self_information_bits_per_object: float = field(init=False)
 
     def __post_init__(self):
-        if self.source_kind == "pd":
-            M = upper_triangle_cells(self.m)
-        elif self.source_kind in ("raw", "latent"):
-            M = self.m * self.m
-        else:
+        if self.source_kind not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.source_kind!r}")
+        M = (upper_triangle_cells(self.m) if self.source_kind == "pd"
+             else self.m * self.m)
         h = self.entropy_bits_per_symbol
         if h < 0:
             raise ValueError("entropy must be nonnegative")
@@ -151,14 +137,14 @@ def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
     (1/w) * sum_ab mass[a,b] * (A[a] + A[b]). A uniform density gives
     exactly cell_width^2 / 6 for any m.
     """
-    lo, hi = _overlap_bounds(density, grid)
+    lo, hi = _overlap_bounds(density.grid, grid)
     centers = (np.arange(grid.n_bins) + 0.5) * grid.cell_width
     t_hi = np.clip(hi, lo, None) - centers[None, :]
     t_lo = lo - centers[None, :]
     seg = np.where(hi > lo, (t_hi ** 3 - t_lo ** 3) / 3.0, 0.0)
     A = np.sum(seg, axis=1)
     return float(np.sum(density.mass * (A[:, None] + A[None, :]))
-                 / density.cell_width)
+                 / density.grid.cell_width)
 
 
 def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:

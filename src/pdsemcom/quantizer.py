@@ -20,7 +20,10 @@ from .errors import (CorruptSymbol, OutOfBox, ParseError, ShapeError, one_of,
                      read_table, write_table)
 from .homology import PersistenceDiagram
 
-SOURCE_KINDS = ("pd", "raw", "latent")
+# symbol channels per source kind (a diagram's two degrees); the order seeds
+# the folds
+CHANNELS = {"pd": 2, "raw": 1, "latent": 1}
+SOURCE_KINDS = tuple(CHANNELS)
 # a symbol stream file: a grid header and its one row, then a symbol table
 STREAM_GRID_HEADER = ("box_side", "n_bins", "source_kind")
 STREAM_SYMBOL_HEADER = ("object", "channel", "symbol")
@@ -174,13 +177,13 @@ def write_symbol_stream(path, grid: QuantizerGrid, source_kind: str,
     """Persist {object id: symbols} under a (B, m, source_kind) header.
 
     Nothing is written that load_symbol_stream rejects: an unknown source
-    kind, an object without symbols or with other than 2 channels for pd
-    and 1 otherwise raise ValueError, an index off the grid CorruptSymbol.
+    kind, an object without symbols or with other than its kind's
+    CHANNELS raise ValueError, an index off the grid CorruptSymbol.
     """
     if source_kind not in SOURCE_KINDS:
         raise ValueError(f"source kind must be one of {SOURCE_KINDS}, "
                          f"got {source_kind!r}")
-    n_chan = 2 if source_kind == "pd" else 1
+    n_chan = CHANNELS[source_kind]
     objects = sorted(objects.items())
     for object_id, q in objects:
         if len(q) == 0:
@@ -221,7 +224,7 @@ def load_symbol_stream(path):
             grid = QuantizerGrid(box_side=box_side, n_bins=n_bins)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
-        n_chan = 2 if source_kind == "pd" else 1
+        n_chan = CHANNELS[source_kind]
         per_object: dict[int, list] = {}
         for _, (obj, chan, sym) in read_table(
                 fh, STREAM_SYMBOL_HEADER,

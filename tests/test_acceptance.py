@@ -131,8 +131,8 @@ def test_criterion_02_bottleneck_matches_exhaustive():
 def test_criterion_03_quantizer_error_bounds():
     rng = np.random.default_rng(77)
     pts = rng.uniform(0.0, BOX, size=(100000, 2))
-    uniform = EmpiricalDensity(box_side=BOX, partition=28,
-                               mass=np.full((28, 28), 1.0 / 784.0))
+    uniform = EmpiricalDensity(QuantizerGrid(BOX, 28),
+                               np.full((28, 28), 1.0 / 784.0))
     worst_ratio = 0.0
     worst_mse = 0.0
     for m in M_RANGE:
@@ -153,8 +153,8 @@ def test_criterion_03_quantizer_error_bounds():
 @pytest.mark.slow
 def test_criterion_04_rate_identities(corpus):
     _, diagrams = corpus
-    uniform = EmpiricalDensity(box_side=BOX, partition=28,
-                               mass=np.full((28, 28), 1.0 / 784.0))
+    uniform = EmpiricalDensity(QuantizerGrid(BOX, 28),
+                               np.full((28, 28), 1.0 / 784.0))
     worst_h = 0.0
     occupancy = {}
     for m in M_RANGE:

@@ -249,3 +249,50 @@ def test_sweep_run_and_curves(tmp_path, capsys):
     rc = main(["sweep", "curves", "--kind", "ar-coded", "--in", str(out),
                "--out-dir", str(tmp_path / "curves2")])
     assert rc == 1
+
+
+def test_dataset_synth_of_no_objects_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "cloud.csv"
+    rc = main(["dataset", "synth", "--per-class", "0", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["nan", "inf", "0", "-1"])
+def test_pd_compute_rejects_a_bad_scale_cap(tmp_path, capsys, cap):
+    cloud = tmp_path / "cloud.csv"
+    assert main(["dataset", "synth", "--per-class", "1", "--n-points", "8",
+                 "--out", str(cloud)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "pd.csv"
+    rc = main(["pd", "compute", "--in", str(cloud), "--out", str(out),
+               f"--gamma-max={cap}"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "scale cap gamma_max" in err[0]
+    assert not out.exists()
+
+
+def test_huge_config_range_fails_before_expanding(tmp_path, capsys):
+    # the range is checked against MAX_RANGE before any list is built; it
+    # is kept small enough that code which expanded it first stays harmless
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("pipelines = raw\nm_values = 10..100000\n")
+    rc = main(["sweep", "run", "--config", str(cfg), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: line 2: ")
+    assert "over 1000 values" in err[0]
+
+
+def test_an_error_without_a_message_is_named_by_its_type(
+        tmp_path, capsys, monkeypatch):
+    def fail(**kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("pdsemcom.cli.synth_dataset", fail)
+    rc = main(["dataset", "synth", "--out", str(tmp_path / "cloud.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: MemoryError\n"

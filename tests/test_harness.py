@@ -71,6 +71,14 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.line_number == 1
     with pytest.raises(ParseError):
         parse_config("just some words\n")
+    # a range longer than MAX_RANGE fails before it is expanded
+    for key in ("m_values", "hidden"):
+        with pytest.raises(ParseError, match="over 1000") as err:
+            parse_config(f"per_class = 4\n{key} = 10..100000\n")
+        assert err.value.line_number == 2
+    assert parse_config("hidden = 1..1000\n").hidden == tuple(range(1, 1001))
+    with pytest.raises(ParseError, match="over 1000"):
+        parse_config("hidden = 1..1001\n")
 
 
 def test_config_validation():

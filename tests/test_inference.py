@@ -191,7 +191,8 @@ def test_training_requires_all_classes():
     X, y = _blobs(rng, n_per=10)
     keep = y != 2
     with pytest.raises(ValueError):
-        train_classifier(X[keep], y[keep], hidden_sizes=(8,), epochs=5)
+        train_classifier(X[keep], y[keep], hidden_sizes=(8,), epochs=5,
+                         seed=0)
 
 
 def test_divergence_is_reported():
@@ -201,7 +202,8 @@ def test_divergence_is_reported():
     X, y = _blobs(rng, n_per=10)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged) as err:
-            train_classifier(X * 1e308, y, hidden_sizes=(8,), epochs=50)
+            train_classifier(X * 1e308, y, hidden_sizes=(8,), epochs=50,
+                             seed=0)
     assert err.value.step == 0
 
 
@@ -240,7 +242,7 @@ def test_non_finite_column_diverges_at_step_zero(value):
     for train in (train_classifier, train_classifier_all_columns):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged) as err:
-                train(X, y, hidden_sizes=(8,), epochs=50)
+                train(X, y, hidden_sizes=(8,), epochs=50, seed=0)
         assert err.value.step == 0
 
 
@@ -253,7 +255,7 @@ def test_saturated_fit_diverges(value):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDiverged,
                            match="second moment is not finite") as err:
-            train_classifier(X, y, hidden_sizes=(8,), epochs=50)
+            train_classifier(X, y, hidden_sizes=(8,), epochs=50, seed=0)
     assert err.value.step == 50
 
 

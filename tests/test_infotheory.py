@@ -11,41 +11,39 @@ from pdsemcom.quantizer import QuantizerGrid
 
 def _uniform_density(box=16.0, partition=28):
     mass = np.full((partition, partition), 1.0 / partition ** 2)
-    return EmpiricalDensity(box_side=box, partition=partition, mass=mass)
+    return EmpiricalDensity(QuantizerGrid(box, partition), mass)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_density_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="box side"):
-        EmpiricalDensity(box_side=bad, partition=1, mass=[[1.0]])
+        EmpiricalDensity(QuantizerGrid(bad, 1), [[1.0]])
     with pytest.raises(ValueError, match="finite"):
-        EmpiricalDensity(box_side=16.0, partition=1, mass=[[bad]])
+        EmpiricalDensity(QuantizerGrid(16.0, 1), [[bad]])
     with pytest.raises(ValueError, match="finite"):
-        EmpiricalDensity(box_side=16.0, partition=2,
-                         mass=[[0.5, 0.5], [0.0, bad]])
+        EmpiricalDensity(QuantizerGrid(16.0, 2), [[0.5, 0.5], [0.0, bad]])
     with pytest.raises(ValueError):
-        EmpiricalDensity(box_side=bad, partition=1, mass=[[bad]])
+        EmpiricalDensity(QuantizerGrid(bad, 1), [[bad]])
 
 
 def test_density_validation():
     for side in (0.0, -1.0):
         with pytest.raises(ValueError, match="box side"):
-            EmpiricalDensity(box_side=side, partition=1, mass=[[1.0]])
+            EmpiricalDensity(QuantizerGrid(side, 1), [[1.0]])
     with pytest.raises(ValueError, match="nonnegative"):
-        EmpiricalDensity(box_side=1.0, partition=2,
-                         mass=[[1.5, -0.5], [0.0, 0.0]])
+        EmpiricalDensity(QuantizerGrid(1.0, 2), [[1.5, -0.5], [0.0, 0.0]])
     # the sum tolerance stays 1e-12
     with pytest.raises(ValueError, match="sum"):
-        EmpiricalDensity(box_side=1.0, partition=1, mass=[[1.0 + 1e-10]])
-    assert EmpiricalDensity(box_side=1.0, partition=1,
-                            mass=[[1.0 + 1e-13]]).mass.shape == (1, 1)
+        EmpiricalDensity(QuantizerGrid(1.0, 1), [[1.0 + 1e-10]])
+    assert EmpiricalDensity(QuantizerGrid(1.0, 1),
+                            [[1.0 + 1e-13]]).mass.shape == (1, 1)
     with pytest.raises(ShapeError):
-        EmpiricalDensity(box_side=1.0, partition=2, mass=[[1.0]])
+        EmpiricalDensity(QuantizerGrid(1.0, 2), [[1.0]])
 
 
 def test_density_copies_the_callers_mass():
     m = np.full((2, 2), 0.25)
-    density = EmpiricalDensity(box_side=1.0, partition=2, mass=m)
+    density = EmpiricalDensity(QuantizerGrid(1.0, 2), m)
     assert m.flags.writeable
     assert not density.mass.flags.writeable
     m[0, 0] = 0.5
@@ -134,7 +132,7 @@ def test_mse_matches_monte_carlo_on_lumpy_density():
     n = 200_000
     flat = dens.mass.ravel()
     cells = rng.choice(len(flat), size=n, p=flat)
-    w = dens.cell_width
+    w = dens.grid.cell_width
     xy = np.column_stack([cells // 28, cells % 28]) * w + rng.uniform(
         0, w, size=(n, 2))
     centers = grid.centers_of(grid.quantize_points(xy))

@@ -5,7 +5,8 @@ import pytest
 
 from pdsemcom import (AccuracyReport, BitStream, CvSchedule, EmpiricalDensity,
                       Frame, PointCloud,
-                      QuantizedPointSet, build_vr_filtration, vr_diagram)
+                      QuantizedPointSet, QuantizerGrid, build_vr_filtration,
+                      vr_diagram)
 
 _POINTS = [[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
 
@@ -16,7 +17,7 @@ FACTORIES = {
     "QuantizedPointSet": lambda: QuantizedPointSet(indices=[1, 5, 5],
                                                    channel_counts=(1, 2)),
     "EmpiricalDensity": lambda: EmpiricalDensity(
-        box_side=1.0, partition=2, mass=np.full((2, 2), 0.25)),
+        QuantizerGrid(1.0, 2), np.full((2, 2), 0.25)),
     "BitStream": lambda: BitStream(bits=[1, 0, 1],
                                    frames=(Frame(1, 3, (2,)),)),
     "CvSchedule": lambda: CvSchedule(n_objects=4, T=2, seed=1),
