@@ -17,6 +17,8 @@ from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
 
 RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
+# the fewest points a synthetic shape is sampled with
+MIN_SYNTH_POINTS = 8
 POINTCLOUD_HEADER = ("object", "x", "y", "label")
 
 
@@ -110,8 +112,8 @@ def synth_loops(class_id: int, n_points: int, noise: float, seed: int,
     """
     if class_id not in VALID_CLASSES:
         raise ValueError(f"class_id must be in {VALID_CLASSES}")
-    if n_points < 8:
-        raise ValueError("n_points must be at least 8")
+    if n_points < MIN_SYNTH_POINTS:
+        raise ValueError(f"n_points must be at least {MIN_SYNTH_POINTS}")
     if noise < 0:
         raise ValueError("noise must be nonnegative")
     rng = substream(seed, class_id, object_id)

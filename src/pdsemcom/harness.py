@@ -22,7 +22,8 @@ from .channel import BscChannel, transmit, transmit_bits
 from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
                     decode_or_passthrough, huffman_decode, huffman_encode,
                     pack_objects)
-from .dataset import RAW_BOX_SIDE, load_pointcloud_file, synth_dataset
+from .dataset import (MIN_SYNTH_POINTS, RAW_BOX_SIDE, load_pointcloud_file,
+                      synth_dataset)
 from .errors import (ParseError, PipelineError, ShapeError, finite,
                      read_table, write_table)
 from .homology import DEFAULT_GAMMA_MAX, read_pd_rows, vr_diagram
@@ -130,8 +131,8 @@ class ExperimentConfig:
                 raise ValueError("error capability must be at least 1")
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        for name, low in (("per_class", 1), ("n_points", 4), ("partition", 1),
-                          ("T", 1), ("epochs", 1)):
+        for name, low in (("per_class", 1), ("n_points", MIN_SYNTH_POINTS),
+                          ("partition", 1), ("T", 1), ("epochs", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         # written so that NaN fails too

@@ -9,13 +9,20 @@ edge coboundaries in reverse filtration order, as Ripser does (Bauer, JACT
 2021): edges that merge components need no column (clearing), most edges
 pair with their oldest cofacet outright (apparent pairs), and the few
 coboundaries the reduction adds are built on demand as Python-int bitmasks
-over triangle positions. Cohomology yields the same pairs as homology
-(de Silva, Morozov and Vejdemo-Johansson, 2011).
+over triangle positions, from comparisons against the triangles' facet
+arrays. Cohomology yields the same pairs as homology (de Silva, Morozov and
+Vejdemo-Johansson, 2011).
+
+The filtration sorts by integer rank, not by float value: each distinct
+edge length gets a dense rank, held in the smallest unsigned dtype that
+fits, so the stable sorts of edges and triangles are radix sorts for up to
+256 points. Triangles are the set cells of an (edge, vertex) mask, the
+vertices adjacent to both ends of the edge, enumerated a bounded block of
+edges at a time: the work is E * n cells, not n**3.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +35,8 @@ DEFAULT_GAMMA_MAX = 16.0
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 # the columns of a diagram file, and of a latent file, which shares its layout
 PD_HEADER = ("object", "dim", "birth", "death")
+# the (edge, vertex) mask cells that one triangle enumeration step holds
+TRIANGLE_BLOCK_CELLS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +48,10 @@ class Filtration:
     dimension-1 and dimension-2 parts in their global order. Each
     dimension is enumerated in lexicographic order, so one stable sort by
     filtration value gives the whole order: simplices of equal value keep
-    their lexicographic order.
+    their lexicographic order. The sort key is the dense rank of the value
+    among the edge lengths (a triangle's is its longest edge's), which
+    orders exactly as the value does; the values are read back from the
+    ranks, so they are the distances themselves.
     """
 
     n_vertices: int
@@ -52,16 +64,6 @@ class Filtration:
     @property
     def simplex_count(self) -> int:
         return self.n_vertices + len(self.edges) + len(self.triangles)
-
-
-def _by_diameter(simplices: np.ndarray,
-                 dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort simplices, given in lexicographic order, by diameter."""
-    values = np.max([dist[simplices[:, a], simplices[:, b]] for a, b in
-                     itertools.combinations(range(simplices.shape[1]), 2)],
-                    axis=0)
-    order = np.argsort(values, kind="stable")
-    return simplices[order], values[order]
 
 
 def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
@@ -79,26 +81,47 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     upper = np.triu(dist <= gamma_max, k=1)
-    edges, edge_values = _by_diameter(np.argwhere(upper), dist)
+    # edges (i, j) in lexicographic order; equal lengths share a rank, so a
+    # stable sort by rank is the stable sort by length
+    ei, ej = np.nonzero(upper)
+    values, edge_rank = np.unique(dist[ei, ej], return_inverse=True)
+    edge_rank = edge_rank.astype(np.min_scalar_type(len(values)))
+    rank = np.zeros((n, n), dtype=edge_rank.dtype)
+    rank[ei, ej] = edge_rank
+    order = np.argsort(edge_rank, kind="stable")
+    edges = np.column_stack([ei[order], ej[order]])
+    edge_values = values[edge_rank[order]]
 
-    # triangles (i, j, k) come vertex by vertex in lexicographic order; the
-    # count stops the enumeration once it passes the budget, so memory stays
-    # within the budget plus one vertex's block
+    # the triangles (i, j, k) over edge (i, j) are the k set in both rows of
+    # `upper`, so the flat indices of a block of edge rows come in
+    # lexicographic order; a triangle's rank is its longest edge's. The
+    # count stops the enumeration after the first block that passes the
+    # budget, so memory stays within the budget plus one block.
     count = n + len(edges)
-    blocks = [np.empty((0, 3), dtype=int)]
-    for i in range(n if max_dim == 2 else 0):
-        if count > budget:
-            break
-        nbrs = np.nonzero(upper[i])[0]
-        j, k = np.nonzero(upper[np.ix_(nbrs, nbrs)])
-        blocks.append(np.column_stack([np.full(len(j), i), nbrs[j], nbrs[k]]))
-        count += len(j)
     if count > budget:
         raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
-    triangles, triangle_values = _by_diameter(np.concatenate(blocks), dist)
+    flats = [np.empty(0, dtype=np.intp)]
+    ranks = [np.empty(0, dtype=rank.dtype)]
+    step = max(1, TRIANGLE_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, len(ei) if max_dim == 2 else 0, step):
+        a, b = ei[lo:lo + step], ej[lo:lo + step]
+        flat = np.flatnonzero(upper[a] & upper[b])
+        count += len(flat)
+        if count > budget:
+            raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
+        longest = np.maximum(np.maximum(rank[a], rank[b]),
+                             edge_rank[lo:lo + step, None])
+        ranks.append(longest.ravel()[flat])
+        flats.append(flat + lo * n)
+    triangle_rank = np.concatenate(ranks)
+    order = np.argsort(triangle_rank, kind="stable")
+    flat = np.concatenate(flats)[order]
+    e = flat // max(n, 1)
+    triangles = np.column_stack([ei[e], ej[e], flat - e * n])
 
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
-                      triangles=triangles, triangle_values=triangle_values,
+                      triangles=triangles,
+                      triangle_values=values[triangle_rank[order]],
                       gamma_max=float(gamma_max))
 
 
@@ -178,8 +201,9 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     edge first, with the oldest triangle as pivot. Edges that merge
     components are skipped (clearing). An edge whose oldest cofacet has that
     edge as its youngest facet is paired with it outright (an apparent
-    pair); its coboundary is built only if a later column needs it. The
-    pairs are those of the triangle-column homology reduction.
+    pair); its coboundary is built only if a later column needs it, as a
+    bitmask of the triangles whose facet arrays hold that edge. The pairs
+    are those of the triangle-column homology reduction.
 
     Degree-1 pairs of zero persistence are dropped; degree-0 pairs of
     duplicate points (birth 0, death 0) stay, one per extra copy. Classes
@@ -220,10 +244,10 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     index[edges[:, 0], edges[:, 1]] = np.arange(n_edges)
     index[edges[:, 1], edges[:, 0]] = np.arange(n_edges)
     i, j, k = tris.T
+    facets = [index[i, j], index[i, k], index[j, k]]
     youngest = np.full(n_tris, -1)
     oldest = np.full(n_edges, n_tris)
-    for u, v in ((i, j), (i, k), (j, k)):
-        facet = index[u, v]
+    for facet in facets:
         np.maximum(youngest, facet, out=youngest)
         np.minimum.at(oldest, facet, np.arange(n_tris))
 
@@ -239,22 +263,15 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
         # edge -> reduced coboundary as a bitmask over triangle positions
         # (an apparent pair's is built when first added)
         columns: dict[int, int] = {}
-        keys = (i * n + j) * n + k
-        # stable: the default sort's SIMD code adds about 0.4 MB of
-        # resident memory to a process on first use
-        by_key = np.argsort(keys, kind="stable")
-        sorted_keys = keys[by_key]
-        adjacent = index >= 0
+        # an edge's cofacets are the triangles that have it as a facet: a
+        # coboundary is a pass over every triangle position anyway, so three
+        # comparisons against the facet arrays, narrowed to the smallest
+        # dtype that holds E, find them without sorting any key
+        narrow = [facet.astype(np.min_scalar_type(n_edges)) for facet in facets]
 
         def coboundary(e: int) -> int:
-            # the triangles {a, b, c} over the common neighbours c of a < b
-            a, b = edges[e]
-            c = np.nonzero(adjacent[a] & adjacent[b])[0]
-            lo, hi = np.minimum(a, c), np.maximum(b, c)
-            found = np.searchsorted(
-                sorted_keys, (lo * n + (a + b + c - lo - hi)) * n + hi)
-            mask = np.zeros(n_tris, dtype=bool)
-            mask[by_key[found]] = True
+            f0, f1, f2 = narrow
+            mask = (f0 == e) | (f1 == e) | (f2 == e)
             return int.from_bytes(np.packbits(mask, bitorder="little"),
                                   "little")
 

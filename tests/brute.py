@@ -29,10 +29,15 @@ moved here verbatim.
 
 The Vietoris-Rips filtration that sorts edges and triangles by
 (diameter, vertex tuple) with `np.lexsort` and counts triangles for the
-budget with an adjacency matrix product (the package enumerates in
-lexicographic order, sorts once by diameter with a stable sort, and counts
-while enumerating) is the package's former `build_vr_filtration`, moved
-here verbatim as `filtration_by_lexsort`.
+budget with an adjacency matrix product (the package enumerates triangles
+as the set cells of an (edge row, vertex) mask, a block of edges at a
+time, sorts once by the integer rank of the diameter with a stable sort,
+and counts while enumerating) is the package's former
+`build_vr_filtration`, moved here verbatim as `filtration_by_lexsort`. It
+is the one filtration oracle, and it applies the same budget rule: n + E
+is checked before any triangle, and n + E + T in full. The reduction's
+oracle is `persistence_by_triangle_columns`, which reduces triangle
+columns over edge rows and never looks up a cofacet.
 
 The MLP fit over every feature column (the package fits only the columns
 some training row fills and leaves the rest of the first weight matrix as
@@ -232,6 +237,13 @@ def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_M
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
                       triangles=tri, triangle_values=tri_values,
                       gamma_max=float(gamma_max))
+
+
+def assert_same_filtration(got, want):
+    """Both filtrations hold equal arrays of equal dtypes."""
+    for name in ("edges", "edge_values", "triangles", "triangle_values"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:

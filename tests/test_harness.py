@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdsemcom.dataset import PointCloud, synth_dataset, write_pointcloud_file
+from pdsemcom.dataset import (MIN_SYNTH_POINTS, PointCloud, synth_dataset,
+                              synth_loops, write_pointcloud_file)
 from pdsemcom.errors import ParseError
 from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
                               emit_curves, folds_path_for, load_config,
@@ -103,6 +104,23 @@ def test_config_validation():
     # m values are sorted and deduplicated
     cfg = ExperimentConfig(m_values=(12, 10, 12))
     assert cfg.m_values == (10, 12)
+
+
+def test_synth_point_count_fails_in_load_config(tmp_path):
+    # one bound for the config and the shape sampler: a config the sampler
+    # would reject fails when it is read, not at sweep set-up
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"n_points = {MIN_SYNTH_POINTS - 1}\n")
+    with pytest.raises(ParseError,
+                       match=f"n_points must be at least {MIN_SYNTH_POINTS}"):
+        load_config(path)
+    with pytest.raises(ValueError,
+                       match=f"n_points must be at least {MIN_SYNTH_POINTS}"):
+        synth_loops(1, n_points=MIN_SYNTH_POINTS - 1, noise=0.0, seed=0)
+    path.write_text(f"n_points = {MIN_SYNTH_POINTS}\n")
+    assert load_config(path).n_points == MIN_SYNTH_POINTS
+    assert synth_loops(1, n_points=MIN_SYNTH_POINTS, noise=0.0,
+                       seed=0).n_points == MIN_SYNTH_POINTS
 
 
 @pytest.mark.parametrize("key", ["noise", "gamma_max", "box_pd", "box_raw",

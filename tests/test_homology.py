@@ -3,12 +3,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from brute import betti_bruteforce, betti_from_diagram
+from brute import (assert_same_filtration, betti_bruteforce,
+                   betti_from_diagram, filtration_by_lexsort)
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import BudgetExceeded, ParseError, ShapeError
-from pdsemcom.homology import (PersistenceDiagram, _kuhn_max_matching,
-                               build_vr_filtration, compute_persistence,
-                               load_pd_file, vr_diagram, write_pd_file)
+from pdsemcom.homology import (TRIANGLE_BLOCK_CELLS, PersistenceDiagram,
+                               _kuhn_max_matching, build_vr_filtration,
+                               compute_persistence, load_pd_file, vr_diagram,
+                               write_pd_file)
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
 
@@ -88,6 +90,36 @@ def test_filtration_ordering_and_budget():
     for budget in (total - 1, n_low - 1):
         with pytest.raises(BudgetExceeded):
             build_vr_filtration(pts, gamma_max=16.0, budget=budget)
+
+
+def test_triangles_enumerated_in_several_blocks():
+    # 300 points on an integer grid tie many lengths; a block holds the
+    # rows of TRIANGLE_BLOCK_CELLS // n = 3495 edges, and the triangles
+    # come from the third block too
+    n, cap = 300, 8.0
+    pts = np.random.default_rng(11).integers(0, 29, size=(n, 2)).astype(float)
+    filt = build_vr_filtration(pts, gamma_max=cap)
+    lexicographic = {edge: pos for pos, edge in
+                     enumerate(sorted(map(tuple, filt.edges.tolist())))}
+    assert max(lexicographic[i, j] for i, j, _ in filt.triangles.tolist()) \
+        >= 2 * (TRIANGLE_BLOCK_CELLS // n)
+    assert_same_filtration(filt, filtration_by_lexsort(pts, gamma_max=cap))
+    total = filt.simplex_count
+    assert build_vr_filtration(
+        pts, gamma_max=cap, budget=total).simplex_count == total
+    for budget in (total - 1, n + len(filt.edges), n + len(filt.edges) - 1):
+        with pytest.raises(BudgetExceeded):
+            build_vr_filtration(pts, gamma_max=cap, budget=budget)
+
+
+def test_more_lengths_than_sixteen_bits_rank():
+    # 400 points in a box the cap covers: 79800 distinct lengths, so the
+    # ranks are 32-bit and the stable sort is not a radix sort
+    pts = np.random.default_rng(12).uniform(0.0, 8.0, size=(400, 2))
+    filt = build_vr_filtration(pts, gamma_max=16.0, max_dim=1)
+    assert len(np.unique(filt.edge_values)) > 65535
+    assert_same_filtration(
+        filt, filtration_by_lexsort(pts, gamma_max=16.0, max_dim=1))
 
 
 def test_matching_follows_augmenting_paths_past_the_recursion_limit():

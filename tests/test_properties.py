@@ -4,16 +4,17 @@ the table-driven Huffman code against the canonical reassignment and the
 bit walk, the binary Berlekamp-Massey against the general one, the
 table-driven BCH syndromes, Chien search and decoder against the
 multiply-and-mod ones, the bottleneck search against brute-force
-matchings, degree-0 counts of Rips diagrams, the Rips filtration against
-the lexsorted one, Rips diagrams against the triangle-column reduction,
-the one-pass bottleneck-style distortion against the per-object loop, the
-MLP fit on the columns the training rows fill against the fit over every
-column, the little-endian bit packing against the reversed big-endian one,
-the BCH payload coder against a block-by-block loop, the codeword-per-step
-Huffman decoder against the per-bit walk, the parent-pointer Huffman
-lengths against the leaf-list merge, the one-pass tent features against
-the per-degree ones, and the one-pass diagram quantizer and rebuild
-against the per-degree quantizer and the rebuild through cell centers."""
+matchings, degree-0 counts of Rips diagrams, the Rips filtration and its
+budget outcome against the lexsorted one, Rips diagrams against the
+triangle-column reduction, the one-pass bottleneck-style distortion against
+the per-object loop, the MLP fit on the columns the training rows fill
+against the fit over every column, the little-endian bit packing against
+the reversed big-endian one, the BCH payload coder against a block-by-block
+loop, the codeword-per-step Huffman decoder against the per-bit walk, the
+parent-pointer Huffman lengths against the leaf-list merge, the one-pass
+tent features against the per-degree ones, and the one-pass diagram
+quantizer and rebuild against the per-degree quantizer and the rebuild
+through cell centers."""
 
 import functools
 
@@ -22,8 +23,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import (bch_decode_blocks, bch_decode_by_products,
-                   bch_encode_blocks, berlekamp_massey_general,
+from brute import (assert_same_filtration, bch_decode_blocks,
+                   bch_decode_by_products, bch_encode_blocks,
+                   berlekamp_massey_general,
                    berlekamp_massey_lists,
                    bits_to_int_reversed, bottleneck_exhaustive,
                    bottleneck_style_distortion_loop, canonical_codewords,
@@ -41,8 +43,9 @@ from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.codec.huffman import _codeword_lengths
 from pdsemcom.dataset import load_pointcloud_file
-from pdsemcom.errors import (CapacityExceeded, DecodeFailure, EmptyDensity,
-                             InconsistentLabel, OutOfBox, ParseError)
+from pdsemcom.errors import (BudgetExceeded, CapacityExceeded, DecodeFailure,
+                             EmptyDensity, InconsistentLabel, OutOfBox,
+                             ParseError)
 from pdsemcom.harness import decode_payload, encode_payload
 from pdsemcom.homology import (PersistenceDiagram, bottleneck_distance,
                                build_vr_filtration, compute_persistence,
@@ -530,13 +533,29 @@ _CLOUD = st.one_of(_cloud(st.integers(0, 5)), _cloud(st.floats(0, 6)))
 
 @PROPERTY
 @given(points=_CLOUD, cap=st.sampled_from([1.0, 2.0, 3.0, 16.0]),
-       max_dim=st.sampled_from([1, 2]))
-def test_filtration_matches_lexsort(points, cap, max_dim):
+       max_dim=st.sampled_from([1, 2]), at_triangles=st.booleans(),
+       slack=st.integers(-2, 2))
+def test_filtration_matches_lexsort(points, cap, max_dim, at_triangles,
+                                    slack):
     got = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
     want = filtration_by_lexsort(points, gamma_max=cap, max_dim=max_dim)
-    for name in ("edges", "edge_values", "triangles", "triangle_values"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_filtration(got, want)
+    # a budget near n + E, which the enumeration checks before any
+    # triangle, or near n + E + T: the same arrays, or BudgetExceeded from
+    # both, exactly when the simplices exceed it
+    budget = slack + (got.simplex_count if at_triangles
+                      else got.n_vertices + len(got.edges))
+    outcomes = []
+    for build in (build_vr_filtration, filtration_by_lexsort):
+        try:
+            outcomes.append(build(points, gamma_max=cap, max_dim=max_dim,
+                                  budget=budget))
+        except BudgetExceeded:
+            outcomes.append(None)
+    if got.simplex_count > budget:
+        assert outcomes == [None, None]
+    else:
+        assert_same_filtration(*outcomes)
 
 
 @PROPERTY
