@@ -9,7 +9,8 @@ only spins (43.1 s of CPU against 26.3 s for one default sweep). The file
 records the machine, the line count of each package module (the files that
 `wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total,
 the tier-1 suite's wall time with its ten slowest entries, the default
-sweep's wall time and the SHA-256 of its results and folds files, the
+sweep's wall time, its time to the first results row (the first progress
+line) and the SHA-256 of its results and folds files, the
 criterion-11 coded sweep's wall time, and the per-layer medians of
 `sweepbench/run.py --trace 1 --seed 1` on both benchmark workloads. Wall times are plain wall seconds, not the sweep benchmark's
 reference seconds, so compare only files measured on the same machine.
@@ -52,15 +53,26 @@ def _env():
 
 
 def _run(args, check=True):
-    """-> (completed process, wall seconds) of one child interpreter."""
+    """-> (completed process, wall seconds, wall seconds to its first stdout
+    line that starts with "[", or None) of one child interpreter."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, *args], cwd=ROOT, env=_env(),
-                          capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    first, out = None, []
+    with tempfile.TemporaryFile("w+") as err:
+        with subprocess.Popen([sys.executable, *args], cwd=ROOT, env=_env(),
+                              stdout=subprocess.PIPE, stderr=err,
+                              text=True) as child:
+            for line in child.stdout:
+                if first is None and line.startswith("["):
+                    first = time.perf_counter() - t0
+                out.append(line)
+        wall = time.perf_counter() - t0
+        err.seek(0)
+        proc = subprocess.CompletedProcess(child.args, child.returncode,
+                                           "".join(out), err.read())
     if check and proc.returncode != 0:
         raise RuntimeError(f"{' '.join(args)} exited with {proc.returncode}:"
                            f"\n{proc.stderr.strip()}")
-    return proc, wall
+    return proc, wall, first
 
 
 def machine() -> dict:
@@ -100,7 +112,7 @@ def src_lines() -> dict:
 
 
 def tier1() -> dict:
-    proc, wall = _run(TIER1, check=False)
+    proc, wall, _ = _run(TIER1, check=False)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
     return {
         "wall_s": round(wall, 2),
@@ -112,21 +124,25 @@ def tier1() -> dict:
 
 
 def sweep(workdir: Path, name: str, config_text: str) -> dict:
-    """Run one sweep through the CLI; -> wall seconds and file digests."""
+    """Run one sweep through the CLI; -> wall seconds, wall seconds to its
+    first results row and file digests.
+
+    The child runs unbuffered (-u), so each progress line, printed after
+    its cell's results row is written, reaches the pipe when printed."""
     out = workdir / name / "results.csv"
     out.parent.mkdir()
     config = out.with_suffix(".cfg")
     config.write_text(config_text + f"out = {out}\n")
-    _, wall = _run(["-m", "pdsemcom.cli", "sweep", "run", "--config",
-                    str(config), "--quiet"])
+    _, wall, first = _run(["-u", "-m", "pdsemcom.cli", "sweep", "run",
+                           "--config", str(config)])
     folds = out.with_name(out.stem + "_folds.csv")
-    return {"wall_s": round(wall, 2),
+    return {"wall_s": round(wall, 2), "first_row_s": round(first, 2),
             "results_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
             "folds_sha256": hashlib.sha256(folds.read_bytes()).hexdigest()}
 
 
 def traced(workload: str) -> dict:
-    proc, wall = _run(["sweepbench/run.py", "--workload", workload,
+    proc, wall, _ = _run(["sweepbench/run.py", "--workload", workload,
                        "--seed", "1", "--seconds", str(TRACE_SECONDS),
                        "--trace", "1"])
     result = json.loads(proc.stdout.splitlines()[-1])

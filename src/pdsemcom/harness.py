@@ -666,6 +666,11 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     sibling *_folds.csv holds per-repetition accuracies. Before it appends,
     a resume cuts both files to their longest run of finished cells, so a
     kill at any byte of either file costs at most the cells it cut.
+
+    Each pipeline builds its diagrams or points, density and T fold
+    classifiers when the sweep reaches its first pending cell, so the
+    earlier pipelines' rows are on disk before a later pipeline trains, and
+    a kill while it trains costs only its own cells and those after it.
     """
     ctx = _SweepContext(config)
     # (key, pipeline, m, alpha, code spec) in row order
@@ -678,16 +683,16 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     folds_path = folds_path_for(config.out)
     existing = _finished_cells(config, head.encode(), folds_path)
     done = {r.key for r in existing}
-    pending = [c for c in cells if c[0] not in done]
 
-    # stages 2 and 3, each built once, only for the cells still to run
-    states = {p: _attempt(_build_pipeline, ctx, p) for p in config.pipelines
-              if any(c[1] == p for c in pending)}
+    # stage 3, each code built once, only for the cells still to run; built
+    # here, not at first use, so no code build falls between two cells
+    pending_specs = {c[4] for c in cells if c[0] not in done}
     codes = {s: _attempt(build_bch, s) for s in config.codes
-             if any(c[4] == s for c in pending)}
+             if s in pending_specs}
 
     records = list(existing)
     failed = []
+    built, state = None, None
     group, prep = None, None
     with (open(config.out, "a", newline="") as out_f,
           open(folds_path, "a", newline="") as folds_f):
@@ -704,7 +709,14 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
                 if progress:
                     print(f"[{idx + 1}/{len(cells)}] {key} already done")
                 continue
-            state = states[pipeline]
+            if built != pipeline:
+                # stage 2: the cells come pipeline by pipeline, so each
+                # pipeline is built once, at its first pending cell, after
+                # the last one's state and prep are dropped; the rows of
+                # the pipelines before it are on disk before it trains
+                state = prep = None
+                built, state = pipeline, _attempt(_build_pipeline, ctx,
+                                                  pipeline)
             if group != (pipeline, m):
                 # stage 4: drop the finished group's prep, build this one's
                 group, prep = (pipeline, m), None

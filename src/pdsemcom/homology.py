@@ -78,13 +78,23 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
         raise ValueError(f"max_dim must be 1 or 2, got {max_dim}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    upper = np.triu(dist <= gamma_max, k=1)
-    # edges (i, j) in lexicographic order; equal lengths share a rank, so a
-    # stable sort by rank is the stable sort by length
+    # the distances a bounded block of rows at a time, so the only n x n
+    # arrays are `upper` and `rank`; row by row, the lengths of the edges
+    # (i, j) come in lexicographic order
+    upper = np.zeros((n, n), dtype=bool)
+    lengths = [np.empty(0)]
+    step = max(1, TRIANGLE_BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, step):
+        dx = pts[lo:lo + step, None, 0] - pts[None, :, 0]
+        dy = pts[lo:lo + step, None, 1] - pts[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        block = upper[lo:lo + step]
+        block[...] = np.triu(dist <= gamma_max, k=lo + 1)
+        lengths.append(dist[block])
+    # equal lengths share a rank, so a stable sort by rank is the stable
+    # sort by length
     ei, ej = np.nonzero(upper)
-    values, edge_rank = np.unique(dist[ei, ej], return_inverse=True)
+    values, edge_rank = np.unique(np.concatenate(lengths), return_inverse=True)
     edge_rank = edge_rank.astype(np.min_scalar_type(len(values)))
     rank = np.zeros((n, n), dtype=edge_rank.dtype)
     rank[ei, ej] = edge_rank
@@ -239,12 +249,13 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     positive[merges] = False
 
     # the youngest facet of every triangle and the oldest cofacet of every
-    # edge (n_tris if none), as positions, one facet array at a time
-    index = np.full((n, n), -1)
-    index[edges[:, 0], edges[:, 1]] = np.arange(n_edges)
-    index[edges[:, 1], edges[:, 0]] = np.arange(n_edges)
+    # edge (n_tris if none), as positions, one facet array at a time; every
+    # edge and facet (a, b) has a < b, so the flat index a * n + b finds it
+    index = np.full(n * n, -1)
+    index[edges[:, 0] * n + edges[:, 1]] = np.arange(n_edges)
     i, j, k = tris.T
-    facets = [index[i, j], index[i, k], index[j, k]]
+    facets = [index.take(i * n + j), index.take(i * n + k),
+              index.take(j * n + k)]
     youngest = np.full(n_tris, -1)
     oldest = np.full(n_edges, n_tris)
     for facet in facets:

@@ -430,6 +430,70 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     assert calls == {"read_results": 1}
 
 
+def _pd_then_raw(tmp_path, name):
+    """A tiny pd + raw sweep, run in full into `name`.csv, and its files."""
+    config = _small_config(tmp_path / f"{name}.csv", alphas=(0.0,), codes=(),
+                           epochs=5)
+    run_sweep(config)
+    return config, (Path(config.out).read_bytes(),
+                    Path(folds_path_for(config.out)).read_bytes())
+
+
+def test_each_pipeline_trains_at_its_first_pending_cell(tmp_path,
+                                                        monkeypatch):
+    import pdsemcom.harness as harness
+    full, (results, folds) = _pd_then_raw(tmp_path, "full")
+    config = ExperimentConfig(**{**full.__dict__,
+                                 "out": str(tmp_path / "streamed.csv")})
+    paths = (Path(config.out), Path(folds_path_for(config.out)))
+    build = harness._build_pipeline
+    on_disk = {}
+
+    def watched(ctx, pipeline):
+        on_disk[pipeline] = tuple(p.read_bytes() for p in paths)
+        return build(ctx, pipeline)
+
+    monkeypatch.setattr(harness, "_build_pipeline", watched)
+    run_sweep(config)
+    # when raw builds, the files hold their heads and every pd row
+    pd_cells = len(config.m_values)
+    pd_rows = results.splitlines(keepends=True)[:2 + pd_cells]
+    pd_folds = folds.splitlines(keepends=True)[:1 + config.T * pd_cells]
+    assert on_disk["raw"] == (b"".join(pd_rows), b"".join(pd_folds))
+    assert tuple(p.read_bytes() for p in paths) == (results, folds)
+
+
+def test_kill_while_a_later_pipeline_trains_keeps_earlier_rows(tmp_path,
+                                                               monkeypatch):
+    import pdsemcom.harness as harness
+    full, (results, folds) = _pd_then_raw(tmp_path, "full")
+    config = ExperimentConfig(**{**full.__dict__,
+                                 "out": str(tmp_path / "killed.csv")})
+    build = harness._build_pipeline
+
+    def killed_at_raw(ctx, pipeline):
+        if pipeline == "raw":
+            raise KeyboardInterrupt
+        return build(ctx, pipeline)
+
+    monkeypatch.setattr(harness, "_build_pipeline", killed_at_raw)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(config)
+    _, records = read_results(config.out)
+    assert [r.pipeline for r in records] == ["pd"] * len(config.m_values)
+    built = []
+
+    def counted(ctx, pipeline):
+        built.append(pipeline)
+        return build(ctx, pipeline)
+
+    monkeypatch.setattr(harness, "_build_pipeline", counted)
+    run_sweep(config)
+    assert built == ["raw"]
+    assert Path(config.out).read_bytes() == results
+    assert Path(folds_path_for(config.out)).read_bytes() == folds
+
+
 def _sweepbench_module(name):
     path = Path(__file__).resolve().parents[1] / "sweepbench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"sweepbench_{name}", path)

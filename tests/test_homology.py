@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,33 @@ def test_triangles_enumerated_in_several_blocks():
     for budget in (total - 1, n + len(filt.edges), n + len(filt.edges) - 1):
         with pytest.raises(BudgetExceeded):
             build_vr_filtration(pts, gamma_max=cap, budget=budget)
+
+
+def test_distances_in_row_blocks_match_the_lexsort_filtration():
+    # a block holds TRIANGLE_BLOCK_CELLS // n = 953 rows of distances, so
+    # the edges of 1100 points come from two blocks
+    n, cap = 1100, 1.5
+    pts = np.random.default_rng(13).uniform(0.0, 30.0, size=(n, 2))
+    filt = build_vr_filtration(pts, gamma_max=cap)
+    assert filt.edges[:, 0].max() >= TRIANGLE_BLOCK_CELLS // n
+    assert len(filt.triangles)
+    assert_same_filtration(filt, filtration_by_lexsort(pts, gamma_max=cap))
+
+
+def test_filtration_memory_is_not_a_float_matrix():
+    # 3969 points 2 apart at cap 1: no edges, so the n x n bool and rank
+    # arrays (16 MB each) and one block of distances are all that is held;
+    # an n x n x 2 difference array alone would be 252 MB
+    grid = np.arange(63) * 2.0
+    pts = np.array([(x, y) for x in grid for y in grid])
+    tracemalloc.start()
+    try:
+        filt = build_vr_filtration(pts, gamma_max=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert filt.simplex_count == len(pts)
+    assert peak < 100e6
 
 
 def test_more_lengths_than_sixteen_bits_rank():
