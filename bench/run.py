@@ -7,13 +7,17 @@ imported from this checkout's src/ and OPENBLAS_NUM_THREADS=1 set for it:
 the classifier's matrix products are small, so a second OpenBLAS thread
 only spins (43.1 s of CPU against 26.3 s for one default sweep). The file
 records the machine, the line count of each package module (the files that
-`wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total,
-the tier-1 suite's wall time with its ten slowest entries, the default
-sweep's wall time, its time to the first results row (the first progress
-line) and the SHA-256 of its results and folds files, the
-criterion-11 coded sweep's wall time, and the per-layer medians of
-`sweepbench/run.py --trace 1 --seed 1` on both benchmark workloads. Wall times are plain wall seconds, not the sweep benchmark's
-reference seconds, so compare only files measured on the same machine.
+`wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total, the
+`tracemalloc` peak of one `vr_diagram` call on the 3969-point grid of
+`tests/test_homology.py` (points 2 apart at cap 1, a complex of vertices
+only, so its n x n arrays are most of what it holds), the tier-1 suite's
+wall time with its ten slowest entries, the default sweep's wall time, its
+time to the first results row (the first progress line) and the SHA-256 of
+its results and folds files, the criterion-11 coded sweep's wall time, and
+the per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
+benchmark workloads. Wall times are plain wall seconds, not the sweep
+benchmark's reference seconds, so compare only files measured on the same
+machine.
 Nothing is written if a sweep fails; a failing tier-1 run is recorded with
 its counts. It takes about five minutes on a 2-core machine.
 """
@@ -38,6 +42,17 @@ TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors",
 # the criterion-11 config of tests/test_acceptance.py
 CRITERION_11 = ("pipelines = pd\nm_values = 10\nalphas = 0, 0.12\n"
                 "codes = 1023:123:170\n")
+# prints the tracemalloc peak, in MB, of one vr_diagram call on a
+# 63 x 63 grid of points 2 apart at cap 1
+HOMOLOGY_PEAK = (
+    "import tracemalloc\n"
+    "import numpy as np\n"
+    "from pdsemcom.homology import vr_diagram\n"
+    "grid = np.arange(63) * 2.0\n"
+    "pts = np.array([(x, y) for x in grid for y in grid])\n"
+    "tracemalloc.start()\n"
+    "vr_diagram(pts, gamma_max=1.0)\n"
+    "print(tracemalloc.get_traced_memory()[1] / 1e6)\n")
 TRACE_SECONDS = 50
 BLAS_THREADS = "1"
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", re.M)
@@ -111,6 +126,11 @@ def src_lines() -> dict:
     return {"total": sum(modules.values()), "modules": modules}
 
 
+def homology_peak_mb() -> float:
+    proc, _, _ = _run(["-c", HOMOLOGY_PEAK])
+    return round(float(proc.stdout), 1)
+
+
 def tier1() -> dict:
     proc, wall, _ = _run(TIER1, check=False)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
@@ -154,6 +174,8 @@ def main() -> int:
     bench = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
              "src_sha256": src_sha256(), "src_lines": src_lines(),
              "machine": machine()}
+    print("homology peak ...", file=sys.stderr)
+    bench["homology_peak_mb"] = homology_peak_mb()
     print("tier-1 ...", file=sys.stderr)
     bench["tier1"] = tier1()
     with tempfile.TemporaryDirectory() as tmp:

@@ -129,10 +129,14 @@ class ExperimentConfig:
                 raise ValueError(f"message length {k} outside (0, {n})")
             if t < 1:
                 raise ValueError("error capability must be at least 1")
+        if len(set(codes)) != len(codes):
+            raise ValueError("duplicate codes")
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         for name, low in (("per_class", 1), ("n_points", MIN_SYNTH_POINTS),
-                          ("partition", 1), ("T", 1), ("epochs", 1)):
+                          ("partition", 1), ("T", 1), ("epochs", 1),
+                          ("dataset_seed", 0), ("cv_seed", 0),
+                          ("train_seed", 0), ("channel_seed", 0)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}")
         # written so that NaN fails too

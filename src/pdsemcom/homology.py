@@ -112,7 +112,6 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
         raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
     flats = [np.empty(0, dtype=np.intp)]
     ranks = [np.empty(0, dtype=rank.dtype)]
-    step = max(1, TRIANGLE_BLOCK_CELLS // max(n, 1))
     for lo in range(0, len(ei) if max_dim == 2 else 0, step):
         a, b = ei[lo:lo + step], ej[lo:lo + step]
         flat = np.flatnonzero(upper[a] & upper[b])
@@ -249,17 +248,18 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     positive[merges] = False
 
     # the youngest facet of every triangle and the oldest cofacet of every
-    # edge (n_tris if none), as positions, one facet array at a time; every
-    # edge and facet (a, b) has a < b, so the flat index a * n + b finds it
-    index = np.full(n * n, -1)
+    # edge (n_tris if none), as positions. Every edge and facet (a, b) has
+    # a < b, so the flat index a * n + b finds it. The index holds positions
+    # in the smallest dtype that holds E, so the facet arrays are narrow;
+    # every facet of a triangle is an edge, so the zero fill is never read
+    index = np.zeros(n * n, dtype=np.min_scalar_type(n_edges))
     index[edges[:, 0] * n + edges[:, 1]] = np.arange(n_edges)
     i, j, k = tris.T
-    facets = [index.take(i * n + j), index.take(i * n + k),
-              index.take(j * n + k)]
-    youngest = np.full(n_tris, -1)
+    f0, f1, f2 = (index.take(i * n + j), index.take(i * n + k),
+                  index.take(j * n + k))
+    youngest = np.maximum(np.maximum(f0, f1), f2)
     oldest = np.full(n_edges, n_tris)
-    for facet in facets:
-        np.maximum(youngest, facet, out=youngest)
+    for facet in (f0, f1, f2):
         np.minimum.at(oldest, facet, np.arange(n_tris))
 
     # of the edges that close a cycle and have a cofacet, most pair with
@@ -269,35 +269,30 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     # pivot triangle -> edge
     owner = dict(zip(oldest[cand[apparent]].tolist(),
                      cand[apparent].tolist()))
-    rest = cand[~apparent][::-1].tolist()
-    if rest:
-        # edge -> reduced coboundary as a bitmask over triangle positions
-        # (an apparent pair's is built when first added)
-        columns: dict[int, int] = {}
+    # edge -> reduced coboundary as a bitmask over triangle positions (an
+    # apparent pair's is built when first added)
+    columns: dict[int, int] = {}
+
+    def coboundary(e: int) -> int:
         # an edge's cofacets are the triangles that have it as a facet: a
-        # coboundary is a pass over every triangle position anyway, so three
-        # comparisons against the facet arrays, narrowed to the smallest
-        # dtype that holds E, find them without sorting any key
-        narrow = [facet.astype(np.min_scalar_type(n_edges)) for facet in facets]
+        # coboundary is a pass over every triangle position anyway, so
+        # three comparisons against the facet arrays find them without
+        # sorting any key
+        mask = (f0 == e) | (f1 == e) | (f2 == e)
+        return int.from_bytes(np.packbits(mask, bitorder="little"), "little")
 
-        def coboundary(e: int) -> int:
-            f0, f1, f2 = narrow
-            mask = (f0 == e) | (f1 == e) | (f2 == e)
-            return int.from_bytes(np.packbits(mask, bitorder="little"),
-                                  "little")
-
-        for e in rest:
-            col = coboundary(e)
-            while col:
-                t = (col & -col).bit_length() - 1
-                other = owner.get(t)
-                if other is None:
-                    owner[t] = e
-                    columns[e] = col
-                    break
-                if other not in columns:
-                    columns[other] = coboundary(other)
-                col ^= columns[other]
+    for e in cand[~apparent][::-1].tolist():
+        col = coboundary(e)
+        while col:
+            t = (col & -col).bit_length() - 1
+            other = owner.get(t)
+            if other is None:
+                owner[t] = e
+                columns[e] = col
+                break
+            if other not in columns:
+                columns[other] = coboundary(other)
+            col ^= columns[other]
 
     pair_t = np.fromiter(owner.keys(), dtype=int, count=len(owner))
     pair_e = np.fromiter(owner.values(), dtype=int, count=len(owner))

@@ -239,11 +239,21 @@ def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_M
                       gamma_max=float(gamma_max))
 
 
-def assert_same_filtration(got, want):
-    """Both filtrations hold equal arrays of equal dtypes."""
-    for name in ("edges", "edge_values", "triangles", "triangle_values"):
+def _assert_same_arrays(got, want, names):
+    for name in names:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def assert_same_filtration(got, want):
+    """Both filtrations hold equal arrays of equal dtypes."""
+    _assert_same_arrays(got, want, ("edges", "edge_values", "triangles",
+                                    "triangle_values"))
+
+
+def assert_same_diagram(got, want):
+    """Both diagrams hold equal arrays of equal dtypes."""
+    _assert_same_arrays(got, want, ("births", "deaths", "dims", "essential"))
 
 
 def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:

@@ -131,6 +131,22 @@ def test_config_rejects_non_finite_values(key, value):
         parse_config(f"{key} = {value}\n")
 
 
+def test_config_rejects_repeated_codes():
+    # two cells would share one key, and a resume would skip the second
+    with pytest.raises(ParseError, match="duplicate codes"):
+        parse_config("codes = 1023:123:170, 1023:123:170\n")
+    assert parse_config("codes = 1023:123:170, 1023:113:172\n").codes == (
+        (1023, 123, 170), (1023, 113, 172))
+
+
+@pytest.mark.parametrize("key", ["dataset_seed", "cv_seed", "train_seed",
+                                 "channel_seed"])
+def test_config_rejects_negative_seeds(key):
+    with pytest.raises(ParseError, match=f"{key} must be at least 0"):
+        parse_config(f"{key} = -1\n")
+    assert getattr(parse_config(f"{key} = 0\n"), key) == 0
+
+
 def test_seeds_come_only_from_the_config_file(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
     config = ExperimentConfig(dataset_seed=5, cv_seed=6, train_seed=7,

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute import (assert_same_filtration, betti_bruteforce,
-                   betti_from_diagram, filtration_by_lexsort)
+from brute import (assert_same_diagram, assert_same_filtration,
+                   betti_bruteforce, betti_from_diagram,
+                   filtration_by_lexsort, persistence_by_triangle_columns)
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import BudgetExceeded, ParseError, ShapeError
 from pdsemcom.homology import (TRIANGLE_BLOCK_CELLS, PersistenceDiagram,
@@ -14,6 +15,9 @@ from pdsemcom.homology import (TRIANGLE_BLOCK_CELLS, PersistenceDiagram,
                                write_pd_file)
 
 SQUARE = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+# 3969 points 2 apart: at cap 1 a complex of vertices only
+SPACED_GRID = np.array([(x, y) for x in np.arange(63) * 2.0
+                        for y in np.arange(63) * 2.0])
 
 
 def test_unit_square_diagram_exact():
@@ -125,29 +129,45 @@ def test_distances_in_row_blocks_match_the_lexsort_filtration():
 
 
 def test_filtration_memory_is_not_a_float_matrix():
-    # 3969 points 2 apart at cap 1: no edges, so the n x n bool and rank
-    # arrays (16 MB each) and one block of distances are all that is held;
-    # an n x n x 2 difference array alone would be 252 MB
-    grid = np.arange(63) * 2.0
-    pts = np.array([(x, y) for x in grid for y in grid])
+    # no edges, so the n x n bool and rank arrays (16 MB each) and one
+    # block of distances are all that is held; an n x n x 2 difference
+    # array alone would be 252 MB
     tracemalloc.start()
     try:
-        filt = build_vr_filtration(pts, gamma_max=1.0)
+        filt = build_vr_filtration(SPACED_GRID, gamma_max=1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert filt.simplex_count == len(pts)
+    assert filt.simplex_count == len(SPACED_GRID)
     assert peak < 100e6
+
+
+def test_reduction_memory_is_not_an_int64_matrix():
+    # no edges, so the n x n edge index holds uint8 positions (16 MB); in
+    # int64, as with a -1 fill, it alone would be 126 MB
+    filt = build_vr_filtration(SPACED_GRID, gamma_max=1.0)
+    tracemalloc.start()
+    try:
+        pd = compute_persistence(filt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pd) == pd.count(0) == len(SPACED_GRID)
+    assert peak < 40e6
 
 
 def test_more_lengths_than_sixteen_bits_rank():
     # 400 points in a box the cap covers: 79800 distinct lengths, so the
-    # ranks are 32-bit and the stable sort is not a radix sort
+    # ranks are 32-bit and the stable sort is not a radix sort; 79800 edges
+    # also make the reduction's edge index 32-bit
     pts = np.random.default_rng(12).uniform(0.0, 8.0, size=(400, 2))
     filt = build_vr_filtration(pts, gamma_max=16.0, max_dim=1)
     assert len(np.unique(filt.edge_values)) > 65535
     assert_same_filtration(
         filt, filtration_by_lexsort(pts, gamma_max=16.0, max_dim=1))
+    assert np.min_scalar_type(len(filt.edges)) == np.uint32
+    assert_same_diagram(compute_persistence(filt),
+                        persistence_by_triangle_columns(filt))
 
 
 def test_matching_follows_augmenting_paths_past_the_recursion_limit():

@@ -23,7 +23,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from brute import (assert_same_filtration, bch_decode_blocks,
+from brute import (assert_same_diagram, assert_same_filtration,
+                   bch_decode_blocks,
                    bch_decode_by_products, bch_encode_blocks,
                    berlekamp_massey_general,
                    berlekamp_massey_lists,
@@ -564,10 +565,7 @@ def test_filtration_matches_lexsort(points, cap, max_dim, at_triangles,
 def test_persistence_matches_triangle_columns(points, cap, max_dim, m):
     filt = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
     got = compute_persistence(filt)
-    want = persistence_by_triangle_columns(filt)
-    for name in ("births", "deaths", "dims", "essential"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_diagram(got, persistence_by_triangle_columns(filt))
     # no diagram check guards these: a class is born before it dies, and
     # so its cell lies on or above the diagonal
     assert np.all(got.births <= got.deaths)
@@ -621,9 +619,7 @@ def test_diagram_quantizer_matches_per_degree(data, box, m, collapse):
     rebuilt = diagram_from_symbols(grid, got.indices, got.channel_counts)
     via_centers = diagram_from_symbols_via_centers(grid, got.indices,
                                                    got.channel_counts)
-    for name in ("births", "deaths", "dims", "essential"):
-        a, b = getattr(rebuilt, name), getattr(via_centers, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert_same_diagram(rebuilt, via_centers)
 
 
 @PROPERTY
