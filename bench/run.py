@@ -10,14 +10,16 @@ records the machine, the line count of each package module (the files that
 `wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total, the
 `tracemalloc` peak of one `vr_diagram` call on the 3969-point grid of
 `tests/test_homology.py` (points 2 apart at cap 1, a complex of vertices
-only, so its n x n arrays are most of what it holds), the tier-1 suite's
-wall time with its ten slowest entries, the default sweep's wall time, its
-time to the first results row (the first progress line) and the SHA-256 of
-its results and folds files, the criterion-11 coded sweep's wall time, and
-the per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
-benchmark workloads. Wall times are plain wall seconds, not the sweep
-benchmark's reference seconds, so compare only files measured on the same
-machine.
+only, so its n x n arrays are most of what it holds), the median wall ms
+of one `train_classifier` fit on the default dataset's pd and raw features
+at the benchmark workloads' fold size (18 rows, 100 epochs) and at full
+size (300 rows, 300 epochs), the tier-1 suite's wall time with its ten
+slowest entries, the default sweep's wall time, its time to the first
+results row (the first progress line) and the SHA-256 of its results and
+folds files, the criterion-11 coded sweep's wall time, and the per-layer
+medians of `sweepbench/run.py --trace 1 --seed 1` on both benchmark
+workloads. Wall times are plain wall seconds, not the sweep benchmark's
+reference seconds, so compare only files measured on the same machine.
 Nothing is written if a sweep fails; a failing tier-1 run is recorded with
 its counts. It takes about five minutes on a 2-core machine.
 """
@@ -53,6 +55,47 @@ HOMOLOGY_PEAK = (
     "tracemalloc.start()\n"
     "vr_diagram(pts, gamma_max=1.0)\n"
     "print(tracemalloc.get_traced_memory()[1] / 1e6)\n")
+# prints, as JSON, the median wall ms of one train_classifier call on the
+# default dataset's pd and raw features: on 6 training rows of each class
+# for 100 epochs (the benchmark workloads' fold size and epochs) and on the
+# whole first training fold (300 rows) for 300 epochs (the default sweep's)
+FIT_MS = """
+import json, statistics, time
+import numpy as np
+from pdsemcom import (CvSchedule, ExperimentConfig, perslay_vectorize,
+                      rasterize_raw, synth_dataset, train_classifier,
+                      vr_diagram)
+cfg = ExperimentConfig()
+objects = synth_dataset(per_class=cfg.per_class, n_points=cfg.n_points,
+                        noise=cfg.noise, seed=cfg.dataset_seed)
+labels = np.array([o.label for o in objects])
+train = CvSchedule(n_objects=len(objects), T=1, seed=cfg.cv_seed).folds[0][0]
+fold = np.concatenate([np.flatnonzero(labels[train] == c)[:6]
+                       for c in (1, 2, 3)])
+features = {
+    "pd": np.array([perslay_vectorize(vr_diagram(
+        objects[i].points, gamma_max=cfg.gamma_max), cfg.box_pd)
+        for i in train]),
+    "raw": np.array([rasterize_raw(objects[i].points, box_side=cfg.box_raw)
+                     for i in train]),
+}
+out = {}
+for kind, X in features.items():
+    for rows, epochs, repeats in ((fold, 100, 9), (np.arange(len(train)),
+                                                   cfg.epochs, 5)):
+        args = (X[rows], labels[train][rows])
+        train_classifier(*args, hidden_sizes=cfg.hidden, epochs=epochs,
+                         seed=cfg.train_seed)
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            train_classifier(*args, hidden_sizes=cfg.hidden, epochs=epochs,
+                             seed=cfg.train_seed)
+            times.append(time.perf_counter() - t0)
+        out[f"{kind}_{len(rows)}_rows_{epochs}_epochs"] = round(
+            1e3 * statistics.median(times), 1)
+print(json.dumps(out))
+"""
 TRACE_SECONDS = 50
 BLAS_THREADS = "1"
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", re.M)
@@ -131,6 +174,11 @@ def homology_peak_mb() -> float:
     return round(float(proc.stdout), 1)
 
 
+def fit_ms() -> dict:
+    proc, _, _ = _run(["-c", FIT_MS])
+    return json.loads(proc.stdout)
+
+
 def tier1() -> dict:
     proc, wall, _ = _run(TIER1, check=False)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
@@ -176,6 +224,8 @@ def main() -> int:
              "machine": machine()}
     print("homology peak ...", file=sys.stderr)
     bench["homology_peak_mb"] = homology_peak_mb()
+    print("classifier fits ...", file=sys.stderr)
+    bench["fit_ms"] = fit_ms()
     print("tier-1 ...", file=sys.stderr)
     bench["tier1"] = tier1()
     with tempfile.TemporaryDirectory() as tmp:

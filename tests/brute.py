@@ -42,11 +42,16 @@ columns over edge rows and never looks up a cofacet.
 The MLP fit over every feature column (the package fits only the columns
 some training row fills and leaves the rest of the first weight matrix as
 drawn) is the package's former `train_classifier`, moved here verbatim as
-`train_classifier_all_columns`. The bottleneck-style distortion that
-quantizes and re-centers the test multiset one object at a time (the
-package takes every point's shift in one pass and each object's maximum by
-`np.maximum.reduceat`) is the package's former
-`bottleneck_style_distortion`, moved here verbatim as
+`train_classifier_all_columns`. The fit that runs each ADAM step as
+14 operations per parameter array and takes its gradients from
+`loss_and_gradients` (the package lays the narrowed weights and biases
+out as views of one vector, steps the whole vector at once and writes the
+gradients into views of a second one) is the package's former
+`train_classifier`, moved here verbatim as `train_classifier_per_array`.
+The bottleneck-style distortion that quantizes and re-centers the test
+multiset one object at a time (the package takes every point's shift in
+one pass and each object's maximum by `np.maximum.reduceat`) is the
+package's former `bottleneck_style_distortion`, moved here verbatim as
 `bottleneck_style_distortion_loop`.
 
 The bit packing through big-endian bytes of the reversed array (the
@@ -458,6 +463,70 @@ def train_classifier_all_columns(features: np.ndarray, labels: np.ndarray,
             vh += ADAM_EPS
             mh /= vh
             p -= mh
+    return net
+
+
+def train_classifier_per_array(features: np.ndarray, labels: np.ndarray,
+                               hidden_sizes, epochs: int,
+                               seed: int) -> Classifier:
+    """Full-batch ADAM on categorical cross-entropy for a fixed budget.
+
+    Columns that are zero in every training row keep their initial weights:
+    the network is drawn at full width, fitted on the other columns, and
+    their trained rows of the first weight matrix are scattered back.
+    """
+    X = np.asarray(features, dtype=float)
+    labels = np.asarray(labels, dtype=int).ravel()
+    if X.ndim != 2 or len(X) != len(labels):
+        raise ShapeError("features must be (N, d) aligned with labels")
+    present = np.unique(labels)
+    for c in range(1, N_CLASSES + 1):
+        if c not in present:
+            raise ValueError(f"training fold has no example of class {c}")
+    y_index = labels - 1
+
+    net = Classifier((X.shape[1], *hidden_sizes, N_CLASSES), seed=seed)
+    # drawn at full width, so the kept columns do not change the draw; the
+    # fit then runs on a network narrowed to the kept columns
+    keep = np.flatnonzero(np.any(X != 0, axis=0))
+    W0 = net.weights[0]
+    net.weights[0] = W0[keep]
+    X = X[:, keep]
+    # weights then biases; parameters, moments and the bias-corrected
+    # moments are updated in place, so the update allocates no arrays
+    params = net.weights + net.biases
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    m_hat = [np.empty_like(p) for p in params]
+    v_hat = [np.empty_like(p) for p in params]
+    for epoch in range(epochs):
+        loss, gw, gb = loss_and_gradients(net, X, y_index)
+        if not np.isfinite(loss):
+            raise TrainingDiverged("loss is not finite", step=epoch)
+        net.loss_history.append(loss)
+        net.step += 1
+        t = net.step
+        for p, g, mi, vi, mh, vh in zip(params, gw + gb, m, v, m_hat, v_hat):
+            # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the
+            # hat arrays as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
+            mi *= BETA1
+            mi += np.multiply(g, 1 - BETA1, out=mh)
+            vi *= BETA2
+            vi += np.multiply(np.square(g, out=vh), 1 - BETA2, out=vh)
+            np.divide(mi, 1 - BETA1 ** t, out=mh)
+            np.divide(vi, 1 - BETA2 ** t, out=vh)
+            mh *= LEARNING_RATE
+            np.sqrt(vh, out=vh)
+            vh += ADAM_EPS
+            mh /= vh
+            p -= mh
+    # a saturated fit (g**2 overflows) leaves v infinite and every later
+    # step zero at a finite loss; it has learned nothing
+    if not all(np.all(np.isfinite(vi)) for vi in v):
+        raise TrainingDiverged("ADAM second moment is not finite",
+                               step=net.step)
+    W0[keep] = net.weights[0]
+    net.weights[0] = W0
     return net
 
 

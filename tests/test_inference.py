@@ -1,9 +1,11 @@
 import hashlib
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from brute import train_classifier_all_columns
+from brute import train_classifier_all_columns, train_classifier_per_array
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import OutOfBox, ParseError, TrainingDiverged
 from pdsemcom.homology import PersistenceDiagram, vr_diagram
@@ -259,6 +261,19 @@ def test_saturated_fit_diverges(value):
     assert err.value.step == 50
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e308, -1e308])
+def test_divergence_matches_per_array_fit(value):
+    # the flat fit stops where the per-array one stops, with the same report
+    X, y = _one_extreme_column(value)
+    errors = []
+    for train in (train_classifier, train_classifier_per_array):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDiverged) as err:
+                train(X, y, hidden_sizes=(8,), epochs=50, seed=0)
+        errors.append((str(err.value), err.value.step))
+    assert errors[0] == errors[1]
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     X, y = _blobs(rng, n_per=10)
@@ -278,6 +293,69 @@ def test_checkpoint_round_trip(tmp_path):
     (tmp_path / "bad2.bin").write_bytes(raw + b"\x00")
     with pytest.raises(ParseError):
         load_checkpoint(tmp_path / "bad2.bin")
+
+
+def test_malformed_checkpoints_are_parse_errors(tmp_path):
+    # the layer sizes are checked against the file's length before any
+    # network is built, so a header that declares a huge network allocates
+    # nothing, and a file cut anywhere names the part that is short
+    rng = np.random.default_rng(5)
+    X, y = _blobs(rng, n_per=10)
+    net = train_classifier(X, y, hidden_sizes=(3,), epochs=5, seed=2)
+    save_checkpoint(tmp_path / "net.bin", net)
+    raw = (tmp_path / "net.bin").read_bytes()
+    assert net.layer_sizes == (6, 3, 3) and len(raw) == 24 + 8 * 33
+
+    def header(*sizes, n_layers=None):
+        n = len(sizes) if n_layers is None else n_layers
+        return struct.pack(f"<4sII{len(sizes)}I", b"PDSC", 1, n, *sizes)
+
+    cases = [
+        # the last bias keeps 2 of its 3 entries
+        (raw[:-8], "cut short in the parameters"),
+        (raw[:9], "cut short in the header"),
+        # 5 of the first layer's 18 weights
+        (raw[:24 + 8 * 5], "cut short in the parameters"),
+        (header(100000, 100000, 3) + bytes(64),
+         "cut short in the parameters"),
+        (header(5, 0, 3) + bytes(8 * 3), "width 0"),
+        (header(n_layers=2**32 - 1), "cut short in the layer sizes"),
+        (header(6, 3, n_layers=3), "cut short in the layer sizes"),
+        (header(4), "need at least 2"),
+        (raw + b"\x00", "1 trailing bytes"),
+    ]
+    for k, (data, message) in enumerate(cases):
+        path = tmp_path / f"bad{k}.bin"
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=message):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_000, (k, peak)
+
+
+def test_fitted_nets_share_no_memory(tmp_path):
+    # the fit steps one parameter vector, but the fitted net's arrays are
+    # its own: no view keeps that vector alive or ties two nets together
+    rng = np.random.default_rng(8)
+    X, y = _blobs(rng, n_per=6)
+    X[:, 1] = 0.0
+    a = train_classifier(X, y, hidden_sizes=(8, 4), epochs=20, seed=5)
+    b = train_classifier(X, y, hidden_sizes=(8, 4), epochs=20, seed=5)
+    for p in a.weights + a.biases:
+        for q in b.weights + b.biases:
+            assert not np.shares_memory(p, q)
+    # the first weight matrix is the full-width one the fit scattered into
+    assert a.weights[0].shape == (6, 8)
+    assert all(p.flags.owndata for p in a.weights + a.biases)
+    save_checkpoint(tmp_path / "a.bin", a)
+    back = load_checkpoint(tmp_path / "a.bin")
+    assert back.layer_sizes == a.layer_sizes == (6, 8, 4, 3)
+    for p, q in zip(a.weights + a.biases, back.weights + back.biases):
+        assert p.tobytes() == q.tobytes()
 
 
 def test_cv_schedule_properties():

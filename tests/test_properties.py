@@ -8,13 +8,14 @@ matchings, degree-0 counts of Rips diagrams, the Rips filtration and its
 budget outcome against the lexsorted one, Rips diagrams against the
 triangle-column reduction, the one-pass bottleneck-style distortion against
 the per-object loop, the MLP fit on the columns the training rows fill
-against the fit over every column, the little-endian bit packing against
-the reversed big-endian one, the BCH payload coder against a block-by-block
-loop, the codeword-per-step Huffman decoder against the per-bit walk, the
-parent-pointer Huffman lengths against the leaf-list merge, the one-pass
-tent features against the per-degree ones, and the one-pass diagram
-quantizer and rebuild against the per-degree quantizer and the rebuild
-through cell centers."""
+against the fit over every column, the fit on one flat parameter vector
+against the per-array one, bit for bit, the little-endian bit packing
+against the reversed big-endian one, the BCH payload coder against a
+block-by-block loop, the codeword-per-step Huffman decoder against the
+per-bit walk, the parent-pointer Huffman lengths against the leaf-list
+merge, the one-pass tent features against the per-degree ones, and the
+one-pass diagram quantizer and rebuild against the per-degree quantizer
+and the rebuild through cell centers."""
 
 import functools
 
@@ -37,7 +38,8 @@ from brute import (assert_same_diagram, assert_same_filtration,
                    perslay_vectorize_per_degree,
                    persistence_by_triangle_columns,
                    quantize_diagram_per_degree, rasterize_loop,
-                   syndromes_by_products, train_classifier_all_columns)
+                   syndromes_by_products, train_classifier_all_columns,
+                   train_classifier_per_array)
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             bits_to_int, build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode, int_to_bits)
@@ -184,13 +186,14 @@ def test_distortion_out_of_box_matches_loop(case, where, axis, bad):
 
 
 @st.composite
-def _training_case(draw):
+def _training_case(draw, train_rows=st.integers(1, 4).map(lambda k: 3 * k),
+                   hidden=st.sampled_from([(4,), (6, 3)])):
     """(features, labels, training rows, hidden sizes, epochs, seed): sparse
     0/1 or tent-like nonnegative features whose columns are zero
     everywhere, filled only in held-out rows, or filled in some training
-    rows."""
-    per_class = draw(st.integers(1, 4))
-    n_train = 3 * per_class
+    rows; the training labels cycle through the classes, so a multiple of
+    3 rows is balanced, in random order."""
+    n_train = draw(train_rows)
     n_rows = n_train + draw(st.integers(0, 4))
     kinds = draw(st.lists(st.sampled_from(["zero", "held_out", "train"]),
                           min_size=1, max_size=12))
@@ -203,9 +206,8 @@ def _training_case(draw):
             X[:, j] = 0.0
         elif kind == "held_out":
             X[:n_train, j] = 0.0
-    labels = rng.permutation(np.repeat([1, 2, 3], per_class))
-    hidden = draw(st.sampled_from([(4,), (6, 3)]))
-    return (X, labels, n_train, hidden, draw(st.integers(1, 30)),
+    labels = rng.permutation(np.resize([1, 2, 3], n_train))
+    return (X, labels, n_train, draw(hidden), draw(st.integers(1, 30)),
             draw(st.integers(0, 2**32 - 1)))
 
 
@@ -231,6 +233,28 @@ def test_training_matches_all_column_fit(case):
         assert np.allclose(got, exp, rtol=1e-9, atol=1e-12)
     assert np.allclose(net.predict_proba(X), want.predict_proba(X),
                        rtol=1e-9, atol=1e-12)
+
+
+@PROPERTY
+@given(case=_training_case(
+    st.integers(3, 40), st.lists(st.integers(1, 12), min_size=1,
+                                 max_size=3).map(tuple)))
+def test_flat_fit_matches_per_array_fit(case):
+    # the flat ADAM step rounds every element as the per-array one does,
+    # so the fits agree exactly, not within a tolerance
+    X, labels, n_train, hidden, epochs, seed = case
+    net = train_classifier(X[:n_train], labels, hidden_sizes=hidden,
+                           epochs=epochs, seed=seed)
+    want = train_classifier_per_array(X[:n_train], labels,
+                                      hidden_sizes=hidden, epochs=epochs,
+                                      seed=seed)
+    assert net.step == want.step == epochs
+    assert net.loss_history == want.loss_history
+    assert len(net.weights) == len(want.weights) == len(hidden) + 1
+    for got, exp in zip(net.weights + net.biases, want.weights + want.biases):
+        assert got.shape == exp.shape
+        assert np.array_equal(got, exp)
+    assert np.array_equal(net.predict_proba(X), want.predict_proba(X))
 
 
 @st.composite
