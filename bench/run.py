@@ -15,10 +15,12 @@ of one `train_classifier` fit on the default dataset's pd and raw features
 at the benchmark workloads' fold size (18 rows, 100 epochs) and at full
 size (300 rows, 300 epochs), the tier-1 suite's wall time with its ten
 slowest entries, the default sweep's wall time, its time to the first
-results row (the first progress line) and the SHA-256 of its results and
-folds files, the criterion-11 coded sweep's wall time, and the per-layer
-medians of `sweepbench/run.py --trace 1 --seed 1` on both benchmark
-workloads. Wall times are plain wall seconds, not the sweep benchmark's
+results row (the first progress line), the wall time of `run_sweep` on its
+finished files (a resume, timed inside a fresh interpreter, so start-up
+and imports are left out) and the SHA-256 of its results and folds files
+after the resume, the criterion-11 coded sweep's wall time, and the
+per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
+benchmark workloads. Wall times are plain wall seconds, not the sweep benchmark's
 reference seconds, so compare only files measured on the same machine.
 Nothing is written if a sweep fails; a failing tier-1 run is recorded with
 its counts. It takes about five minutes on a 2-core machine.
@@ -55,6 +57,14 @@ HOMOLOGY_PEAK = (
     "tracemalloc.start()\n"
     "vr_diagram(pts, gamma_max=1.0)\n"
     "print(tracemalloc.get_traced_memory()[1] / 1e6)\n")
+# prints the wall seconds of one run_sweep call on the config file argv[1]
+RESUME_S = (
+    "import sys, time\n"
+    "from pdsemcom import load_config, run_sweep\n"
+    "config = load_config(sys.argv[1])\n"
+    "t0 = time.perf_counter()\n"
+    "run_sweep(config)\n"
+    "print(time.perf_counter() - t0)\n")
 # prints, as JSON, the median wall ms of one train_classifier call on the
 # default dataset's pd and raw features: on 6 training rows of each class
 # for 100 epochs (the benchmark workloads' fold size and epochs) and on the
@@ -192,8 +202,8 @@ def tier1() -> dict:
 
 
 def sweep(workdir: Path, name: str, config_text: str) -> dict:
-    """Run one sweep through the CLI; -> wall seconds, wall seconds to its
-    first results row and file digests.
+    """Run one sweep through the CLI, then resume it; -> wall seconds, wall
+    seconds to its first results row, the resume's seconds and file digests.
 
     The child runs unbuffered (-u), so each progress line, printed after
     its cell's results row is written, reaches the pipe when printed."""
@@ -203,8 +213,10 @@ def sweep(workdir: Path, name: str, config_text: str) -> dict:
     config.write_text(config_text + f"out = {out}\n")
     _, wall, first = _run(["-u", "-m", "pdsemcom.cli", "sweep", "run",
                            "--config", str(config)])
+    resume, _, _ = _run(["-c", RESUME_S, str(config)])
     folds = out.with_name(out.stem + "_folds.csv")
     return {"wall_s": round(wall, 2), "first_row_s": round(first, 2),
+            "resume_s": round(float(resume.stdout), 4),
             "results_sha256": hashlib.sha256(out.read_bytes()).hexdigest(),
             "folds_sha256": hashlib.sha256(folds.read_bytes()).hexdigest()}
 

@@ -38,9 +38,12 @@ class PointCloud:
             raise ValueError(f"object {self.id}: non-finite coordinate")
         if np.any(pts < 0):
             raise ValueError(f"object {self.id}: negative coordinate")
-        # a point cloud is a set: drop duplicates (np.unique sorts rows,
-        # which also gives a canonical point order)
-        pts = np.unique(pts, axis=0)
+        # a point cloud is a set: sorted by x, then y (a canonical point
+        # order), with each row equal to the one before it dropped; the
+        # rows of np.unique(pts, axis=0), which would import numpy.ma
+        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+        pts = pts[np.concatenate(
+            ([True], np.any(pts[1:] != pts[:-1], axis=1)))]
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.label not in VALID_CLASSES:

@@ -350,7 +350,7 @@ def _finished_cells(config, head: bytes, folds_path) -> list:
     whole and, if it is ok, all T of its fold rows are: the i-th ok cell
     owns fold rows T*i+1 ... T*(i+1). A results file cut inside its head
     (hash and column lines) holds no cell; any other must carry this
-    configuration's hash.
+    configuration's hash. A file that does not exist is not created.
     """
     data, lines = _read_lines(config.out)
     records = []
@@ -374,8 +374,9 @@ def _finished_cells(config, head: bytes, folds_path) -> list:
         kept += 1
     for path, keep in ((config.out, lines[:2 + kept] if kept else []),
                        (folds_path, folds[:1 + config.T * ok] if ok else [])):
-        with open(path, "ab") as f:
-            f.truncate(sum(map(len, keep)))
+        if os.path.exists(path):
+            with open(path, "rb+") as f:
+                f.truncate(sum(map(len, keep)))
     return records[:kept]
 
 
@@ -671,12 +672,14 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     a resume cuts both files to their longest run of finished cells, so a
     kill at any byte of either file costs at most the cells it cut.
 
-    Each pipeline builds its diagrams or points, density and T fold
-    classifiers when the sweep reaches its first pending cell, so the
-    earlier pipelines' rows are on disk before a later pipeline trains, and
-    a kill while it trains costs only its own cells and those after it.
+    Each stage is built only for the cells still to run. The dataset and
+    fold schedule are loaded only if some cell is, so a finished sweep
+    reads just its two files. Each pipeline builds its diagrams or points,
+    density and T fold classifiers when the sweep reaches its first pending
+    cell, so the earlier pipelines' rows are on disk before a later
+    pipeline trains, and a kill while it trains costs only its own cells
+    and those after it.
     """
-    ctx = _SweepContext(config)
     # (key, pipeline, m, alpha, code spec) in row order
     cells = [((p, m, _fmt(a), _code_label(c)), p, m, a, c)
              for p, m, a, c in product(config.pipelines, config.m_values,
@@ -687,10 +690,13 @@ def run_sweep(config: ExperimentConfig, progress: bool = False):
     folds_path = folds_path_for(config.out)
     existing = _finished_cells(config, head.encode(), folds_path)
     done = {r.key for r in existing}
+    pending_specs = {c[4] for c in cells if c[0] not in done}
 
+    # stage 1, before either file is created, so a sweep whose dataset
+    # fails to load leaves no file behind
+    ctx = _SweepContext(config) if pending_specs else None
     # stage 3, each code built once, only for the cells still to run; built
     # here, not at first use, so no code build falls between two cells
-    pending_specs = {c[4] for c in cells if c[0] not in done}
     codes = {s: _attempt(build_bch, s) for s in config.codes
              if s in pending_specs}
 

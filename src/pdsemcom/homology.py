@@ -243,6 +243,9 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
             merges.append(pos)
+            # a spanning tree: every later edge closes a cycle
+            if len(merges) == n - 1:
+                break
     n_components = n - len(merges)
     positive = np.ones(n_edges, dtype=bool)
     positive[merges] = False

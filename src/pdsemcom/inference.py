@@ -139,6 +139,16 @@ class Classifier:
         self.step = 0
         self.loss_history = []
 
+    @classmethod
+    def from_parameters(cls, weights, biases) -> "Classifier":
+        """A network with the given weight matrices and bias vectors, as
+        they are: nothing is drawn."""
+        net = cls.__new__(cls)
+        net.weights, net.biases = list(weights), list(biases)
+        net.step = 0
+        net.loss_history = []
+        return net
+
     @property
     def layer_sizes(self) -> tuple:
         """Input width, then each layer's output width."""
@@ -219,9 +229,8 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=int).ravel()
     if X.ndim != 2 or len(X) != len(labels):
         raise ShapeError("features must be (N, d) aligned with labels")
-    present = np.unique(labels)
     for c in range(1, N_CLASSES + 1):
-        if c not in present:
+        if c not in labels:
             raise ValueError(f"training fold has no example of class {c}")
     y_index = labels - 1
 
@@ -337,14 +346,14 @@ def load_checkpoint(path) -> Classifier:
                              f"file has {size}")
         if size > need:
             raise ParseError(f"checkpoint has {size - need} trailing bytes")
-        net = Classifier(sizes, seed=0)
+        weights, biases = [], []
         for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
             W = read(8 * fan_in * fan_out, f"layer {i}'s weights")
-            net.weights[i] = np.frombuffer(W, dtype="<f8").reshape(
-                fan_in, fan_out).copy()
+            weights.append(np.frombuffer(W, dtype="<f8").reshape(
+                fan_in, fan_out).copy())
             b = read(8 * fan_out, f"layer {i}'s biases")
-            net.biases[i] = np.frombuffer(b, dtype="<f8").copy()
-    return net
+            biases.append(np.frombuffer(b, dtype="<f8").copy())
+    return Classifier.from_parameters(weights, biases)
 
 
 @dataclass(frozen=True, eq=False)

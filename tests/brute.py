@@ -83,6 +83,11 @@ verbatim as `quantize_diagram_per_degree`; the diagram rebuilt through
 `centers_of` (the package takes the centers' coordinates from one
 `bins_of` call) is the package's former `diagram_from_symbols`, moved here
 verbatim as `diagram_from_symbols_via_centers`.
+
+The point-cloud deduplication by `np.unique(pts, axis=0)` (the package
+sorts the rows with one `np.lexsort` and drops each row equal to the one
+before it, because `np.unique` imports `numpy.ma`) is the package's former
+`PointCloud` dedup, moved here as `dedup_by_unique`.
 """
 
 import heapq
@@ -172,6 +177,11 @@ class _UnionFind:
             return False
         self.parent[max(ra, rb)] = min(ra, rb)
         return True
+
+
+def dedup_by_unique(points: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (n, 2) float array, in sorted order."""
+    return np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
 
 
 def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,

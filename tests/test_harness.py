@@ -1,7 +1,10 @@
 import csv
 import hashlib
 import importlib.util
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -444,6 +447,123 @@ def test_each_stage_runs_once(tmp_path, monkeypatch):
     calls.clear()
     run_sweep(config)  # nothing left to do: no stage is built
     assert calls == {"read_results": 1}
+
+
+def test_finished_sweep_resumes_from_its_two_files(small_sweep, monkeypatch,
+                                                  capsys):
+    import pdsemcom.harness as harness
+    config, records = small_sweep
+    paths = (Path(config.out), Path(folds_path_for(config.out)))
+    files = tuple(p.read_bytes() for p in paths)
+
+    def no_stage_one(config):
+        raise AssertionError("stage 1 built for a finished sweep")
+
+    monkeypatch.setattr(harness, "_SweepContext", no_stage_one)
+    again = run_sweep(config, progress=True)
+    assert [r.to_row() for r in again] == [r.to_row() for r in records]
+    assert tuple(p.read_bytes() for p in paths) == files
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(records)
+    assert all(line.endswith("already done") for line in lines)
+
+
+def test_partly_finished_sweep_builds_stage_one_once(small_sweep, tmp_path,
+                                                     monkeypatch):
+    import pdsemcom.harness as harness
+    config, _ = small_sweep
+    results = Path(config.out).read_bytes()
+    folds = Path(folds_path_for(config.out)).read_bytes()
+    out = tmp_path / "partial.csv"
+    out.write_bytes(b"".join(results.splitlines(keepends=True)[:2 + 5]))
+    built = []
+    context = harness._SweepContext
+
+    def counted(config):
+        built.append(config)
+        return context(config)
+
+    monkeypatch.setattr(harness, "_SweepContext", counted)
+    run_sweep(ExperimentConfig(**{**config.__dict__, "out": str(out)}))
+    assert len(built) == 1
+    assert out.read_bytes() == results
+    assert Path(folds_path_for(str(out))).read_bytes() == folds
+
+
+def _file_dataset_sweep(tmp_path):
+    """A tiny raw sweep over a point-cloud file, run in full, and its files."""
+    data = tmp_path / "clouds.csv"
+    write_pointcloud_file(data, synth_dataset(per_class=6, n_points=16,
+                                              noise=0.2, seed=7))
+    config = _small_config(tmp_path / "r.csv", pipelines=("raw",),
+                           dataset=str(data), m_values=(5,), codes=(),
+                           epochs=5)
+    records = run_sweep(config)
+    return config, records, (Path(config.out).read_bytes(),
+                             Path(folds_path_for(config.out)).read_bytes())
+
+
+def test_finished_sweep_resumes_after_its_dataset_is_deleted(tmp_path):
+    # the config hash binds only the dataset's path, and a finished sweep
+    # reads no dataset
+    config, records, files = _file_dataset_sweep(tmp_path)
+    Path(config.dataset).unlink()
+    again = run_sweep(config)
+    assert [r.to_row() for r in again] == [r.to_row() for r in records]
+    assert (Path(config.out).read_bytes(),
+            Path(folds_path_for(config.out)).read_bytes()) == files
+
+
+@pytest.mark.parametrize("damage", ["delete", "garble"])
+def test_dataset_failure_leaves_the_files_as_they_were(tmp_path, damage):
+    config, _, (results, folds) = _file_dataset_sweep(tmp_path)
+    data = Path(config.dataset)
+    if damage == "delete":
+        data.unlink()
+    else:
+        data.write_text("object,x,y,label\n1,one,2,1\n")
+    paths = (Path(config.out), Path(folds_path_for(config.out)))
+    # a fresh sweep fails before it creates either file
+    for p in paths:
+        p.unlink()
+    with pytest.raises((OSError, ParseError)):
+        run_sweep(config)
+    assert not any(p.exists() for p in paths)
+    # a resume cut at a cell boundary fails without touching either file
+    kept = (b"".join(results.splitlines(keepends=True)[:3]),
+            b"".join(folds.splitlines(keepends=True)[:1 + config.T]))
+    for p, data in zip(paths, kept):
+        p.write_bytes(data)
+    with pytest.raises((OSError, ParseError)):
+        run_sweep(config)
+    assert tuple(p.read_bytes() for p in paths) == kept
+
+
+def test_no_sweep_imports_masked_arrays(tmp_path):
+    # numpy 2 loads numpy.ma at the first plain np.unique call (10-18 ms);
+    # the sweep path makes none, so a sweep never pays for it
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit(3)\n"
+        "import pdsemcom\n"
+        "from pdsemcom import ExperimentConfig, run_sweep\n"
+        "run_sweep(ExperimentConfig(per_class=6, n_points=16, "
+        "m_values=(5,), T=1, alphas=(0.0, 0.1), codes=((15, 5, 3),), "
+        "epochs=3, hidden=(4,), out=sys.argv[1]))\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script,
+                           str(tmp_path / "r.csv")],
+                          capture_output=True, text=True, env=env)
+    if proc.returncode == 3:
+        pytest.skip("this numpy loads numpy.ma on import")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def _pd_then_raw(tmp_path, name):

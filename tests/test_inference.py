@@ -295,6 +295,30 @@ def test_checkpoint_round_trip(tmp_path):
         load_checkpoint(tmp_path / "bad2.bin")
 
 
+def test_checkpoint_reload_is_bit_identical_and_draws_nothing(tmp_path,
+                                                              monkeypatch):
+    import pdsemcom.inference as inference
+    rng = np.random.default_rng(6)
+    X, y = _blobs(rng, n_per=5)
+    net = train_classifier(X, y, hidden_sizes=(7, 4), epochs=10, seed=9)
+    path = tmp_path / "net.bin"
+    save_checkpoint(path, net)
+
+    def no_draw(*args):
+        raise AssertionError("load_checkpoint drew a random network")
+
+    monkeypatch.setattr(inference, "substream", no_draw)
+    back = load_checkpoint(path)
+    assert back.layer_sizes == net.layer_sizes == (6, 7, 4, 3)
+    for p, q in zip(net.weights + net.biases, back.weights + back.biases):
+        assert p.dtype == q.dtype and p.shape == q.shape
+        assert p.tobytes() == q.tobytes()
+        assert q.flags.owndata and q.flags.writeable
+    assert (back.step, back.loss_history) == (0, [])
+    save_checkpoint(tmp_path / "again.bin", back)
+    assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
 def test_malformed_checkpoints_are_parse_errors(tmp_path):
     # the layer sizes are checked against the file's length before any
     # network is built, so a header that declares a huge network allocates

@@ -6,7 +6,9 @@ table-driven BCH syndromes, Chien search and decoder against the
 multiply-and-mod ones, the bottleneck search against brute-force
 matchings, degree-0 counts of Rips diagrams, the Rips filtration and its
 budget outcome against the lexsorted one, Rips diagrams against the
-triangle-column reduction, the one-pass bottleneck-style distortion against
+triangle-column reduction (on clouds whose spanning tree completes early
+and on clouds of several components too), the point-cloud dedup against
+`np.unique`, the one-pass bottleneck-style distortion against
 the per-object loop, the MLP fit on the columns the training rows fill
 against the fit over every column, the fit on one flat parameter vector
 against the per-array one, bit for bit, the little-endian bit packing
@@ -25,7 +27,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from brute import (assert_same_diagram, assert_same_filtration,
-                   bch_decode_blocks,
+                   bch_decode_blocks, dedup_by_unique,
                    bch_decode_by_products, bch_encode_blocks,
                    berlekamp_massey_general,
                    berlekamp_massey_lists,
@@ -45,7 +47,7 @@ from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             huffman_decode, huffman_encode, int_to_bits)
 from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
 from pdsemcom.codec.huffman import _codeword_lengths
-from pdsemcom.dataset import load_pointcloud_file
+from pdsemcom.dataset import PointCloud, load_pointcloud_file
 from pdsemcom.errors import (BudgetExceeded, CapacityExceeded, DecodeFailure,
                              EmptyDensity, InconsistentLabel, OutOfBox,
                              ParseError)
@@ -596,6 +598,54 @@ def test_persistence_matches_triangle_columns(points, cap, max_dim, m):
     grid = QuantizerGrid(box_side=16.0, n_bins=m)
     x_bin, y_bin = grid.bins_of(quantize_diagram(grid, got).indices)
     assert np.all(x_bin <= y_bin)
+
+
+@st.composite
+def _clusters(draw):
+    """1-4 clusters of 1-9 points on a 4 x 4 integer grid, 20 apart. Under
+    a cap of 20 each cluster is a component of its own; with one cluster
+    and a cap of 5 or more the complex is complete, so the spanning tree
+    is done after a few of its edges."""
+    rows = []
+    for c in range(draw(st.integers(1, 4))):
+        cluster = draw(st.lists(st.tuples(st.integers(0, 3),
+                                          st.integers(0, 3)),
+                                min_size=1, max_size=9))
+        rows += [(x + 20 * c, y) for x, y in cluster]
+    return np.array(rows, dtype=float)
+
+
+@PROPERTY
+@given(points=_clusters(), cap=st.sampled_from([1.0, 2.0, 5.0, 16.0]),
+       max_dim=st.sampled_from([1, 2]))
+def test_persistence_of_clusters_matches_triangle_columns(points, cap,
+                                                          max_dim):
+    filt = build_vr_filtration(points, gamma_max=cap, max_dim=max_dim)
+    got = compute_persistence(filt)
+    assert_same_diagram(got, persistence_by_triangle_columns(filt))
+    assert got.count(0) == len(points)
+
+
+def _rows(coordinate):
+    """1-12 rows with some repeated, so ties in x and whole repeated rows
+    are common."""
+    return st.tuples(
+        st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=12),
+        st.lists(st.integers(0, 11), max_size=6)).map(
+        lambda case: np.array(case[0] + [case[0][i % len(case[0])]
+                                         for i in case[1]], dtype=float))
+
+
+@PROPERTY
+@given(points=st.one_of(_rows(st.integers(0, 3)),
+                        _rows(st.sampled_from([0.0, 0.5, 1e-300, 27.9])),
+                        _rows(st.floats(0, 28))))
+def test_point_cloud_dedup_matches_unique(points):
+    got = PointCloud(points=points, label=1).points
+    want = dedup_by_unique(points)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    # bytes, so the sign of a zero counts too
+    assert got.tobytes() == want.tobytes()
 
 
 @st.composite
