@@ -116,6 +116,8 @@ class ExperimentConfig:
                 raise ValueError(f"m={m} outside the supported [2, 28] range")
         object.__setattr__(self, "m_values", ms)
         alphas = tuple(sorted(set(float(a) for a in self.alphas)))
+        if not alphas:
+            raise ValueError("alphas must not be empty")
         for a in alphas:
             if not 0.0 <= a < 0.5:
                 raise ValueError(f"alpha={a} outside [0, 0.5)")

@@ -10,15 +10,16 @@ edge coboundaries in reverse filtration order, as Ripser does (Bauer, JACT
 pair with their oldest cofacet outright (apparent pairs), and the few
 coboundaries the reduction adds are built on demand as Python-int bitmasks
 over triangle positions, from comparisons against the triangles' facet
-arrays. Cohomology yields the same pairs as homology (de Silva, Morozov and
-Vejdemo-Johansson, 2011).
+positions. Cohomology yields the same pairs as homology (de Silva, Morozov
+and Vejdemo-Johansson, 2011).
 
 The filtration sorts by integer rank, not by float value: each distinct
 edge length gets a dense rank, held in the smallest unsigned dtype that
 fits, so the stable sorts of edges and triangles are radix sorts for up to
-256 points. Triangles are the set cells of an (edge, vertex) mask, the
-vertices adjacent to both ends of the edge, enumerated a bounded block of
-edges at a time: the work is E * n cells, not n**3.
+256 points. Its one n x n array holds each edge's position. Triangles are
+the set cells of an (edge, vertex) mask, two rows of that table, a block of
+edges at a time: the work is E * n cells, not n**3, and the same rows give
+the facet positions that the reduction reads.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ class Filtration:
     their lexicographic order. The sort key is the dense rank of the value
     among the edge lengths (a triangle's is its longest edge's), which
     orders exactly as the value does; the values are read back from the
-    ranks, so they are the distances themselves.
+    ranks, so they are the distances themselves. `facets` holds the edge
+    positions of each triangle's facets (i, j), (i, k), (j, k), a contiguous
+    row each, in the narrowest dtype that holds E.
     """
 
     n_vertices: int
@@ -59,11 +62,28 @@ class Filtration:
     edge_values: np.ndarray    # (E,) float
     triangles: np.ndarray      # (T, 3) int, i < j < k, sorted
     triangle_values: np.ndarray
+    facets: np.ndarray         # (3, T) edge positions
     gamma_max: float
 
     @property
     def simplex_count(self) -> int:
         return self.n_vertices + len(self.edges) + len(self.triangles)
+
+
+def _edge_cells(pts: np.ndarray, gamma_max: float, step: int) -> tuple:
+    """The flat indices i * n + j of the edges (i, j), i < j, in
+    lexicographic order, and their lengths. The distances are taken `step`
+    rows at a time, so no n x n float array is held."""
+    n = len(pts)
+    cells, lengths = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for lo in range(0, n, step):
+        dx = pts[lo:lo + step, None, 0] - pts[None, :, 0]
+        dy = pts[lo:lo + step, None, 1] - pts[None, :, 1]
+        dist = np.sqrt(dx * dx + dy * dy)
+        cell = np.flatnonzero(np.triu(dist <= gamma_max, k=lo + 1))
+        lengths.append(dist.ravel()[cell])
+        cells.append(cell + lo * n)
+    return np.concatenate(cells), np.concatenate(lengths)
 
 
 def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
@@ -78,60 +98,57 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
         raise ValueError(f"max_dim must be 1 or 2, got {max_dim}")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     n = pts.shape[0]
-    # the distances a bounded block of rows at a time, so the only n x n
-    # arrays are `upper` and `rank`; row by row, the lengths of the edges
-    # (i, j) come in lexicographic order
-    upper = np.zeros((n, n), dtype=bool)
-    lengths = [np.empty(0)]
     step = max(1, TRIANGLE_BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, step):
-        dx = pts[lo:lo + step, None, 0] - pts[None, :, 0]
-        dy = pts[lo:lo + step, None, 1] - pts[None, :, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
-        block = upper[lo:lo + step]
-        block[...] = np.triu(dist <= gamma_max, k=lo + 1)
-        lengths.append(dist[block])
+    cell, lengths = _edge_cells(pts, gamma_max, step)
     # equal lengths share a rank, so a stable sort by rank is the stable
     # sort by length
-    ei, ej = np.nonzero(upper)
-    values, edge_rank = np.unique(np.concatenate(lengths), return_inverse=True)
+    values, edge_rank = np.unique(lengths, return_inverse=True)
     edge_rank = edge_rank.astype(np.min_scalar_type(len(values)))
-    rank = np.zeros((n, n), dtype=edge_rank.dtype)
-    rank[ei, ej] = edge_rank
     order = np.argsort(edge_rank, kind="stable")
-    edges = np.column_stack([ei[order], ej[order]])
-    edge_values = values[edge_rank[order]]
-
-    # the triangles (i, j, k) over edge (i, j) are the k set in both rows of
-    # `upper`, so the flat indices of a block of edge rows come in
-    # lexicographic order; a triangle's rank is its longest edge's. The
-    # count stops the enumeration after the first block that passes the
-    # budget, so memory stays within the budget plus one block.
-    count = n + len(edges)
+    sorted_rank, sorted_cell = edge_rank[order], cell[order]
+    edges = np.column_stack(np.divmod(sorted_cell, max(n, 1)))
+    edge_values = values[sorted_rank]
+    n_edges = len(edges)
+    count = n + n_edges
     if count > budget:
         raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
-    flats = [np.empty(0, dtype=np.intp)]
-    ranks = [np.empty(0, dtype=rank.dtype)]
-    for lo in range(0, len(ei) if max_dim == 2 else 0, step):
-        a, b = ei[lo:lo + step], ej[lo:lo + step]
-        flat = np.flatnonzero(upper[a] & upper[b])
+    # the one n x n array: the position of edge (i, j), i < j, among the
+    # sorted edges, or E where there is none, in the narrowest dtype
+    pos = np.full((n, n), n_edges, dtype=np.min_scalar_type(n_edges))
+    pos.reshape(-1)[sorted_cell] = np.arange(n_edges, dtype=pos.dtype)
+
+    # the triangles (i, j, k) over edge (i, j) are the k set in both rows i
+    # and j of `pos`, which hold the facets (i, k) and (j, k), so the flat
+    # indices of a block of edge rows come in lexicographic order. The count
+    # stops the enumeration after the first block that passes the budget,
+    # so memory stays within the budget plus one block.
+    parts = [np.empty((3, 0), dtype=pos.dtype)]
+    for lo in range(0, n_edges if max_dim == 2 else 0, step):
+        a, b = np.divmod(cell[lo:lo + step], n)
+        row_a, row_b = pos.take(a, axis=0), pos.take(b, axis=0)
+        mask = row_a < n_edges
+        mask &= row_b < n_edges
+        flat = np.flatnonzero(mask)
         count += len(flat)
         if count > budget:
             raise BudgetExceeded(f"{count} simplices exceed budget {budget}")
-        longest = np.maximum(np.maximum(rank[a], rank[b]),
-                             edge_rank[lo:lo + step, None])
-        ranks.append(longest.ravel()[flat])
-        flats.append(flat + lo * n)
-    triangle_rank = np.concatenate(ranks)
+        parts.append(np.stack([pos.take(cell[lo:lo + step]).take(flat // n),
+                               row_a.take(flat), row_b.take(flat)]))
+    facets = np.concatenate(parts, axis=1)
+    # a triangle's rank is its longest edge's, the rank of its youngest
+    # facet; `take` keeps the rows contiguous, which the reduction scans
+    triangle_rank = sorted_rank.take(facets.max(axis=0))
     order = np.argsort(triangle_rank, kind="stable")
-    flat = np.concatenate(flats)[order]
-    e = flat // max(n, 1)
-    triangles = np.column_stack([ei[e], ej[e], flat - e * n])
+    facets = facets.take(order, axis=1)
+    # triangle (i, j, k) has facets (i, j) and (i, k)
+    first, second = edges.T
+    triangles = np.column_stack([first.take(facets[0]), second.take(facets[0]),
+                                 second.take(facets[1])])
 
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
                       triangles=triangles,
                       triangle_values=values[triangle_rank[order]],
-                      gamma_max=float(gamma_max))
+                      facets=facets, gamma_max=float(gamma_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +239,9 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     n = filtration.n_vertices
     edges = filtration.edges
     evals = filtration.edge_values
-    tris = filtration.triangles
     tvals = filtration.triangle_values
     gmax = filtration.gamma_max
-    n_edges, n_tris = len(edges), len(tris)
+    n_edges, n_tris = len(edges), len(tvals)
 
     parent = list(range(n))
 
@@ -251,15 +267,8 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     positive[merges] = False
 
     # the youngest facet of every triangle and the oldest cofacet of every
-    # edge (n_tris if none), as positions. Every edge and facet (a, b) has
-    # a < b, so the flat index a * n + b finds it. The index holds positions
-    # in the smallest dtype that holds E, so the facet arrays are narrow;
-    # every facet of a triangle is an edge, so the zero fill is never read
-    index = np.zeros(n * n, dtype=np.min_scalar_type(n_edges))
-    index[edges[:, 0] * n + edges[:, 1]] = np.arange(n_edges)
-    i, j, k = tris.T
-    f0, f1, f2 = (index.take(i * n + j), index.take(i * n + k),
-                  index.take(j * n + k))
+    # edge (n_tris if none), as positions
+    f0, f1, f2 = filtration.facets
     youngest = np.maximum(np.maximum(f0, f1), f2)
     oldest = np.full(n_edges, n_tris)
     for facet in (f0, f1, f2):

@@ -346,13 +346,17 @@ def load_checkpoint(path) -> Classifier:
                              f"file has {size}")
         if size > need:
             raise ParseError(f"checkpoint has {size - need} trailing bytes")
-        weights, biases = [], []
-        for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-            W = read(8 * fan_in * fan_out, f"layer {i}'s weights")
-            weights.append(np.frombuffer(W, dtype="<f8").reshape(
-                fan_in, fan_out).copy())
-            b = read(8 * fan_out, f"layer {i}'s biases")
-            biases.append(np.frombuffer(b, dtype="<f8").copy())
+        params = np.frombuffer(read(need - fh.tell(), "the parameters"),
+                               dtype="<f8")
+    # each layer's weights, then its biases, copied out so that every array
+    # owns its memory
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(params[at:at + fan_in * fan_out].reshape(
+            fan_in, fan_out).copy())
+        at += fan_in * fan_out
+        biases.append(params[at:at + fan_out].copy())
+        at += fan_out
     return Classifier.from_parameters(weights, biases)
 
 

@@ -132,12 +132,21 @@ class QuantizedPointSet:
         return self.indices[start:start + self.channel_counts[c]]
 
 
+def _distinct(idx: np.ndarray) -> np.ndarray:
+    """The bytes of `np.unique(idx)` by a sort and a neighbour compare: a
+    plain `np.unique` call imports numpy.ma."""
+    idx = np.sort(idx)
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = idx[1:] != idx[:-1]
+    return idx[keep]
+
+
 def quantize_set(grid: QuantizerGrid, points: np.ndarray, *,
                  collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a point multiset; multiplicity kept unless collapsing."""
     idx = grid.quantize_points(points)
     return QuantizedPointSet(
-        indices=np.unique(idx) if collapse_duplicates else idx)
+        indices=_distinct(idx) if collapse_duplicates else idx)
 
 
 def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
@@ -148,7 +157,7 @@ def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
     idx = grid.quantize_points(diagram.points())
     parts = (idx[:n0], idx[n0:])
     if collapse_duplicates:
-        parts = tuple(np.unique(p) for p in parts)
+        parts = tuple(_distinct(p) for p in parts)
     return QuantizedPointSet(indices=np.concatenate(parts),
                              channel_counts=tuple(len(p) for p in parts))
 

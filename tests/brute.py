@@ -33,11 +33,14 @@ budget with an adjacency matrix product (the package enumerates triangles
 as the set cells of an (edge row, vertex) mask, a block of edges at a
 time, sorts once by the integer rank of the diameter with a stable sort,
 and counts while enumerating) is the package's former
-`build_vr_filtration`, moved here verbatim as `filtration_by_lexsort`. It
-is the one filtration oracle, and it applies the same budget rule: n + E
-is checked before any triangle, and n + E + T in full. The reduction's
-oracle is `persistence_by_triangle_columns`, which reduces triangle
-columns over edge rows and never looks up a cofacet.
+`build_vr_filtration`, moved here verbatim as `filtration_by_lexsort`,
+plus the facet positions of each triangle, read from a dict of the sorted
+edges' positions (the package reads them from its n x n position table
+while it enumerates the triangles). It is the one filtration oracle, and
+it applies the same budget rule: n + E is checked before any triangle, and
+n + E + T in full. The reduction's oracle is
+`persistence_by_triangle_columns`, which reduces triangle columns over
+edge rows and never looks up a cofacet.
 
 The MLP fit over every feature column (the package fits only the columns
 some training row fills and leaves the rest of the first weight matrix as
@@ -249,8 +252,14 @@ def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_M
             tri = np.empty((0, 3), dtype=int)
             tri_values = np.empty(0)
 
+    edge_pos = {edge: pos
+                for pos, edge in enumerate(map(tuple, edges.tolist()))}
+    facets = np.array([[edge_pos[i, j], edge_pos[i, k], edge_pos[j, k]]
+                       for i, j, k in tri.tolist()],
+                      dtype=np.min_scalar_type(len(edges))).reshape(-1, 3)
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
                       triangles=tri, triangle_values=tri_values,
+                      facets=np.ascontiguousarray(facets.T),
                       gamma_max=float(gamma_max))
 
 
@@ -263,7 +272,7 @@ def _assert_same_arrays(got, want, names):
 def assert_same_filtration(got, want):
     """Both filtrations hold equal arrays of equal dtypes."""
     _assert_same_arrays(got, want, ("edges", "edge_values", "triangles",
-                                    "triangle_values"))
+                                    "triangle_values", "facets"))
 
 
 def assert_same_diagram(got, want):

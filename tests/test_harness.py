@@ -109,6 +109,14 @@ def test_config_validation():
     assert cfg.m_values == (10, 12)
 
 
+@pytest.mark.parametrize("key", ["m_values", "alphas"])
+def test_config_rejects_an_empty_axis(key):
+    # either axis empty would give a sweep of no cells, whose results and
+    # folds files hold only their heads
+    with pytest.raises(ValueError, match=f"{key} must not be empty"):
+        ExperimentConfig(**{key: ()})
+
+
 def test_synth_point_count_fails_in_load_config(tmp_path):
     # one bound for the config and the shape sampler: a config the sampler
     # would reject fails when it is read, not at sweep set-up
@@ -541,7 +549,8 @@ def test_dataset_failure_leaves_the_files_as_they_were(tmp_path, damage):
 
 def test_no_sweep_imports_masked_arrays(tmp_path):
     # numpy 2 loads numpy.ma at the first plain np.unique call (10-18 ms);
-    # the sweep path makes none, so a sweep never pays for it
+    # the sweep path makes none, with duplicate cells collapsed or not, so
+    # a sweep never pays for it
     script = (
         "import sys\n"
         "import numpy\n"
@@ -551,19 +560,21 @@ def test_no_sweep_imports_masked_arrays(tmp_path):
         "from pdsemcom import ExperimentConfig, run_sweep\n"
         "run_sweep(ExperimentConfig(per_class=6, n_points=16, "
         "m_values=(5,), T=1, alphas=(0.0, 0.1), codes=((15, 5, 3),), "
-        "epochs=3, hidden=(4,), out=sys.argv[1]))\n"
+        "epochs=3, hidden=(4,), collapse_duplicates=sys.argv[2] == 'on', "
+        "out=sys.argv[1]))\n"
         "print('numpy.ma' in sys.modules)\n")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", script,
-                           str(tmp_path / "r.csv")],
-                          capture_output=True, text=True, env=env)
-    if proc.returncode == 3:
-        pytest.skip("this numpy loads numpy.ma on import")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    for collapse in ("off", "on"):
+        proc = subprocess.run([sys.executable, "-c", script,
+                               str(tmp_path / f"{collapse}.csv"), collapse],
+                              capture_output=True, text=True, env=env)
+        if proc.returncode == 3:
+            pytest.skip("this numpy loads numpy.ma on import")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False", collapse
 
 
 def _pd_then_raw(tmp_path, name):

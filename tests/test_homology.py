@@ -109,6 +109,8 @@ def test_triangles_enumerated_in_several_blocks():
     assert max(lexicographic[i, j] for i, j, _ in filt.triangles.tolist()) \
         >= 2 * (TRIANGLE_BLOCK_CELLS // n)
     assert_same_filtration(filt, filtration_by_lexsort(pts, gamma_max=cap))
+    # one contiguous row per facet, which the reduction scans whole
+    assert filt.facets.flags.c_contiguous
     total = filt.simplex_count
     assert build_vr_filtration(
         pts, gamma_max=cap, budget=total).simplex_count == total
@@ -129,8 +131,8 @@ def test_distances_in_row_blocks_match_the_lexsort_filtration():
 
 
 def test_filtration_memory_is_not_a_float_matrix():
-    # no edges, so the n x n bool and rank arrays (16 MB each) and one
-    # block of distances are all that is held; an n x n x 2 difference
+    # no edges, so one block of distances and then the n x n position
+    # table (uint8, 16 MB) are all that is held; an n x n x 2 difference
     # array alone would be 252 MB
     tracemalloc.start()
     try:
@@ -139,12 +141,12 @@ def test_filtration_memory_is_not_a_float_matrix():
     finally:
         tracemalloc.stop()
     assert filt.simplex_count == len(SPACED_GRID)
-    assert peak < 100e6
+    assert peak < 50e6
 
 
 def test_reduction_memory_is_not_an_int64_matrix():
-    # no edges, so the n x n edge index holds uint8 positions (16 MB); in
-    # int64, as with a -1 fill, it alone would be 126 MB
+    # the reduction reads the facet positions the filtration kept, so it
+    # holds no n x n array at all; an int64 edge index alone would be 126 MB
     filt = build_vr_filtration(SPACED_GRID, gamma_max=1.0)
     tracemalloc.start()
     try:
@@ -153,13 +155,13 @@ def test_reduction_memory_is_not_an_int64_matrix():
     finally:
         tracemalloc.stop()
     assert len(pd) == pd.count(0) == len(SPACED_GRID)
-    assert peak < 40e6
+    assert peak < 2e6
 
 
 def test_more_lengths_than_sixteen_bits_rank():
     # 400 points in a box the cap covers: 79800 distinct lengths, so the
     # ranks are 32-bit and the stable sort is not a radix sort; 79800 edges
-    # also make the reduction's edge index 32-bit
+    # also make the position table and the facet positions 32-bit
     pts = np.random.default_rng(12).uniform(0.0, 8.0, size=(400, 2))
     filt = build_vr_filtration(pts, gamma_max=16.0, max_dim=1)
     assert len(np.unique(filt.edge_values)) > 65535

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pdsemcom.errors import CorruptSymbol, OutOfBox, ParseError, ShapeError
-from pdsemcom.homology import vr_diagram
-from pdsemcom.quantizer import (QuantizedPointSet, QuantizerGrid,
+from pdsemcom.homology import PersistenceDiagram, vr_diagram
+from pdsemcom.quantizer import (QuantizedPointSet, QuantizerGrid, _distinct,
                                 diagram_from_symbols, load_symbol_stream,
                                 quantize_diagram, quantize_set,
                                 upper_triangle_cells, write_symbol_stream)
@@ -97,6 +97,26 @@ def test_collapse_duplicates():
     q = quantize_set(grid, pts)
     qc = quantize_set(grid, pts, collapse_duplicates=True)
     assert len(q) == 3 and len(qc) == 2
+
+
+def test_collapsing_gives_the_bytes_of_unique():
+    # the collapse is a sort and a neighbour compare (np.unique would import
+    # numpy.ma): it must give np.unique's bytes, empty arrays included
+    rng = np.random.default_rng(3)
+    for n in (0, 1, 2, 7, 40):
+        for dtype in (np.int64, np.uint8):
+            idx = rng.integers(0, 5, size=n).astype(dtype)
+            got, want = _distinct(idx), np.unique(idx)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a diagram with no degree-1 point: that degree collapses to nothing
+    grid = QuantizerGrid(box_side=16.0, n_bins=4)
+    diagram = PersistenceDiagram(births=[0.0, 0.0, 0.5],
+                                 deaths=[1.0, 1.5, 9.0], dims=[0, 0, 0],
+                                 essential=[False] * 3)
+    q = quantize_diagram(grid, diagram, collapse_duplicates=True)
+    assert q.channel_counts == (2, 0)
+    assert q.indices.tobytes() == np.unique(
+        grid.quantize_points(diagram.points())).tobytes()
 
 
 def test_diagram_from_symbols_handles_corruption():
