@@ -10,12 +10,15 @@ records the machine, the line count of each package module (the files that
 `wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total, the
 `tracemalloc` peak of one `vr_diagram` call on the 3969-point grid of
 `tests/test_homology.py` (points 2 apart at cap 1, a complex of vertices
-only, so the peak is one block of distance arithmetic, 42 MB, ahead of the
-n x n position table, 16 MB), the median wall ms
-of one `train_classifier` fit on the default dataset's pd and raw features
-at the benchmark workloads' fold size (18 rows, 100 epochs) and at full
-size (300 rows, 300 epochs), the tier-1 suite's wall time with its ten
-slowest entries, the default sweep's wall time, its time to the first
+only, so the peak is one block of distance arithmetic, two float arrays of
+8.4 MB, just ahead of the n x n position table, 16 MB), the median wall ms
+per diagram of `build_vr_filtration` and of `compute_persistence` over the
+default dataset's 600 clouds, in interleaved rounds, and the SHA-256 of
+those diagrams (so two files show whether the diagrams are identical), the
+median wall ms of one `train_classifier` fit on the default dataset's pd
+and raw features at the benchmark workloads' fold size (18 rows, 100
+epochs) and at full size (300 rows, 300 epochs), the tier-1 suite's wall
+time with its ten slowest entries, the default sweep's wall time, its time to the first
 results row (the first progress line), the wall time of `run_sweep` on its
 finished files (a resume, timed inside a fresh interpreter, so start-up
 and imports are left out) and the SHA-256 of its results and folds files
@@ -49,7 +52,8 @@ CRITERION_11 = ("pipelines = pd\nm_values = 10\nalphas = 0, 0.12\n"
                 "codes = 1023:123:170\n")
 # prints the tracemalloc peak, in MB, of one vr_diagram call on a
 # 63 x 63 grid of points 2 apart at cap 1: a complex of vertices only, so
-# the peak is the filtration's distance blocks, not the complex
+# the peak is one distance block of the filtration (two float arrays of
+# 8.4 MB) or its n x n position table (uint8, 16 MB), not the complex
 HOMOLOGY_PEAK = (
     "import tracemalloc\n"
     "import numpy as np\n"
@@ -59,6 +63,40 @@ HOMOLOGY_PEAK = (
     "tracemalloc.start()\n"
     "vr_diagram(pts, gamma_max=1.0)\n"
     "print(tracemalloc.get_traced_memory()[1] / 1e6)\n")
+# prints, as JSON, the median wall ms per diagram of build_vr_filtration
+# and of compute_persistence over the default dataset's clouds, as the sweep
+# calls them: one warm-up round, then 5 rounds, each one pass of every
+# cloud through the filtration followed by one pass through the reduction;
+# and the SHA-256 of the diagrams, hashed as tests/test_homology.py does
+DIAGRAM_MS = """
+import hashlib, json, statistics, time
+import numpy as np
+from pdsemcom import ExperimentConfig, synth_dataset
+from pdsemcom.homology import build_vr_filtration, compute_persistence
+cfg = ExperimentConfig()
+clouds = [o.points for o in synth_dataset(
+    per_class=cfg.per_class, n_points=cfg.n_points, noise=cfg.noise,
+    seed=cfg.dataset_seed)]
+times = {"filtration": [], "reduction": []}
+for _ in range(6):
+    t0 = time.perf_counter()
+    filtrations = [build_vr_filtration(p, gamma_max=cfg.gamma_max)
+                   for p in clouds]
+    t1 = time.perf_counter()
+    diagrams = [compute_persistence(f) for f in filtrations]
+    t2 = time.perf_counter()
+    times["filtration"].append(t1 - t0)
+    times["reduction"].append(t2 - t1)
+h = hashlib.sha256()
+for pd in diagrams:
+    for arr, dtype in ((pd.births, "<f8"), (pd.deaths, "<f8"),
+                       (pd.dims, "<i8"), (pd.essential, "?")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+out = {f"{layer}_ms": round(1e3 * statistics.median(t[1:]) / len(clouds), 3)
+       for layer, t in times.items()}
+print(json.dumps({**out, "clouds": len(clouds),
+                  "diagrams_sha256": h.hexdigest()}))
+"""
 # prints the wall seconds of one run_sweep call on the config file argv[1]
 RESUME_S = (
     "import sys, time\n"
@@ -186,6 +224,11 @@ def homology_peak_mb() -> float:
     return round(float(proc.stdout), 1)
 
 
+def diagram_ms() -> dict:
+    proc, _, _ = _run(["-c", DIAGRAM_MS])
+    return json.loads(proc.stdout)
+
+
 def fit_ms() -> dict:
     proc, _, _ = _run(["-c", FIT_MS])
     return json.loads(proc.stdout)
@@ -238,6 +281,8 @@ def main() -> int:
              "machine": machine()}
     print("homology peak ...", file=sys.stderr)
     bench["homology_peak_mb"] = homology_peak_mb()
+    print("diagrams ...", file=sys.stderr)
+    bench["diagram_ms"] = diagram_ms()
     print("classifier fits ...", file=sys.stderr)
     bench["fit_ms"] = fit_ms()
     print("tier-1 ...", file=sys.stderr)

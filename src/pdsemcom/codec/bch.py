@@ -8,18 +8,19 @@ disagrees with its root count the decoder raises DecodeFailure and the
 caller decides whether to pass the systematic bits through.
 
 Decoding reads tables built once per code, so a block costs gathers and
-XOR-reductions with no multiply or modulo per element: the odd syndromes
-are one gather of `powers` rows at the received word's 1-positions, and the
-Chien search adds the log of each locator coefficient lambda_j to row j of
-`ij` (i * j mod n) and looks the sums up in `exp2`, the exp table doubled
-to length 2n. Berlekamp-Massey works in a log domain with a zero sentinel:
-`log0` maps 0 to 2n and `exp0` is `exp2` followed by a zero tail, so a
-product exp0[log0[a] + log0[b]] is 0 whenever a or b is, with no branch.
-Each of its t odd steps is then a few array operations on fixed-width
-int64 registers: the discrepancy is one gather of the locator's logs plus
-a slice of the reversed syndrome logs, looked up in `exp0` and
-XOR-reduced, and the update is one gather-add of the scaled correction
-polynomial XORed into a slice of the locator.
+XOR-reductions with no multiply or modulo per element. Every stage reads
+one log table and one exp table with a zero sentinel: `log0` maps 0 to 2n,
+and `exp0` is the exp table doubled to length 2n followed by a zero tail,
+so a product exp0[log0[a] + log0[b]] needs no modulo and is 0 whenever a
+or b is, with no branch. The odd syndromes are one gather of `powers` rows
+at the received word's 1-positions, and the even ones square through
+`exp0[2 log0[s]]`. Each of Berlekamp-Massey's t odd steps is a few array
+operations on fixed-width int64 registers: the discrepancy is one gather
+of the locator's logs plus a slice of the reversed syndrome logs, looked
+up in `exp0` and XOR-reduced, and the update is one gather-add of the
+scaled correction polynomial XORed into a slice of the locator. The Chien
+search adds the log of each locator coefficient lambda_j to row j of `ij`
+(i * j mod n) and looks the sums up in `exp0`.
 """
 
 from __future__ import annotations
@@ -102,12 +103,12 @@ class BchCode:
     `powers[p, j]` = alpha^((2j + 1) p), shape n x t, the contribution of
     a 1 at position p to the odd syndrome s_(2j+1); `ij[j, i]` = i j mod n,
     shape (t + 1) x n, the log of (alpha^i)^j for the Chien search, one
-    contiguous row per locator term; and `exp2`, the field's exp table
-    repeated to length 2n, so that a sum of two logs needs no modulo (all
-    three int16). For Berlekamp-Massey, two int64 tables with a zero
-    sentinel: `log0`, the field's log table with log 0 = 2n, and `exp0`,
-    `exp2` followed by a zero tail of 2n + 1 entries, so exp0[log0[a] +
-    log0[b]] = a b for all a, b, zero operands included.
+    contiguous row per locator term (both int16); and one log and one exp
+    table with a zero sentinel: `log0` (int64), the field's log table with
+    log 0 = 2n, and `exp0` (int16), the field's exp table repeated to length
+    2n, so that a sum of two logs needs no modulo, then a zero tail of
+    2n + 1 entries, so exp0[log0[a] + log0[b]] = a b for all a, b, zero
+    operands included.
     """
 
     field: GaloisField
@@ -117,7 +118,6 @@ class BchCode:
     generator: int
     powers: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     ij: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-    exp2: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     log0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     exp0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
@@ -130,16 +130,15 @@ class BchCode:
             raise ValueError("generator must divide x^n + 1")
         i = np.arange(self.n, dtype=np.int32)
         odd = np.arange(1, 2 * self.t, 2, dtype=np.int32)
-        exp2 = np.tile(self.field.exp.astype(np.int16), 2)
         log0 = self.field.log.copy()
         log0[0] = 2 * self.n
         # a sum with a zero operand lies in 2n..4n, the zero tail
-        exp0 = np.zeros(4 * self.n + 1, dtype=np.int64)
-        exp0[:2 * self.n] = exp2
-        tables = dict(powers=exp2[np.outer(i, odd) % self.n],
+        exp0 = np.zeros(4 * self.n + 1, dtype=np.int16)
+        exp0[:2 * self.n] = np.tile(self.field.exp, 2)
+        tables = dict(powers=exp0[np.outer(i, odd) % self.n],
                       ij=(np.outer(np.arange(self.t + 1, dtype=np.int32), i)
                           % self.n).astype(np.int16),
-                      exp2=exp2, log0=log0, exp0=exp0)
+                      log0=log0, exp0=exp0)
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -191,14 +190,13 @@ def _syndromes(code: BchCode, positions: np.ndarray) -> np.ndarray:
     """s_i = r(alpha^i) for i = 1..2t: odd i by one gather of `powers`
     rows, even i via Frobenius squaring s_2i = s_i^2, one slice per power
     of two (s_2, s_6, s_10, ... from s_1, s_3, s_5, ..., then s_4, s_12,
-    ... from s_2, s_6, ...)."""
-    log = code.field.log  # log[0] = -1 picks a junk entry, masked below
+    ... from s_2, s_6, ...); a zero s_i squares to exp0[4n] = 0."""
     s = np.zeros(2 * code.t + 1, dtype=np.int64)
     s[1::2] = np.bitwise_xor.reduce(code.powers[positions], axis=0)
     h = 1
     while h <= code.t:
         v = s[h::2 * h][:len(s[2 * h::4 * h])]
-        s[2 * h::4 * h] = np.where(v, code.exp2[2 * log[v]], 0)
+        s[2 * h::4 * h] = code.exp0[2 * code.log0[v]]
         h *= 2
     return s
 
@@ -210,7 +208,8 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
     binary BCH chapter). Each step is a few gathers from `log0` and `exp0`
     on registers of 2t + 1 coefficients."""
-    n, log0, exp0 = code.n, code.log0, code.exp0
+    # widened once per call, as an int16 operand costs a cast per update
+    n, log0, exp0 = code.n, code.log0, code.exp0.astype(np.int64)
     top = 2 * code.t
     # rev[top - i] = log s_i, so s_(r-1), s_(r-2), ... is a forward slice
     rev = log0[s[::-1]]
@@ -237,10 +236,11 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
 
 def _chien_roots(code: BchCode, locator: np.ndarray) -> np.ndarray:
     """The i in 0..n-1 with locator(alpha^i) = 0, ascending: the term
-    lambda_j x^j at alpha^i is exp2[ij[j, i] + log lambda_j]."""
+    lambda_j x^j at alpha^i is exp0[ij[j, i] + log lambda_j], over the
+    nonzero lambda_j only."""
     js = np.nonzero(locator)[0]
-    logs = code.field.log[locator[js], None]
-    values = np.bitwise_xor.reduce(code.exp2[code.ij[js] + logs], axis=0)
+    logs = code.log0[locator[js], None]
+    values = np.bitwise_xor.reduce(code.exp0[code.ij[js] + logs], axis=0)
     return np.nonzero(values == 0)[0]
 
 

@@ -18,14 +18,15 @@ edge length gets a dense rank, held in the smallest unsigned dtype that
 fits, so the stable sorts of edges and triangles are radix sorts for up to
 256 points. Its one n x n array holds each edge's position. Triangles are
 the set cells of an (edge, vertex) mask, two rows of that table, a block of
-edges at a time: the work is E * n cells, not n**3, and the same rows give
-the facet positions that the reduction reads.
+edges at a time (E * n cells, not n**3); the same rows give the facets the
+reduction reads, and a filtration is its sorted edges and those facets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,7 +43,7 @@ TRIANGLE_BLOCK_CELLS = 1 << 20
 
 @dataclass(frozen=True, eq=False)
 class Filtration:
-    """Sorted edges and triangles of a truncated Vietoris-Rips complex.
+    """Sorted edges and the facet table of a truncated Vietoris-Rips complex.
 
     Simplices are ordered by (filtration value, dimension, lexicographic
     vertex tuple); vertices all enter at value 0 so the arrays here hold the
@@ -54,32 +55,42 @@ class Filtration:
     orders exactly as the value does; the values are read back from the
     ranks, so they are the distances themselves. `facets` holds the edge
     positions of each triangle's facets (i, j), (i, k), (j, k), a contiguous
-    row each, in the narrowest dtype that holds E.
+    row each, in the narrowest dtype that holds E; a triangle's value is its
+    youngest facet's, `edge_values[facets.max(axis=0)]`.
     """
 
     n_vertices: int
     edges: np.ndarray          # (E, 2) int, i < j, sorted
     edge_values: np.ndarray    # (E,) float
-    triangles: np.ndarray      # (T, 3) int, i < j < k, sorted
-    triangle_values: np.ndarray
     facets: np.ndarray         # (3, T) edge positions
     gamma_max: float
 
     @property
+    def triangles(self) -> np.ndarray:
+        """(T, 3) int, i < j < k, sorted, built on each access: triangle
+        (i, j, k) has facets (i, j) and (i, k)."""
+        return np.column_stack([self.edges[self.facets[0]],
+                                self.edges[self.facets[1], 1]])
+
+    @property
     def simplex_count(self) -> int:
-        return self.n_vertices + len(self.edges) + len(self.triangles)
+        return self.n_vertices + len(self.edges) + self.facets.shape[1]
 
 
 def _edge_cells(pts: np.ndarray, gamma_max: float, step: int) -> tuple:
     """The flat indices i * n + j of the edges (i, j), i < j, in
     lexicographic order, and their lengths. The distances are taken `step`
-    rows at a time, so no n x n float array is held."""
+    rows at a time, as two float arrays squared and summed in place."""
     n = len(pts)
     cells, lengths = [np.empty(0, dtype=np.intp)], [np.empty(0)]
     for lo in range(0, n, step):
-        dx = pts[lo:lo + step, None, 0] - pts[None, :, 0]
+        dist = pts[lo:lo + step, None, 0] - pts[None, :, 0]
         dy = pts[lo:lo + step, None, 1] - pts[None, :, 1]
-        dist = np.sqrt(dx * dx + dy * dy)
+        dist *= dist
+        dy *= dy
+        dist += dy
+        del dy  # else alive while the next block's distances are taken
+        np.sqrt(dist, out=dist)
         cell = np.flatnonzero(np.triu(dist <= gamma_max, k=lo + 1))
         lengths.append(dist.ravel()[cell])
         cells.append(cell + lo * n)
@@ -137,18 +148,10 @@ def build_vr_filtration(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX
     facets = np.concatenate(parts, axis=1)
     # a triangle's rank is its longest edge's, the rank of its youngest
     # facet; `take` keeps the rows contiguous, which the reduction scans
-    triangle_rank = sorted_rank.take(facets.max(axis=0))
-    order = np.argsort(triangle_rank, kind="stable")
-    facets = facets.take(order, axis=1)
-    # triangle (i, j, k) has facets (i, j) and (i, k)
-    first, second = edges.T
-    triangles = np.column_stack([first.take(facets[0]), second.take(facets[0]),
-                                 second.take(facets[1])])
-
+    order = np.argsort(sorted_rank.take(facets.max(axis=0)), kind="stable")
     return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
-                      triangles=triangles,
-                      triangle_values=values[triangle_rank[order]],
-                      facets=facets, gamma_max=float(gamma_max))
+                      facets=facets.take(order, axis=1),
+                      gamma_max=float(gamma_max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +242,8 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     n = filtration.n_vertices
     edges = filtration.edges
     evals = filtration.edge_values
-    tvals = filtration.triangle_values
     gmax = filtration.gamma_max
-    n_edges, n_tris = len(edges), len(tvals)
+    n_edges, n_tris = len(edges), filtration.facets.shape[1]
 
     parent = list(range(n))
 
@@ -254,7 +256,9 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
         return root
 
     merges = []
-    for pos, (a, b) in enumerate(edges.tolist()):
+    # n edges at a time, as the loop seldom reads them all
+    for pos, (a, b) in enumerate(chain.from_iterable(
+            edges[lo:lo + n].tolist() for lo in range(0, n_edges, max(n, 1)))):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
@@ -308,7 +312,8 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
 
     pair_t = np.fromiter(owner.keys(), dtype=int, count=len(owner))
     pair_e = np.fromiter(owner.values(), dtype=int, count=len(owner))
-    finite = evals[pair_e] < tvals[pair_t]
+    pair_death = evals[youngest[pair_t]]
+    finite = evals[pair_e] < pair_death
     positive[pair_e] = False  # the positive edges left never die
     alive = np.nonzero(positive & (evals < gmax))[0]
 
@@ -316,7 +321,7 @@ def compute_persistence(filtration: Filtration) -> PersistenceDiagram:
     b = np.concatenate([np.zeros(len(merges) + n_components),
                         evals[pair_e[finite]], evals[alive]])
     d = np.concatenate([evals[merges], np.full(n_components, gmax),
-                        tvals[pair_t[finite]], np.full(len(alive), gmax)])
+                        pair_death[finite], np.full(len(alive), gmax)])
     dm = np.repeat([0, 0, 1, 1], sizes)
     es = np.repeat([False, True, False, True], sizes)
     order = np.lexsort((es, d, b, dm))

@@ -36,11 +36,14 @@ and counts while enumerating) is the package's former
 `build_vr_filtration`, moved here verbatim as `filtration_by_lexsort`,
 plus the facet positions of each triangle, read from a dict of the sorted
 edges' positions (the package reads them from its n x n position table
-while it enumerates the triangles). It is the one filtration oracle, and
-it applies the same budget rule: n + E is checked before any triangle, and
-n + E + T in full. The reduction's oracle is
-`persistence_by_triangle_columns`, which reduces triangle columns over
-edge rows and never looks up a cofacet.
+while it enumerates the triangles). It returns its own record,
+`LexsortFiltration`, which holds the triangles' vertices and values as it
+computes them (a package `Filtration` holds only the facet table and reads
+both back from it). It is the one filtration oracle, and it applies the
+same budget rule: n + E is checked before any triangle, and n + E + T in
+full. The reduction's oracle is `persistence_by_triangle_columns`, which
+reduces triangle columns over edge rows, takes each triangle's value as
+the largest of its edges' and never looks up a cofacet.
 
 The MLP fit over every feature column (the package fits only the columns
 some training row fills and leaves the rest of the first weight matrix as
@@ -97,6 +100,7 @@ import heapq
 import itertools
 import math
 from itertools import zip_longest
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,7 +108,7 @@ from pdsemcom.codec import BchCode, bch_encode, decode_or_passthrough
 from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
                              ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
-                               Filtration, PersistenceDiagram)
+                               PersistenceDiagram)
 from pdsemcom.inference import (ADAM_EPS, BANDWIDTH, BETA1, BETA2,
                                 LEARNING_RATE, N_BIRTH, N_PERS, TOP_K,
                                 WEIGHT_EXPONENT,
@@ -187,9 +191,26 @@ def dedup_by_unique(points: np.ndarray) -> np.ndarray:
     return np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
 
 
+class LexsortFiltration(NamedTuple):
+    """The arrays `filtration_by_lexsort` computes, triangles and their
+    values included."""
+
+    n_vertices: int
+    edges: np.ndarray
+    edge_values: np.ndarray
+    triangles: np.ndarray
+    triangle_values: np.ndarray
+    facets: np.ndarray
+    gamma_max: float
+
+    @property
+    def simplex_count(self) -> int:
+        return self.n_vertices + len(self.edges) + len(self.triangles)
+
+
 def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_MAX,
                           max_dim: int = 2,
-                          budget: int = DEFAULT_SIMPLEX_BUDGET) -> Filtration:
+                          budget: int = DEFAULT_SIMPLEX_BUDGET) -> LexsortFiltration:
     """Enumerate edges and (optionally) triangles with diameter <= gamma_max."""
     if gamma_max <= 0:
         raise ValueError(f"scale cap must be positive, got {gamma_max}")
@@ -257,10 +278,11 @@ def filtration_by_lexsort(points: np.ndarray, gamma_max: float = DEFAULT_GAMMA_M
     facets = np.array([[edge_pos[i, j], edge_pos[i, k], edge_pos[j, k]]
                        for i, j, k in tri.tolist()],
                       dtype=np.min_scalar_type(len(edges))).reshape(-1, 3)
-    return Filtration(n_vertices=n, edges=edges, edge_values=edge_values,
-                      triangles=tri, triangle_values=tri_values,
-                      facets=np.ascontiguousarray(facets.T),
-                      gamma_max=float(gamma_max))
+    return LexsortFiltration(n_vertices=n, edges=edges,
+                             edge_values=edge_values, triangles=tri,
+                             triangle_values=tri_values,
+                             facets=np.ascontiguousarray(facets.T),
+                             gamma_max=float(gamma_max))
 
 
 def _assert_same_arrays(got, want, names):
@@ -270,9 +292,14 @@ def _assert_same_arrays(got, want, names):
 
 
 def assert_same_filtration(got, want):
-    """Both filtrations hold equal arrays of equal dtypes."""
+    """The package's filtration `got` and the oracle's record `want` hold
+    equal arrays of equal dtypes: edges, edge values, triangles, triangle
+    values (for `got`, each triangle's youngest facet's) and facets."""
     _assert_same_arrays(got, want, ("edges", "edge_values", "triangles",
-                                    "triangle_values", "facets"))
+                                    "facets"))
+    values = got.edge_values[got.facets.max(axis=0)]
+    assert values.dtype == want.triangle_values.dtype and np.array_equal(
+        values, want.triangle_values), "triangle_values"
 
 
 def assert_same_diagram(got, want):
@@ -317,25 +344,27 @@ def persistence_by_triangle_columns(filtration) -> PersistenceDiagram:
     # degree 1: reduce triangle columns over edge rows; a column's surviving
     # lowest one pairs that edge's cycle with this triangle
     paired = np.zeros(len(edges), dtype=bool)
-    if len(filtration.triangles):
+    # built on each access, so read once
+    triangles = filtration.triangles
+    if len(triangles):
         edge_pos = {}
         for pos, (a, b) in enumerate(edges):
             edge_pos[(int(a), int(b))] = pos
         pivots: dict[int, int] = {}
-        tvals = filtration.triangle_values
-        for t in range(len(filtration.triangles)):
-            i, j, k = (int(v) for v in filtration.triangles[t])
-            col = ((1 << edge_pos[(i, j)]) | (1 << edge_pos[(i, k)])
-                   | (1 << edge_pos[(j, k)]))
+        for t in range(len(triangles)):
+            i, j, k = (int(v) for v in triangles[t])
+            facets = (edge_pos[(i, j)], edge_pos[(i, k)], edge_pos[(j, k)])
+            value = max(evals[f] for f in facets)
+            col = (1 << facets[0]) | (1 << facets[1]) | (1 << facets[2])
             while col:
                 low = col.bit_length() - 1
                 other = pivots.get(low)
                 if other is None:
                     pivots[low] = col
                     paired[low] = True
-                    if evals[low] < tvals[t]:
+                    if evals[low] < value:
                         births.append(float(evals[low]))
-                        deaths.append(float(tvals[t]))
+                        deaths.append(float(value))
                         dims.append(1)
                         ess.append(False)
                     break
@@ -597,7 +626,8 @@ def berlekamp_massey_lists(code: BchCode, s: np.ndarray) -> np.ndarray:
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
     binary BCH chapter)."""
     n = code.n
-    exp2 = code.exp2.tolist()  # exp2[a + b] for logs a, b < n
+    # exp2[a + b] for logs a, b < n
+    exp2 = np.tile(code.field.exp, 2).tolist()
     log = code.field.log.tolist()  # log[0] = -1
     log_s = code.field.log[s].tolist()
     # C, the locator, always holds L + 1 coefficients (the top one may be

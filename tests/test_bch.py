@@ -216,7 +216,8 @@ def test_codes_compare_by_parameters_not_tables():
     assert code != bch_generator(10, 115)
     assert "powers" not in repr(code)
     assert code.powers.shape == (1023, 170) and code.powers.dtype == np.int16
-    assert code.ij.shape == (171, 1023) and code.exp2.shape == (2046,)
+    assert code.ij.shape == (171, 1023)
+    assert code.exp0.shape == (4093,) and code.exp0.dtype == np.int16
     with pytest.raises(ValueError):
         code.powers[0, 0] = 0
 

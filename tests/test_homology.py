@@ -78,7 +78,7 @@ def test_filtration_ordering_and_budget():
     pts = rng.uniform(0.0, 8.0, size=(30, 2))
     filt = build_vr_filtration(pts, gamma_max=16.0)
     assert np.all(np.diff(filt.edge_values) >= 0)
-    assert np.all(np.diff(filt.triangle_values) >= 0)
+    assert np.all(np.diff(filt.edge_values[filt.facets.max(axis=0)]) >= 0)
     assert np.all(filt.edges[:, 0] < filt.edges[:, 1])
     assert np.all((filt.triangles[:, 0] < filt.triangles[:, 1])
                   & (filt.triangles[:, 1] < filt.triangles[:, 2]))
@@ -131,9 +131,10 @@ def test_distances_in_row_blocks_match_the_lexsort_filtration():
 
 
 def test_filtration_memory_is_not_a_float_matrix():
-    # no edges, so one block of distances and then the n x n position
-    # table (uint8, 16 MB) are all that is held; an n x n x 2 difference
-    # array alone would be 252 MB
+    # no edges, so one block of distances (two float arrays of 8.4 MB,
+    # squared and summed in place) and then the n x n position table
+    # (uint8, 16 MB) are all that is held; an n x n x 2 difference array
+    # alone would be 252 MB
     tracemalloc.start()
     try:
         filt = build_vr_filtration(SPACED_GRID, gamma_max=1.0)
@@ -141,7 +142,7 @@ def test_filtration_memory_is_not_a_float_matrix():
     finally:
         tracemalloc.stop()
     assert filt.simplex_count == len(SPACED_GRID)
-    assert peak < 50e6
+    assert peak < 25e6
 
 
 def test_reduction_memory_is_not_an_int64_matrix():
@@ -156,6 +157,22 @@ def test_reduction_memory_is_not_an_int64_matrix():
         tracemalloc.stop()
     assert len(pd) == pd.count(0) == len(SPACED_GRID)
     assert peak < 2e6
+
+
+def test_union_find_reads_the_edges_as_it_goes():
+    # 1500 points in a box the cap covers: 1124250 edges, and a spanning
+    # tree after a few thousand; a Python list of every edge, on top of the
+    # diagram of every edge that stays essential, would be ~150 MB
+    pts = np.random.default_rng(12).uniform(0.0, 8.0, size=(1500, 2))
+    filt = build_vr_filtration(pts, gamma_max=16.0, max_dim=1)
+    tracemalloc.start()
+    try:
+        pd = compute_persistence(filt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pd.count(0) == 1500 and pd.count(1) == len(filt.edges) - 1499
+    assert peak < 110e6
 
 
 def test_more_lengths_than_sixteen_bits_rank():
