@@ -6,8 +6,14 @@ Every step runs in a fresh interpreter, one at a time, with pdsemcom
 imported from this checkout's src/ and OPENBLAS_NUM_THREADS=1 set for it:
 the classifier's matrix products are small, so a second OpenBLAS thread
 only spins (43.1 s of CPU against 26.3 s for one default sweep). The file
-records the machine, the line count of each package module (the files that
-`wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py` counts) and their total, the
+records the machine (with `sys.flags.dont_write_bytecode`: with bytecode
+writes off, which the children inherit through PYTHONDONTWRITEBYTECODE,
+every interpreter compiles what it imports), the line count of each package
+module (the files that `wc -l src/pdsemcom/*.py src/pdsemcom/*/*.py`
+counts) and their total, the cold start (the median and quartile wall ms of
+fresh interpreters that import pdsemcom and build the default config, as
+the sweep benchmark's setup step does, interleaved with bare interpreters
+timed the same way, and the pdsemcom modules that start loads), the
 `tracemalloc` peak of one `vr_diagram` call on the 3969-point grid of
 `tests/test_homology.py` (points 2 apart at cap 1, a complex of vertices
 only, so the peak is one block of distance arithmetic, two float arrays of
@@ -18,16 +24,17 @@ those diagrams (so two files show whether the diagrams are identical), the
 median wall ms of one `train_classifier` fit on the default dataset's pd
 and raw features at the benchmark workloads' fold size (18 rows, 100
 epochs) and at full size (300 rows, 300 epochs), the tier-1 suite's wall
-time with its ten slowest entries, the default sweep's wall time, its time to the first
-results row (the first progress line), the wall time of `run_sweep` on its
-finished files (a resume, timed inside a fresh interpreter, so start-up
-and imports are left out) and the SHA-256 of its results and folds files
-after the resume, the criterion-11 coded sweep's wall time, and the
-per-layer medians of `sweepbench/run.py --trace 1 --seed 1` on both
-benchmark workloads. Wall times are plain wall seconds, not the sweep benchmark's
-reference seconds, so compare only files measured on the same machine.
-Nothing is written if a sweep fails; a failing tier-1 run is recorded with
-its counts. It takes about five minutes on a 2-core machine.
+time with its ten slowest entries, the default sweep's wall time, its time
+to the first results row (the first progress line), the wall time of
+`run_sweep` on its finished files (a resume, timed inside a fresh
+interpreter, so start-up and imports are left out) and the SHA-256 of its
+results and folds files after the resume, the criterion-11 coded sweep's
+wall time, and the per-layer medians of
+`sweepbench/run.py --trace 1 --seed 1` on both benchmark workloads. Wall
+times are plain wall seconds, not the sweep benchmark's reference
+seconds, so compare only files measured on the same machine. Nothing is
+written if a sweep fails; a failing tier-1 run is recorded with its
+counts. It takes about five minutes on a 2-core machine.
 """
 
 import hashlib
@@ -35,6 +42,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -97,6 +105,15 @@ out = {f"{layer}_ms": round(1e3 * statistics.median(t[1:]) / len(clouds), 3)
 print(json.dumps({**out, "clouds": len(clouds),
                   "diagrams_sha256": h.hexdigest()}))
 """
+# builds the default config in a fresh interpreter, as the sweep benchmark's
+# setup step does, and prints the pdsemcom modules that loaded
+SETUP = (
+    "import sys\n"
+    "import pdsemcom\n"
+    "pdsemcom.ExperimentConfig()\n"
+    "print(' '.join(sorted(m for m in sys.modules\n"
+    "                      if m.split('.')[0] == 'pdsemcom')))\n")
+SETUP_RUNS = 25
 # prints the wall seconds of one run_sweep call on the config file argv[1]
 RESUME_S = (
     "import sys, time\n"
@@ -198,7 +215,8 @@ def machine() -> dict:
     return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": cpu,
             "python": platform.python_version(), "numpy": numpy.__version__,
             "blas": blas,
-            "OPENBLAS_NUM_THREADS": BLAS_THREADS}
+            "OPENBLAS_NUM_THREADS": BLAS_THREADS,
+            "dont_write_bytecode": bool(sys.flags.dont_write_bytecode)}
 
 
 def src_sha256() -> str:
@@ -217,6 +235,24 @@ def src_lines() -> dict:
     modules = {str(path.relative_to(pkg)): path.read_bytes().count(b"\n")
                for path in sorted([*pkg.glob("*.py"), *pkg.glob("*/*.py")])}
     return {"total": sum(modules.values()), "modules": modules}
+
+
+def _ms_summary(walls) -> dict:
+    q1, median, q3 = statistics.quantiles(walls, n=4)
+    return {"median": round(1e3 * median, 1), "q1": round(1e3 * q1, 1),
+            "q3": round(1e3 * q3, 1), "runs": len(walls)}
+
+
+def setup_ms() -> dict:
+    """Cold start: SETUP_RUNS fresh interpreters that build the default
+    config, each after a bare one, so a drift in machine speed moves both."""
+    setup, bare = [], []
+    for _ in range(SETUP_RUNS):
+        bare.append(_run(["-c", "pass"])[1])
+        proc, wall, _ = _run(["-c", SETUP])
+        setup.append(wall)
+    return {**_ms_summary(setup), "interpreter": _ms_summary(bare),
+            "modules": proc.stdout.split()}
 
 
 def homology_peak_mb() -> float:
@@ -279,6 +315,8 @@ def main() -> int:
     bench = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
              "src_sha256": src_sha256(), "src_lines": src_lines(),
              "machine": machine()}
+    print("cold start ...", file=sys.stderr)
+    bench["setup_ms"] = setup_ms()
     print("homology peak ...", file=sys.stderr)
     bench["homology_peak_mb"] = homology_peak_mb()
     print("diagrams ...", file=sys.stderr)

@@ -14,11 +14,11 @@ import numpy as np
 
 from .channel import BscChannel, transmit_bits
 from .codec import as_bits, build_huffman, load_code_table
+from .config import ExperimentConfig, load_config
 from .dataset import (load_grid_file, load_pointcloud_file, synth_dataset,
                       threshold_grid, write_pointcloud_file)
-from .harness import (CURVE_KINDS, ExperimentConfig, build_bch, decode_payload,
-                      emit_curves, encode_payload, load_config, read_results,
-                      run_sweep)
+from .harness import (CURVE_KINDS, build_bch, decode_payload, emit_curves,
+                      encode_payload, read_results, run_sweep)
 from .homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET, vr_diagram,
                        write_pd_file)
 from .infotheory import quantizer_entropy

@@ -12,13 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_SYNTH_POINTS, RAW_BOX_SIDE
 from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
                      one_of, read_table, substream, write_table)
 
-RAW_BOX_SIDE = 28.0
 VALID_CLASSES = (1, 2, 3)
-# the fewest points a synthetic shape is sampled with
-MIN_SYNTH_POINTS = 8
 POINTCLOUD_HEADER = ("object", "x", "y", "label")
 
 

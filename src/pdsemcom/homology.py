@@ -30,10 +30,10 @@ from itertools import chain
 
 import numpy as np
 
+from .config import DEFAULT_GAMMA_MAX
 from .errors import (BudgetExceeded, ShapeError, nonnegative, one_of,
                      read_table, write_table)
 
-DEFAULT_GAMMA_MAX = 16.0
 DEFAULT_SIMPLEX_BUDGET = 2_000_000
 # the columns of a diagram file, and of a latent file, which shares its layout
 PD_HEADER = ("object", "dim", "birth", "death")

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RAW_BOX_SIDE
+from .config import RAW_BOX_SIDE
 from .errors import ParseError, ShapeError, TrainingDiverged, substream
 from .homology import PersistenceDiagram
 from .quantizer import QuantizerGrid

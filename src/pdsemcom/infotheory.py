@@ -13,10 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import DEFAULT_PARTITION, SOURCE_KINDS
 from .errors import EmptyDensity, ShapeError, probability_vector
-from .quantizer import SOURCE_KINDS, QuantizerGrid, upper_triangle_cells
-
-DEFAULT_PARTITION = 28
+from .quantizer import QuantizerGrid, upper_triangle_cells
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import SOURCE_KINDS
 from .errors import (CorruptSymbol, OutOfBox, ParseError, ShapeError, one_of,
                      read_table, write_table)
 from .homology import PersistenceDiagram
 
-# symbol channels per source kind (a diagram's two degrees); the order seeds
-# the folds
-CHANNELS = {"pd": 2, "raw": 1, "latent": 1}
-SOURCE_KINDS = tuple(CHANNELS)
+# symbol channels per source kind: a diagram's two degrees, one otherwise
+CHANNELS = {kind: 2 if kind == "pd" else 1 for kind in SOURCE_KINDS}
 # a symbol stream file: a grid header and its one row, then a symbol table
 STREAM_GRID_HEADER = ("box_side", "n_bins", "source_kind")
 STREAM_SYMBOL_HEADER = ("object", "channel", "symbol")

@@ -23,9 +23,10 @@ from brute import betti_bruteforce, betti_from_diagram, bottleneck_exhaustive
 from pdsemcom.channel import BscChannel, transmit_bits
 from pdsemcom.codec.bch import bch_decode, bch_encode, bch_generator, coded_rate
 from pdsemcom.codec.huffman import build_huffman, huffman_decode, huffman_encode
+from pdsemcom.config import ExperimentConfig
 from pdsemcom.dataset import synth_dataset
 from pdsemcom.errors import DecodeFailure
-from pdsemcom.harness import ExperimentConfig, folds_path_for, run_sweep
+from pdsemcom.harness import folds_path_for, run_sweep
 from pdsemcom.homology import bottleneck_distance, vr_diagram
 from pdsemcom.inference import Classifier, CvSchedule, loss_and_gradients
 from pdsemcom.infotheory import (EmpiricalDensity, cell_probabilities,

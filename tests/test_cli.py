@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from pdsemcom.cli import _read_bits, _write_bits, main
+from pdsemcom.config import ExperimentConfig, write_config
 from pdsemcom.dataset import load_pointcloud_file
 from pdsemcom.errors import ShapeError
-from pdsemcom.harness import ExperimentConfig, read_results, write_config
+from pdsemcom.harness import read_results
 from pdsemcom.homology import load_pd_file
 
 

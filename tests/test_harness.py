@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pdsemcom.config import (ExperimentConfig, load_config, parse_config,
+                             write_config)
 from pdsemcom.dataset import (MIN_SYNTH_POINTS, PointCloud, synth_dataset,
                               synth_loops, write_pointcloud_file)
 from pdsemcom.errors import ParseError
-from pdsemcom.harness import (COLUMNS, ExperimentConfig, TradeoffRecord,
-                              emit_curves, folds_path_for, load_config,
-                              parse_config, read_results, run_sweep,
-                              symbol_error_rate, write_config,
-                              _normalize_latents)
+from pdsemcom.harness import (COLUMNS, TradeoffRecord, emit_curves,
+                              folds_path_for, read_results, run_sweep,
+                              symbol_error_rate, _normalize_latents)
 from pdsemcom.inference import CvSchedule
 from pdsemcom.quantizer import upper_triangle_cells
 
@@ -148,6 +148,38 @@ def test_config_rejects_repeated_codes():
         parse_config("codes = 1023:123:170, 1023:123:170\n")
     assert parse_config("codes = 1023:123:170, 1023:113:172\n").codes == (
         (1023, 123, 170), (1023, 113, 172))
+
+
+def test_config_rejects_repeated_keys():
+    # the second line would silently win over the first
+    with pytest.raises(ParseError, match="'epochs' repeats line 1") as err:
+        parse_config("epochs = 100\n# comment\nepochs = 300\n")
+    assert err.value.line_number == 3
+    config = ExperimentConfig(codes=((1023, 123, 170),))
+    assert parse_config(config.canonical_text(include_artifacts=True)) == config
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"hidden": (1.5,)}, {"m_values": (10.7, 12)},
+    {"codes": ((1023.9, 123.2, 170.5),)}, {"epochs": 2.5}, {"T": 1.9},
+    {"per_class": 12.0}, {"n_points": "48"}, {"partition": 28.0},
+    {"dataset_seed": 7.0}, {"cv_seed": None}, {"train_seed": 3.5},
+    {"channel_seed": np.float64(11)}])
+def test_config_integer_settings_must_be_integers(kwargs):
+    # a fraction was truncated, or kept and then hashed as if truncated
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"^{name}: .* is not an integer"):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_integer_settings_accept_numpy_integers():
+    config = ExperimentConfig(per_class=np.int64(12),
+                              m_values=np.arange(10, 13),
+                              hidden=(np.int32(8),),
+                              codes=((np.int16(15), 5, 3),))
+    assert config == ExperimentConfig(per_class=12, m_values=(10, 11, 12),
+                                      hidden=(8,), codes=((15, 5, 3),))
+    assert type(config.per_class) is int and type(config.m_values[0]) is int
 
 
 @pytest.mark.parametrize("key", ["dataset_seed", "cv_seed", "train_seed",
