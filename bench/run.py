@@ -23,7 +23,9 @@ default dataset's 600 clouds, in interleaved rounds, and the SHA-256 of
 those diagrams (so two files show whether the diagrams are identical), the
 median wall ms of one `train_classifier` fit on the default dataset's pd
 and raw features at the benchmark workloads' fold size (18 rows, 100
-epochs) and at full size (300 rows, 300 epochs), the tier-1 suite's wall
+epochs) and at full size (300 rows, 300 epochs) and the SHA-256 of every
+timed fit's weights and biases (so two files show whether the fits are
+bit-identical), the tier-1 suite's wall
 time with its ten slowest entries, the default sweep's wall time, its time
 to the first results row (the first progress line), the wall time of
 `run_sweep` on its finished files (a resume, timed inside a fresh
@@ -125,9 +127,12 @@ RESUME_S = (
 # prints, as JSON, the median wall ms of one train_classifier call on the
 # default dataset's pd and raw features: on 6 training rows of each class
 # for 100 epochs (the benchmark workloads' fold size and epochs) and on the
-# whole first training fold (300 rows) for 300 epochs (the default sweep's)
+# whole first training fold (300 rows) for 300 epochs (the default sweep's);
+# and the SHA-256 of every timed fit's weights and biases in checkpoint
+# order (W0, b0, W1, b1, ...), so two files show whether the fits are
+# bit-identical
 FIT_MS = """
-import json, statistics, time
+import hashlib, json, statistics, time
 import numpy as np
 from pdsemcom import (CvSchedule, ExperimentConfig, perslay_vectorize,
                       rasterize_raw, synth_dataset, train_classifier,
@@ -147,6 +152,7 @@ features = {
                      for i in train]),
 }
 out = {}
+h = hashlib.sha256()
 for kind, X in features.items():
     for rows, epochs, repeats in ((fold, 100, 9), (np.arange(len(train)),
                                                    cfg.epochs, 5)):
@@ -156,12 +162,15 @@ for kind, X in features.items():
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            train_classifier(*args, hidden_sizes=cfg.hidden, epochs=epochs,
-                             seed=cfg.train_seed)
+            net = train_classifier(*args, hidden_sizes=cfg.hidden,
+                                   epochs=epochs, seed=cfg.train_seed)
             times.append(time.perf_counter() - t0)
+            for W, b in zip(net.weights, net.biases):
+                h.update(np.ascontiguousarray(W, dtype="<f8").tobytes())
+                h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
         out[f"{kind}_{len(rows)}_rows_{epochs}_epochs"] = round(
             1e3 * statistics.median(times), 1)
-print(json.dumps(out))
+print(json.dumps({**out, "fits_sha256": h.hexdigest()}))
 """
 TRACE_SECONDS = 50
 BLAS_THREADS = "1"

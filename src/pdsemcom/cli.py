@@ -17,6 +17,7 @@ from .codec import as_bits, build_huffman, load_code_table
 from .config import ExperimentConfig, load_config
 from .dataset import (load_grid_file, load_pointcloud_file, synth_dataset,
                       threshold_grid, write_pointcloud_file)
+from .errors import write_file
 from .harness import (CURVE_KINDS, build_bch, decode_payload, emit_curves,
                       encode_payload, read_results, run_sweep)
 from .homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET, vr_diagram,
@@ -32,8 +33,8 @@ def _read_bits(path) -> np.ndarray:
 
 
 def _write_bits(path, bits) -> None:
-    Path(path).write_bytes((np.asarray(bits, dtype=np.uint8)
-                            + ord("0")).tobytes() + b"\n")
+    write_file(path, (np.asarray(bits, dtype=np.uint8)
+                      + ord("0")).tobytes() + b"\n")
 
 
 def _cmd_dataset_synth(args) -> int:

@@ -9,18 +9,17 @@ caller decides whether to pass the systematic bits through.
 
 Decoding reads tables built once per code, so a block costs gathers and
 XOR-reductions with no multiply or modulo per element. Every stage reads
-one log table and one exp table with a zero sentinel: `log0` maps 0 to 2n,
-and `exp0` is the exp table doubled to length 2n followed by a zero tail,
-so a product exp0[log0[a] + log0[b]] needs no modulo and is 0 whenever a
-or b is, with no branch. The odd syndromes are one gather of `powers` rows
-at the received word's 1-positions, and the even ones square through
-`exp0[2 log0[s]]`. Each of Berlekamp-Massey's t odd steps is a few array
-operations on fixed-width int64 registers: the discrepancy is one gather
-of the locator's logs plus a slice of the reversed syndrome logs, looked
-up in `exp0` and XOR-reduced, and the update is one gather-add of the
-scaled correction polynomial XORed into a slice of the locator. The Chien
-search adds the log of each locator coefficient lambda_j to row j of `ij`
-(i * j mod n) and looks the sums up in `exp0`.
+the field's zero-sentinel tables (galois.py), so a product
+exp[log[a] + log[b]] needs no modulo and is 0 whenever a or b is, with no
+branch. The odd syndromes are one gather of `powers` rows at the received
+word's 1-positions, and the even ones square through `exp[2 log[s]]`. Each
+of Berlekamp-Massey's t odd steps is a few array operations on
+fixed-width int64 registers: the discrepancy is one gather of the
+locator's logs plus a slice of the reversed syndrome logs, looked up in
+`exp` and XOR-reduced, and the update is one gather-add of the scaled
+correction polynomial XORed into a slice of the locator. The Chien search
+adds the log of each locator coefficient lambda_j to row j of `ij`
+(i * j mod n) and looks the sums up in `exp`.
 """
 
 from __future__ import annotations
@@ -103,12 +102,7 @@ class BchCode:
     `powers[p, j]` = alpha^((2j + 1) p), shape n x t, the contribution of
     a 1 at position p to the odd syndrome s_(2j+1); `ij[j, i]` = i j mod n,
     shape (t + 1) x n, the log of (alpha^i)^j for the Chien search, one
-    contiguous row per locator term (both int16); and one log and one exp
-    table with a zero sentinel: `log0` (int64), the field's log table with
-    log 0 = 2n, and `exp0` (int16), the field's exp table repeated to length
-    2n, so that a sum of two logs needs no modulo, then a zero tail of
-    2n + 1 entries, so exp0[log0[a] + log0[b]] = a b for all a, b, zero
-    operands included.
+    contiguous row per locator term (both int16).
     """
 
     field: GaloisField
@@ -118,8 +112,6 @@ class BchCode:
     generator: int
     powers: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     ij: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-    log0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
-    exp0: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != self.field.order:
@@ -130,15 +122,9 @@ class BchCode:
             raise ValueError("generator must divide x^n + 1")
         i = np.arange(self.n, dtype=np.int32)
         odd = np.arange(1, 2 * self.t, 2, dtype=np.int32)
-        log0 = self.field.log.copy()
-        log0[0] = 2 * self.n
-        # a sum with a zero operand lies in 2n..4n, the zero tail
-        exp0 = np.zeros(4 * self.n + 1, dtype=np.int16)
-        exp0[:2 * self.n] = np.tile(self.field.exp, 2)
-        tables = dict(powers=exp0[np.outer(i, odd) % self.n],
+        tables = dict(powers=self.field.exp[np.outer(i, odd) % self.n],
                       ij=(np.outer(np.arange(self.t + 1, dtype=np.int32), i)
-                          % self.n).astype(np.int16),
-                      log0=log0, exp0=exp0)
+                          % self.n).astype(np.int16))
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
@@ -190,13 +176,13 @@ def _syndromes(code: BchCode, positions: np.ndarray) -> np.ndarray:
     """s_i = r(alpha^i) for i = 1..2t: odd i by one gather of `powers`
     rows, even i via Frobenius squaring s_2i = s_i^2, one slice per power
     of two (s_2, s_6, s_10, ... from s_1, s_3, s_5, ..., then s_4, s_12,
-    ... from s_2, s_6, ...); a zero s_i squares to exp0[4n] = 0."""
+    ... from s_2, s_6, ...); a zero s_i squares to exp[4n] = 0."""
     s = np.zeros(2 * code.t + 1, dtype=np.int64)
     s[1::2] = np.bitwise_xor.reduce(code.powers[positions], axis=0)
     h = 1
     while h <= code.t:
         v = s[h::2 * h][:len(s[2 * h::4 * h])]
-        s[2 * h::4 * h] = code.exp0[2 * code.log0[v]]
+        s[2 * h::4 * h] = code.field.exp[2 * code.field.log[v]]
         h *= 2
     return s
 
@@ -206,13 +192,13 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     L + 1 coefficients for linear complexity L. Binary form: s_2i = s_i^2
     zeroes every even-step discrepancy, so only the odd steps r = 1, 3, ...,
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
-    binary BCH chapter). Each step is a few gathers from `log0` and `exp0`
-    on registers of 2t + 1 coefficients."""
+    binary BCH chapter). Each step is a few gathers from the field's `log`
+    and `exp` on registers of 2t + 1 coefficients."""
     # widened once per call, as an int16 operand costs a cast per update
-    n, log0, exp0 = code.n, code.log0, code.exp0.astype(np.int64)
+    n, log, exp = code.n, code.field.log, code.field.exp.astype(np.int64)
     top = 2 * code.t
     # rev[top - i] = log s_i, so s_(r-1), s_(r-2), ... is a forward slice
-    rev = log0[s[::-1]]
+    rev = log[s[::-1]]
     # C, the locator, holds L + 1 coefficients (the top one may be 0) and
     # zeros above; log_B holds the logs of B, C's value before L last grew.
     # C x^shift B reaches degree r - L, so C keeps max(len C, shift + len B)
@@ -222,12 +208,12 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
     log_B = np.zeros(1, dtype=np.int64)
     L, shift, log_b = 0, 1, 0
     for r in range(1, top, 2):
-        log_C = log0[C[:L + 1]]
+        log_C = log[C[:L + 1]]
         d = int(s[r]) ^ int(np.bitwise_xor.reduce(
-            exp0[log_C[1:] + rev[top - r + 1:top - r + 1 + L]]))
+            exp[log_C[1:] + rev[top - r + 1:top - r + 1 + L]]))
         if d:
-            log_d = int(log0[d])
-            C[shift:shift + len(log_B)] ^= exp0[log_B + (log_d - log_b) % n]
+            log_d = int(log[d])
+            C[shift:shift + len(log_B)] ^= exp[log_B + (log_d - log_b) % n]
             if 2 * L <= r - 1:
                 log_B, L, log_b, shift = log_C, r - L, log_d, 0
         shift += 2
@@ -236,11 +222,11 @@ def _berlekamp_massey(code: BchCode, s: np.ndarray) -> np.ndarray:
 
 def _chien_roots(code: BchCode, locator: np.ndarray) -> np.ndarray:
     """The i in 0..n-1 with locator(alpha^i) = 0, ascending: the term
-    lambda_j x^j at alpha^i is exp0[ij[j, i] + log lambda_j], over the
+    lambda_j x^j at alpha^i is exp[ij[j, i] + log lambda_j], over the
     nonzero lambda_j only."""
     js = np.nonzero(locator)[0]
-    logs = code.log0[locator[js], None]
-    values = np.bitwise_xor.reduce(code.exp0[code.ij[js] + logs], axis=0)
+    logs = code.field.log[locator[js], None]
+    values = np.bitwise_xor.reduce(code.field.exp[code.ij[js] + logs], axis=0)
     return np.nonzero(values == 0)[0]
 
 

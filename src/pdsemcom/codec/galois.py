@@ -4,6 +4,11 @@ Field elements are ints in 0..2^m-1 (polynomial bit representation, LSB =
 constant term). The generator alpha is the residue of x, so primitivity of
 the defining polynomial makes consecutive powers of alpha enumerate every
 nonzero element.
+
+Both tables carry a zero sentinel (n = 2^m - 1): `log` maps 0 to 2n, and
+`exp` holds the powers of alpha twice, then 2n + 1 zeros, so that
+exp[log[a] + log[b]] = a b for all a and b, zero included, with no modulo
+and no branch.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ PRIMITIVE_POLYS = {
 
 @dataclass(frozen=True)
 class GaloisField:
-    """GF(2^m) over PRIMITIVE_POLYS[m], with exp/log tables; raises if that
+    """GF(2^m) over PRIMITIVE_POLYS[m], with the zero-sentinel tables `log`
+    (int64, length n + 1) and `exp` (int16, length 4n + 1); raises if that
     polynomial is not primitive."""
 
     m: int
@@ -39,15 +45,15 @@ class GaloisField:
             raise ValueError(f"extension degree must be in 2..10, got {self.m}")
         poly = PRIMITIVE_POLYS[self.m]
         size = (1 << self.m) - 1
-        exp = np.zeros(size, dtype=np.int64)
-        log = np.full(size + 1, -1, dtype=np.int64)
+        exp = np.zeros(4 * size + 1, dtype=np.int16)
+        log = np.full(size + 1, 2 * size, dtype=np.int64)
         x = 1
         for i in range(size):
-            if log[x] != -1:
+            if log[x] != 2 * size:
                 raise ValueError(
                     f"polynomial {poly:#b} is not primitive over GF(2)"
                 )
-            exp[i] = x
+            exp[i] = exp[i + size] = x
             log[x] = i
             x <<= 1
             if x & (1 << self.m):
@@ -65,9 +71,7 @@ class GaloisField:
         return (1 << self.m) - 1
 
     def mult(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % self.order])
+        return int(self.exp[self.log[a] + self.log[b]])
 
     def pow_alpha(self, e: int) -> int:
         return int(self.exp[e % self.order])

@@ -35,21 +35,21 @@ class HuffmanCode:
     """Canonical prefix code given by its symbols and codeword lengths.
 
     Derived once per code by the first-code rule: `words` (symbol -> bit
-    string) and the decoder's tables by length l: `first[l]`, `count[l]`
-    and `start[l]`, where the symbols of length l begin in `ordered`, the
-    symbols in (length, symbol) order; `limits`, the left-justified limits
-    of lengths 1..lmax; and the first-level table `lookup`, which maps the
-    next `table_bits` bits to (length, symbol) of the codeword they start,
-    or to (0, 0) when that codeword is longer or there is none.
+    string) and the decoder's tables: `ordered`, the symbols in (length,
+    symbol) order; `base[l]` = start[l] - first[l] by length l, where the
+    symbols of length l begin at start[l] in `ordered`, so the l-bit
+    codeword c is the symbol ordered[base[l] + c]; `limits`, the
+    left-justified limits of lengths 1..lmax; and the first-level table
+    `lookup`, which maps the next `table_bits` bits to (length, symbol) of
+    the codeword they start, or to (0, 0) when that codeword is longer or
+    there is none.
     Two codes are equal when their symbols and lengths are, since those
     fix everything else.
     """
 
     symbols: np.ndarray    # sorted ascending
     lengths: np.ndarray
-    first: list = field(init=False, repr=False)
-    count: list = field(init=False, repr=False)
-    start: list = field(init=False, repr=False)
+    base: list = field(init=False, repr=False)
     ordered: list = field(init=False, repr=False)
     limits: list = field(init=False, repr=False)
     table_bits: int = field(init=False, repr=False)
@@ -73,10 +73,11 @@ class HuffmanCode:
         for l in range(1, len(count)):
             first[l] = (first[l - 1] + count[l - 1]) << 1
             start[l] = start[l - 1] + count[l - 1]
+        base = [s - f for s, f in zip(start, first)]
         order = np.lexsort((sym, lens))
         ordered = sym[order]
         cw = np.empty(len(sym), dtype=object)
-        cw[order] = [first[l] + rank - start[l]
+        cw[order] = [rank - base[l]
                      for rank, l in enumerate(lens[order].tolist())]
         lmax = len(count) - 1
         k = min(lmax, TABLE_BITS)
@@ -89,13 +90,11 @@ class HuffmanCode:
         short = np.flatnonzero(plen)
         ls = plen[short]
         symbol = np.zeros(1 << k, dtype=int)
-        symbol[short] = ordered[np.array(start[:k + 1])[ls]
-                                - np.array(first[:k + 1])[ls]
-                                + (short >> (k - ls))]
+        symbol[short] = ordered[np.array(base)[ls] + (short >> (k - ls))]
         for arr in (sym, lens):
             arr.setflags(write=False)
-        derived = dict(symbols=sym, lengths=lens, first=first,
-                       count=count, start=start, ordered=ordered.tolist(),
+        derived = dict(symbols=sym, lengths=lens, base=base,
+                       ordered=ordered.tolist(),
                        limits=[(first[l] + count[l]) << (lmax - l)
                                for l in range(1, lmax + 1)],
                        table_bits=k,
@@ -184,14 +183,14 @@ def huffman_decode(code: HuffmanCode, bits: np.ndarray,
     Each step reads the next lmax bits v, zero-padded past the end: the
     first-level table gives the codeword's length l and symbol when l is
     at most `table_bits`, and otherwise l is the smallest length with
-    v < limits[l - 1] and the symbol is ordered[start[l] + (v >> (lmax - l))
-    - first[l]]. The decode tolerates bits damaged by a noisy channel: it
-    stops at a prefix longer than any codeword (no limit exceeds v) and
-    drops a truncated final codeword (one that reaches into the padding).
+    v < limits[l - 1] and the symbol is ordered[base[l] + (v >> (lmax - l))].
+    The decode tolerates bits damaged by a noisy channel: it stops at a
+    prefix longer than any codeword (no limit exceeds v) and drops a
+    truncated final codeword (one that reaches into the padding).
     """
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     n = len(bits)
-    lmax = len(code.count) - 1
+    lmax = len(code.limits)
     # the bits as one integer, padded to whole bytes and then by lmax zeros;
     # bit `pos` starts the window (word >> (top - pos)) & mask
     top = -(-n // 8) * 8
@@ -211,8 +210,7 @@ def huffman_decode(code: HuffmanCode, bits: np.ndarray,
             length = bisect_right(limits, v) + 1
             if length > lmax:  # longer than the longest codeword
                 break
-            symbol = code.ordered[code.start[length] - code.first[length]
-                                  + (v >> (lmax - length))]
+            symbol = code.ordered[code.base[length] + (v >> (lmax - length))]
         pos += length
         if pos > n:
             break

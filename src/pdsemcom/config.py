@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ParseError, write_file
 
 # the kinds of source a pipeline quantizes; the order seeds the folds
 SOURCE_KINDS = ("pd", "raw", "latent")
@@ -271,5 +271,4 @@ def load_config(path) -> ExperimentConfig:
 
 
 def write_config(path, config: ExperimentConfig) -> None:
-    with open(path, "w") as f:
-        f.write(config.canonical_text(include_artifacts=True))
+    write_file(path, config.canonical_text(include_artifacts=True).encode())

@@ -14,7 +14,8 @@ import numpy as np
 
 from .config import MIN_SYNTH_POINTS, RAW_BOX_SIDE
 from .errors import (EmptyObject, InconsistentLabel, ParseError, nonnegative,
-                     one_of, read_table, substream, write_table)
+                     nonnegative_int, one_of, read_table, substream,
+                     write_table)
 
 VALID_CLASSES = (1, 2, 3)
 POINTCLOUD_HEADER = ("object", "x", "y", "label")
@@ -22,13 +23,16 @@ POINTCLOUD_HEADER = ("object", "x", "y", "label")
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """A deduplicated set of 2D points with a class label."""
+    """A deduplicated set of 2D points with a class label and a
+    nonnegative integer id (a channel substream key)."""
 
     points: np.ndarray
     label: int
     id: int = 0
 
     def __post_init__(self):
+        if self.id < 0:
+            raise ValueError(f"object id must be nonnegative, got {self.id}")
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         if pts.shape[0] == 0:
             raise EmptyObject(f"object {self.id} has no points")
@@ -80,7 +84,7 @@ def load_pointcloud_file(path) -> list[PointCloud]:
     with open(path, newline="") as fh:
         for lineno, (obj, x, y, lab) in read_table(
                 fh, POINTCLOUD_HEADER,
-                (int, nonnegative, nonnegative,
+                (nonnegative_int, nonnegative, nonnegative,
                  one_of(int, VALID_CLASSES, "label"))):
             label, pts = groups.setdefault(obj, (lab, []))
             if label != lab:

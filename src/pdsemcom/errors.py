@@ -1,9 +1,12 @@
 """Exception types shared across the pipeline, the CSV table reader whose
-every complaint is a ParseError and its writer, the input checks whose every
-complaint is a ValueError, and the one seeded substream generator."""
+every complaint is a ParseError and its writer, the one whole-file writer,
+the input checks whose every complaint is a ValueError, and the one seeded
+substream generator."""
 
 import csv
+import io
 import math
+import os
 
 import numpy as np
 
@@ -57,13 +60,31 @@ def read_table(lines, header, converters, first_line: int = 1):
             yield lineno, fields
 
 
+def write_file(path, data: bytes) -> None:
+    """Write `data` to `path` whole or not at all: into a new temporary file
+    beside it, which is closed and then renamed onto `path`. On any error
+    the temporary file is removed and `path` is left as it was."""
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_table(path, header, rows) -> None:
     """Write `header`, then `rows`, as a CSV table with LF line ends (the
-    dialect read_table reads, along with CRLF)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    dialect read_table reads, along with CRLF); the rows are all formatted
+    before the file is written."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_file(path, buf.getvalue().encode())
 
 
 def one_of(convert, allowed, what: str):
@@ -75,6 +96,14 @@ def one_of(convert, allowed, what: str):
             raise ValueError(f"{what} must be one of {allowed}, got {value!r}")
         return value
     return check
+
+
+def nonnegative_int(text: str) -> int:
+    """A nonnegative integer object id; anything else is a ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"object id must be nonnegative, got {value}")
+    return value
 
 
 def finite(text: str) -> float:

@@ -24,7 +24,7 @@ from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
 from .config import SOURCE_KINDS, ExperimentConfig, code_label, number_text
 from .dataset import load_pointcloud_file, synth_dataset
 from .errors import (ParseError, PipelineError, ShapeError, finite,
-                     read_table, write_table)
+                     read_table, write_file, write_table)
 from .homology import read_pd_rows, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
@@ -739,6 +739,5 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     csv_path = os.path.join(out_dir, f"{kind}.csv")
     svg_path = os.path.join(out_dir, f"{kind}.svg")
     write_table(csv_path, spec.columns, table)
-    with open(svg_path, "w") as f:
-        f.write(chart)
+    write_file(svg_path, chart.encode())
     return csv_path, svg_path

@@ -21,13 +21,14 @@ rows can fill any column. The narrower products are summed in a different
 order by BLAS, so trained weights can differ in the last bits (up to about
 1e-15 on raw rasters) from a fit over every column.
 
-The fit keeps the narrowed network's weights, then its biases, as reshaped
-views of one float64 vector, and ADAM's moments, its two scratch vectors
-and the gradients as vectors of the same layout; the backward pass writes
-each layer's gradient straight into its view. An ADAM step is then 14
-whole-vector passes where a per-array step makes 14 calls per array (84
-for the default two hidden layers), which pays at the benchmark's 18-row
-folds, where a fit is bound by per-call cost, and is level at 300 rows.
+A network's parameters are one float64 vector in checkpoint order (W0, b0,
+W1, b1, ...), and its weights and biases are views of it. The fit narrows
+W0, the vector's head, to the kept columns; ADAM's moments, its two scratch
+vectors and the gradients are vectors of the same layout, and the backward
+pass writes each layer's gradient straight into its view. An ADAM step is
+then 14 whole-vector passes where a per-array step makes 14 calls per array
+(84 for the default two hidden layers), which pays at the benchmark's
+18-row folds, where a fit is bound by per-call cost, and is level at 300 rows.
 Every pass is elementwise and takes the same operands and scalars in the
 same order as the per-array step, so every weight comes out bit-identical.
 """
@@ -35,7 +36,6 @@ same order as the per-array step, so every weight comes out bit-identical.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -43,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RAW_BOX_SIDE
-from .errors import ParseError, ShapeError, TrainingDiverged, substream
+from .errors import (ParseError, ShapeError, TrainingDiverged, substream,
+                     write_file)
 from .homology import PersistenceDiagram
 from .quantizer import QuantizerGrid
 
@@ -122,30 +123,50 @@ def rasterize_raw(points: np.ndarray, box_side=RAW_BOX_SIDE) -> np.ndarray:
     return out
 
 
+def _param_count(sizes) -> int:
+    """Length of the parameter vector of a network with these layer sizes."""
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(sizes, sizes[1:]))
+
+
+def _views(params: np.ndarray, sizes) -> tuple:
+    """(weights, biases): each layer's weight matrix and bias vector as
+    views of `params`, laid out W0, b0, W1, b1, and so on."""
+    if len(params) != _param_count(sizes):
+        raise ShapeError(f"layer sizes {sizes} need {_param_count(sizes)} "
+                         f"parameters, got {len(params)}")
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        weights.append(params[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+        at += fan_in * fan_out
+        biases.append(params[at:at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
 class Classifier:
-    """Fully connected ReLU network with a softmax head."""
+    """Fully connected ReLU network with a softmax head. Its parameters are
+    the one vector `params`; `weights` and `biases` are views of it."""
 
     def __init__(self, layer_sizes, seed: int = 0):
         sizes = tuple(int(s) for s in layer_sizes)
         if len(sizes) < 2:
             raise ValueError("need at least input and output layers")
         rng = substream(seed)
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
-        self.step = 0
+        self.params = np.zeros(_param_count(sizes))
+        self.weights, self.biases = _views(self.params, sizes)
+        for W in self.weights:
+            limit = np.sqrt(6.0 / (W.shape[0] + W.shape[1]))
+            W[...] = rng.uniform(-limit, limit, size=W.shape)
         self.loss_history = []
 
     @classmethod
-    def from_parameters(cls, weights, biases) -> "Classifier":
-        """A network with the given weight matrices and bias vectors, as
-        they are: nothing is drawn."""
+    def from_parameters(cls, sizes, params: np.ndarray) -> "Classifier":
+        """A network of these layer sizes over the parameter vector
+        `params`, which it keeps as it is: nothing is drawn or copied."""
         net = cls.__new__(cls)
-        net.weights, net.biases = list(weights), list(biases)
-        net.step = 0
+        net.params = params
+        net.weights, net.biases = _views(params, sizes)
         net.loss_history = []
         return net
 
@@ -217,13 +238,12 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     the network is drawn at full width, fitted on the other columns, and
     their trained rows of the first weight matrix are scattered back.
 
-    During the fit the narrowed weights and the biases are views of one
-    parameter vector, and each step updates it in 14 elementwise passes.
-    An elementwise operation rounds each element on its own, so with the
-    same operands in the same order the weights are bit-identical to a
-    step taken array by array. The returned network's first weight matrix
-    is the full-width array, and its other weights and biases are copied
-    out of the fit's vector, so every array owns its memory.
+    Each step updates the narrowed network's parameter vector in 14
+    elementwise passes. An elementwise operation rounds each element on its
+    own, so with the same operands in the same order the weights are
+    bit-identical to a step taken array by array. The fitted rows of W0 and
+    the rest of the fit's vector are then copied into the drawn network's
+    vector, so the returned network owns its parameters.
     """
     X = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=int).ravel()
@@ -236,25 +256,16 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
 
     net = Classifier((X.shape[1], *hidden_sizes, N_CLASSES), seed=seed)
     # drawn at full width, so the kept columns do not change the draw; the
-    # fit then runs on a network narrowed to the kept columns
+    # fit then runs on a copy whose head, W0, keeps only the kept columns
     keep = np.flatnonzero(np.any(X != 0, axis=0))
     W0 = net.weights[0]
     X = X[:, keep]
-    # the narrowed weights, then the biases, as views of one vector, and
-    # their gradients as views of a second vector in the same layout
-    rest = net.weights[1:] + net.biases
-    shapes = [(len(keep), W0.shape[1]), *(a.shape for a in rest)]
-    params = np.concatenate([W0[keep].ravel(), *(a.ravel() for a in rest)])
+    sizes = (len(keep), *net.layer_sizes[1:])
+    params = np.concatenate([W0[keep].ravel(), net.params[W0.size:]])
+    fit = Classifier.from_parameters(sizes, params)
+    # the gradients as views of a second vector in the same layout
     grads = np.empty_like(params)
-    p_views, g_views, start = [], [], 0
-    for shape in shapes:
-        stop = start + math.prod(shape)
-        p_views.append(params[start:stop].reshape(shape))
-        g_views.append(grads[start:stop].reshape(shape))
-        start = stop
-    n_w = len(net.weights)
-    net.weights, net.biases = p_views[:n_w], p_views[n_w:]
-    gw, gb = g_views[:n_w], g_views[n_w:]
+    gw, gb = _views(grads, sizes)
     # ADAM's moments and the two scratch vectors share that layout and are
     # updated in place, so the update allocates no arrays
     m = np.zeros_like(params)
@@ -262,12 +273,11 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     mh = np.empty_like(params)
     vh = np.empty_like(params)
     for epoch in range(epochs):
-        loss = _fill_gradients(net, X, y_index, gw, gb)
+        loss = _fill_gradients(fit, X, y_index, gw, gb)
         if not np.isfinite(loss):
             raise TrainingDiverged("loss is not finite", step=epoch)
         net.loss_history.append(loss)
-        net.step += 1
-        t = net.step
+        t = epoch + 1
         # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the hat
         # vectors as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
         m *= BETA1
@@ -285,25 +295,20 @@ def train_classifier(features: np.ndarray, labels: np.ndarray,
     # step zero at a finite loss; it has learned nothing
     if not np.all(np.isfinite(v)):
         raise TrainingDiverged("ADAM second moment is not finite",
-                               step=net.step)
-    W0[keep] = net.weights[0]
-    # copied out: a view would keep the fit's whole vector alive, the
-    # narrowed first layer included, for as long as the network lives
-    net.weights = [W0, *(W.copy() for W in net.weights[1:])]
-    net.biases = [b.copy() for b in net.biases]
+                               step=epochs)
+    W0[keep] = fit.weights[0]
+    net.params[W0.size:] = params[fit.weights[0].size:]
     return net
 
 
 def save_checkpoint(path, classifier: Classifier) -> None:
-    """Versioned binary layout: magic, version, layer sizes, float64 params."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(classifier.layer_sizes)))
-        fh.write(struct.pack(f"<{len(classifier.layer_sizes)}I",
-                             *classifier.layer_sizes))
-        for W, b in zip(classifier.weights, classifier.biases):
-            fh.write(np.ascontiguousarray(W, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+    """Versioned binary layout: magic, version, layer sizes, then the
+    network's parameter vector as float64, written whole or not at all."""
+    sizes = classifier.layer_sizes
+    write_file(path, CHECKPOINT_MAGIC
+               + struct.pack(f"<II{len(sizes)}I", CHECKPOINT_VERSION,
+                             len(sizes), *sizes)
+               + np.ascontiguousarray(classifier.params, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path) -> Classifier:
@@ -338,26 +343,17 @@ def load_checkpoint(path) -> Classifier:
         if min(sizes) < 1:
             raise ParseError(f"checkpoint layer sizes {sizes} include a "
                              "layer of width 0")
-        need = 12 + 4 * n_layers + 8 * sum(
-            (fan_in + 1) * fan_out for fan_in, fan_out in zip(sizes, sizes[1:]))
+        need = 12 + 4 * n_layers + 8 * _param_count(sizes)
         if size < need:
             raise ParseError(f"checkpoint is cut short in the parameters: "
                              f"layer sizes {sizes} need {need} bytes, the "
                              f"file has {size}")
         if size > need:
             raise ParseError(f"checkpoint has {size - need} trailing bytes")
+        # copied once out of the file's buffer, so the network owns it
         params = np.frombuffer(read(need - fh.tell(), "the parameters"),
-                               dtype="<f8")
-    # each layer's weights, then its biases, copied out so that every array
-    # owns its memory
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(sizes, sizes[1:]):
-        weights.append(params[at:at + fan_in * fan_out].reshape(
-            fan_in, fan_out).copy())
-        at += fan_in * fan_out
-        biases.append(params[at:at + fan_out].copy())
-        at += fan_out
-    return Classifier.from_parameters(weights, biases)
+                               dtype="<f8").astype(float)
+    return Classifier.from_parameters(sizes, params)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,8 +18,9 @@ verbatim, and `bch_decode_by_products` is the package's former
 binary Berlekamp-Massey over Python lists of field elements, with a branch
 per zero coefficient (the package runs each step as a few gathers from
 zero-sentinel log and exp tables on fixed-width numpy registers), is the
-package's former binary `_berlekamp_massey`, moved here verbatim as
-`berlekamp_massey_lists`.
+package's former binary `_berlekamp_massey`, moved here as
+`berlekamp_massey_lists`; it tests each syndrome for zero itself and reads
+the field's log table only at nonzero elements.
 
 The canonical Huffman codewords by walking the symbols in (length, symbol)
 order and the Huffman decoder that walks the bits against a table of every
@@ -47,13 +48,14 @@ the largest of its edges' and never looks up a cofacet.
 
 The MLP fit over every feature column (the package fits only the columns
 some training row fills and leaves the rest of the first weight matrix as
-drawn) is the package's former `train_classifier`, moved here verbatim as
+drawn) is the package's former `train_classifier`, moved here as
 `train_classifier_all_columns`. The fit that runs each ADAM step as
 14 operations per parameter array and takes its gradients from
 `loss_and_gradients` (the package lays the narrowed weights and biases
 out as views of one vector, steps the whole vector at once and writes the
 gradients into views of a second one) is the package's former
-`train_classifier`, moved here verbatim as `train_classifier_per_array`.
+`train_classifier`, moved here as `train_classifier_per_array`. Both
+count ADAM's steps t = epoch + 1 themselves, as the package does.
 The bottleneck-style distortion that quantizes and re-centers the test
 multiset one object at a time (the package takes every point's shift in
 one pass and each object's maximum by `np.maximum.reduceat`) is the
@@ -69,11 +71,13 @@ one block at a time are the command line's former `code bch` loops,
 moved here as `bch_encode_blocks` and `bch_decode_blocks` (the package
 codes payloads with the sweep's `encode_payload`/`decode_payload`).
 
-The canonical Huffman decoder that walks one bit per step against the
-per-length first-code tables (the package reads one codeword per step
+The canonical Huffman decoder that walks one bit per step against a map
+of (length, codeword) to symbol (the package reads one codeword per step
 from a first-level table and bisects the left-justified limits for longer
-codewords) is the package's former `huffman_decode`, moved here verbatim
-as `huffman_decode_per_bit`. The Huffman merge that keeps the list of
+codewords) is the package's former `huffman_decode`, moved here as
+`huffman_decode_per_bit`; it builds that map from the code's symbols and
+lengths by the first-code rule written out here (`first_codes`), so it
+reads none of the package's tables. The Huffman merge that keeps the list of
 leaves below every node and adds 1 to the lengths of all of them at each
 merge (the package records parent pointers and takes the depths in one
 pass) is the package's former `_codeword_lengths`, moved here verbatim as
@@ -495,8 +499,7 @@ def train_classifier_all_columns(features: np.ndarray, labels: np.ndarray,
         if not np.isfinite(loss):
             raise TrainingDiverged("loss is not finite", step=epoch)
         net.loss_history.append(loss)
-        net.step += 1
-        t = net.step
+        t = epoch + 1
         for p, g, mi, vi, mh, vh in zip(params, gw + gb, m, v, m_hat, v_hat):
             # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the
             # hat arrays as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
@@ -552,8 +555,7 @@ def train_classifier_per_array(features: np.ndarray, labels: np.ndarray,
         if not np.isfinite(loss):
             raise TrainingDiverged("loss is not finite", step=epoch)
         net.loss_history.append(loss)
-        net.step += 1
-        t = net.step
+        t = epoch + 1
         for p, g, mi, vi, mh, vh in zip(params, gw + gb, m, v, m_hat, v_hat):
             # m = b1 m + (1 - b1) g and v = b2 v + (1 - b2) g^2, with the
             # hat arrays as scratch; then p -= lr m_hat / (sqrt(v_hat) + eps)
@@ -572,7 +574,7 @@ def train_classifier_per_array(features: np.ndarray, labels: np.ndarray,
     # step zero at a finite loss; it has learned nothing
     if not all(np.all(np.isfinite(vi)) for vi in v):
         raise TrainingDiverged("ADAM second moment is not finite",
-                               step=net.step)
+                               step=epochs)
     W0[keep] = net.weights[0]
     net.weights[0] = W0
     return net
@@ -626,19 +628,19 @@ def berlekamp_massey_lists(code: BchCode, s: np.ndarray) -> np.ndarray:
     2t - 1 run and the correction term gains x^2 per step (Lin & Costello,
     binary BCH chapter)."""
     n = code.n
-    # exp2[a + b] for logs a, b < n
-    exp2 = np.tile(code.field.exp, 2).tolist()
-    log = code.field.log.tolist()  # log[0] = -1
-    log_s = code.field.log[s].tolist()
+    # exp2[a + b] for logs a, b < n; log is read at nonzero elements only
+    exp2 = code.field.exp[:n].tolist() * 2
+    log = code.field.log.tolist()
+    syn = s.tolist()
     # C, the locator, always holds L + 1 coefficients (the top one may be
     # 0); B is its value before L last grew
     C, B = [1], [1]
     L, shift, log_b = 0, 1, 0
     for r in range(1, 2 * code.t, 2):
-        d = int(s[r])
-        for c, e in zip(C[1:], reversed(log_s[r - L:r])):
-            if c and e >= 0:
-                d ^= exp2[log[c] + e]
+        d = syn[r]
+        for c, sj in zip(C[1:], reversed(syn[r - L:r])):
+            if c != 0 and sj != 0:
+                d ^= exp2[log[c] + log[sj]]
         if d:
             log_coef = (log[d] - log_b) % n
             term = [0] * shift + [exp2[log[x] + log_coef] if x else 0
@@ -792,18 +794,34 @@ def huffman_decode_bitwalk(code, bits: np.ndarray,
     return np.array(out, dtype=int)
 
 
+def first_codes(lengths: np.ndarray) -> list:
+    """first[l], the value of the first codeword of length l, by the
+    first-code rule: first[l] = (first[l - 1] + count[l - 1]) << 1, with
+    count[l] codewords of length l."""
+    count = np.bincount(np.asarray(lengths, dtype=int)).tolist()
+    first = [0] * len(count)
+    for l in range(1, len(count)):
+        first[l] = (first[l - 1] + count[l - 1]) << 1
+    return first
+
+
 def huffman_decode_per_bit(code, bits: np.ndarray,
                            max_symbols: int) -> np.ndarray:
     """Greedy prefix walk over a bit array, one bit per step, that stops
     after `max_symbols` symbols and ignores the surplus bits.
 
-    The l-bit prefix v is the codeword of ordered[start[l] + v - first[l]]
-    when v - first[l] < count[l]; a prefix that is no codeword is at least
-    first[l] + count[l], so v - first[l] is never negative. The walk
-    tolerates bits damaged by a noisy channel: it stops at a prefix longer
-    than any codeword and drops a truncated final codeword.
+    The codewords come from `code.symbols` and `code.lengths` alone: in
+    (length, symbol) order, those of length l are first[l], first[l] + 1,
+    and so on (`first_codes`). The walk looks each (length, prefix) up in
+    that map; it tolerates bits damaged by a noisy channel: it stops at a
+    prefix longer than any codeword and drops a truncated final codeword.
     """
-    first, count, start_of = code.first, code.count, code.start
+    first = first_codes(code.lengths)
+    by_prefix, rank = {}, {}
+    for l, s in sorted(zip(np.asarray(code.lengths).tolist(),
+                           np.asarray(code.symbols).tolist())):
+        by_prefix[l, first[l] + rank.get(l, 0)] = s
+        rank[l] = rank.get(l, 0) + 1
     out = []
     acc = length = 0
     for bit in np.asarray(bits, dtype=np.uint8).ravel().tolist():
@@ -811,11 +829,10 @@ def huffman_decode_per_bit(code, bits: np.ndarray,
             break
         acc = (acc << 1) | bit
         length += 1
-        if length == len(count):  # longer than the longest codeword
+        if length == len(first):  # longer than the longest codeword
             break
-        offset = acc - first[length]
-        if offset < count[length]:
-            out.append(code.ordered[start_of[length] + offset])
+        if (length, acc) in by_prefix:
+            out.append(by_prefix[length, acc])
             acc = length = 0
     return np.array(out, dtype=int)
 

@@ -18,12 +18,20 @@ from pdsemcom.harness import decode_payload, encode_payload
 
 def test_field_tables_are_consistent():
     gf = GaloisField(4)
-    # exp enumerates every nonzero element exactly once
-    assert sorted(gf.exp) == list(range(1, 16))
+    # exp's first n entries enumerate every nonzero element exactly once;
+    # it repeats them, then holds a zero tail that log 0 = 2n sums reach
+    assert sorted(gf.exp[:15]) == list(range(1, 16))
+    assert gf.exp.dtype == np.int16 and gf.log.dtype == np.int64
+    assert gf.exp.shape == (61,) and gf.log.shape == (16,)
+    assert np.array_equal(gf.exp[15:30], gf.exp[:15])
+    assert not np.any(gf.exp[30:]) and gf.log[0] == 30
     for a in range(1, 16):
         assert gf.exp[gf.log[a]] == a
         assert gf.mult(a, gf.pow_alpha(-int(gf.log[a]))) == 1
-    assert gf.mult(0, 7) == 0
+        for b in range(16):
+            want = 0 if b == 0 else gf.pow_alpha(int(gf.log[a] + gf.log[b]))
+            assert gf.mult(a, b) == gf.mult(b, a) == want
+    assert gf.mult(0, 7) == gf.mult(0, 0) == 0
 
 
 def test_non_primitive_polynomial_rejected(monkeypatch):
@@ -217,7 +225,8 @@ def test_codes_compare_by_parameters_not_tables():
     assert "powers" not in repr(code)
     assert code.powers.shape == (1023, 170) and code.powers.dtype == np.int16
     assert code.ij.shape == (171, 1023)
-    assert code.exp0.shape == (4093,) and code.exp0.dtype == np.int16
+    assert code.field.exp.shape == (4093,) and code.field.exp.dtype == np.int16
+    assert not hasattr(code, "exp0") and not hasattr(code, "log0")
     with pytest.raises(ValueError):
         code.powers[0, 0] = 0
 

@@ -75,6 +75,25 @@ def test_loader_reports_bad_values_with_line_numbers(tmp_path, row):
     assert err.value.line_number == 3
 
 
+def test_negative_object_ids_are_rejected_at_the_boundary(tmp_path):
+    # an object id keys the channel's substream, which takes nonnegative
+    # integers only; a file with a negative id fails at the row that has it
+    path = tmp_path / "bad.csv"
+    path.write_text("object,x,y,label\n1,2.0,3.0,1\n0,2.0,3.0,2\n"
+                    "-3,4.0,5.0,1\n")
+    with pytest.raises(ParseError, match="line 4: object id must be "
+                       "nonnegative, got -3"):
+        load_pointcloud_file(path)
+    with pytest.raises(ValueError, match="object id must be nonnegative"):
+        PointCloud(points=np.array([[1.0, 1.0]]), label=1, id=-1)
+    assert PointCloud(points=np.array([[1.0, 1.0]]), label=1, id=0).id == 0
+    values = np.ones((4, 4))
+    with pytest.raises(ValueError, match="object id must be nonnegative"):
+        threshold_grid(values, 0.5, 1, object_id=-2)
+    with pytest.raises(ValueError):
+        synth_loops(1, n_points=12, noise=0.0, seed=0, object_id=-1)
+
+
 def test_loader_rejects_inconsistent_labels(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("object,x,y,label\n1,2.0,3.0,1\n1,4.0,5.0,2\n")

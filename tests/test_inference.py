@@ -310,11 +310,15 @@ def test_checkpoint_reload_is_bit_identical_and_draws_nothing(tmp_path,
     monkeypatch.setattr(inference, "substream", no_draw)
     back = load_checkpoint(path)
     assert back.layer_sizes == net.layer_sizes == (6, 7, 4, 3)
+    # one vector, copied out of the file's buffer, in checkpoint order
+    assert back.params.dtype == net.params.dtype
+    assert back.params.tobytes() == net.params.tobytes()
+    assert back.params.flags.owndata and back.params.flags.writeable
     for p, q in zip(net.weights + net.biases, back.weights + back.biases):
         assert p.dtype == q.dtype and p.shape == q.shape
         assert p.tobytes() == q.tobytes()
-        assert q.flags.owndata and q.flags.writeable
-    assert (back.step, back.loss_history) == (0, [])
+        assert q.base is back.params and q.flags.writeable
+    assert back.loss_history == []
     save_checkpoint(tmp_path / "again.bin", back)
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
 
@@ -362,21 +366,29 @@ def test_malformed_checkpoints_are_parse_errors(tmp_path):
 
 
 def test_fitted_nets_share_no_memory(tmp_path):
-    # the fit steps one parameter vector, but the fitted net's arrays are
-    # its own: no view keeps that vector alive or ties two nets together
+    # the fit steps the narrowed net's vector, but each fitted net owns its
+    # own vector: every weight and bias is a view of it, no view keeps the
+    # fit's vector alive, and no array ties two nets or a checkpoint's
+    # file buffer together
     rng = np.random.default_rng(8)
     X, y = _blobs(rng, n_per=6)
     X[:, 1] = 0.0
     a = train_classifier(X, y, hidden_sizes=(8, 4), epochs=20, seed=5)
     b = train_classifier(X, y, hidden_sizes=(8, 4), epochs=20, seed=5)
-    for p in a.weights + a.biases:
-        for q in b.weights + b.biases:
-            assert not np.shares_memory(p, q)
-    # the first weight matrix is the full-width one the fit scattered into
-    assert a.weights[0].shape == (6, 8)
-    assert all(p.flags.owndata for p in a.weights + a.biases)
     save_checkpoint(tmp_path / "a.bin", a)
     back = load_checkpoint(tmp_path / "a.bin")
+    nets = (a, b, back)
+    for net in nets:
+        assert net.params.flags.owndata and net.params.base is None
+        assert len(net.params) == sum(p.size for p in net.weights
+                                      + net.biases)
+        for p in net.weights + net.biases:
+            assert p.base is net.params
+    for i, net in enumerate(nets):
+        for other in nets[i + 1:]:
+            assert not np.shares_memory(net.params, other.params)
+    # the first weight matrix is the full-width one the fit scattered into
+    assert a.weights[0].shape == (6, 8)
     assert back.layer_sizes == a.layer_sizes == (6, 8, 4, 3)
     for p, q in zip(a.weights + a.biases, back.weights + back.biases):
         assert p.tobytes() == q.tobytes()
