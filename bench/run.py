@@ -25,7 +25,10 @@ median wall ms of one `train_classifier` fit on the default dataset's pd
 and raw features at the benchmark workloads' fold size (18 rows, 100
 epochs) and at full size (300 rows, 300 epochs) and the SHA-256 of every
 timed fit's weights and biases (so two files show whether the fits are
-bit-identical), the tier-1 suite's wall
+bit-identical), the median wall us per block of `bch_encode` and
+`decode_or_passthrough` for both benchmark codes at alpha = 0 and 0.12 and
+the SHA-256 of every decoded block (so two files show whether the decoder's
+output is identical), the tier-1 suite's wall
 time with its ten slowest entries, the default sweep's wall time, its time
 to the first results row (the first progress line), the wall time of
 `run_sweep` on its finished files (a resume, timed inside a fresh
@@ -172,6 +175,45 @@ for kind, X in features.items():
             1e3 * statistics.median(times), 1)
 print(json.dumps({**out, "fits_sha256": h.hexdigest()}))
 """
+# prints, as JSON, the median wall us per block of bch_encode and of
+# decode_or_passthrough for the benchmark's two codes, on 200 seeded
+# messages each, decoded as encoded (alpha = 0) and through a BSC at
+# alpha = 0.12: one warm-up pass, then 3 timed passes of every block; and
+# the SHA-256 of every decoded message, corrected count and failure flag, so
+# two files show whether the decoder's output is identical
+BCH_US = """
+import hashlib, json, statistics, time
+import numpy as np
+from pdsemcom.codec.bch import bch_encode, bch_generator, decode_or_passthrough
+out = {}
+h = hashlib.sha256()
+for t in (170, 115):
+    code = bch_generator(10, t)
+    rng = np.random.default_rng(t)
+    messages = rng.integers(0, 2, size=(200, code.k), dtype=np.uint8)
+    flips = (rng.random((200, code.n)) < 0.12).astype(np.uint8)
+    words = [bch_encode(code, msg) for msg in messages]
+    received = {"0": words, "0.12": [w ^ f for w, f in zip(words, flips)]}
+    times = {"encode": []} | {f"decode_alpha_{a}": [] for a in received}
+    for rep in range(4):
+        for msg in messages:
+            t0 = time.perf_counter()
+            bch_encode(code, msg)
+            times["encode"].append(time.perf_counter() - t0)
+        for alpha, blocks in received.items():
+            for word in blocks:
+                t0 = time.perf_counter()
+                msg, corrected, failed = decode_or_passthrough(code, word)
+                times[f"decode_alpha_{alpha}"].append(
+                    time.perf_counter() - t0)
+                if rep == 0:
+                    h.update(msg.tobytes())
+                    h.update(f"{corrected},{failed};".encode())
+    out[f"{code.n}:{code.k}:{t}"] = {
+        name: round(1e6 * statistics.median(ts[len(messages):]), 1)
+        for name, ts in times.items()}
+print(json.dumps({**out, "decodes_sha256": h.hexdigest()}))
+"""
 TRACE_SECONDS = 50
 BLAS_THREADS = "1"
 DURATION = re.compile(r"^([\d.]+)s (setup|call|teardown) +(\S+)$", re.M)
@@ -279,6 +321,11 @@ def fit_ms() -> dict:
     return json.loads(proc.stdout)
 
 
+def bch_block_us() -> dict:
+    proc, _, _ = _run(["-c", BCH_US])
+    return json.loads(proc.stdout)
+
+
 def tier1() -> dict:
     proc, wall, _ = _run(TIER1, check=False)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout else ""
@@ -332,6 +379,8 @@ def main() -> int:
     bench["diagram_ms"] = diagram_ms()
     print("classifier fits ...", file=sys.stderr)
     bench["fit_ms"] = fit_ms()
+    print("BCH blocks ...", file=sys.stderr)
+    bench["bch_block_us"] = bch_block_us()
     print("tier-1 ...", file=sys.stderr)
     bench["tier1"] = tier1()
     with tempfile.TemporaryDirectory() as tmp:

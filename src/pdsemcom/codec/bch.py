@@ -7,9 +7,19 @@ corrects up to the designed capability t; when the error locator's degree
 disagrees with its root count the decoder raises DecodeFailure and the
 caller decides whether to pass the systematic bits through.
 
-Decoding reads tables built once per code, so a block costs gathers and
-XOR-reductions with no multiply or modulo per element. Every stage reads
-the field's zero-sentinel tables (galois.py), so a product
+Encoding and the decoder's first step share one parity walk (Sarwate's
+table-driven remainder): `parity_table` holds (v(x) x^(n-k)) mod g for each
+byte v, built once per code, and `_parity` reads a message a byte per step,
+one shift, mask and table XOR each. The encoder appends that parity to the
+message. The decoder first tests whether the received word is a codeword,
+its parity bits equal to its message bits' parity, which holds exactly when
+g divides r(x), so exactly when all 2t syndromes vanish; such a word is
+returned as received, and only other words reach the syndromes,
+Berlekamp-Massey and the Chien search.
+
+Decoding any other word reads tables built once per code, so a block
+costs gathers and XOR-reductions with no multiply or modulo per element.
+Every stage reads the field's zero-sentinel tables (galois.py), so a product
 exp[log[a] + log[b]] needs no modulo and is 0 whenever a or b is, with no
 branch. The odd syndromes are one gather of `powers` rows at the received
 word's 1-positions, and the even ones square through `exp[2 log[s]]`. Each
@@ -57,6 +67,9 @@ def _gf2_poly_mod(a: int, g: int) -> int:
 
 
 def _gf2_poly_mult(a: int, b: int) -> int:
+    # one shifted XOR per set bit of the shorter operand
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
     out = 0
     while a:
         low = a & -a
@@ -74,16 +87,17 @@ def _cyclotomic_coset(i: int, n: int) -> frozenset:
     return frozenset(coset)
 
 
-def _minimal_poly(field: GaloisField, coset) -> int:
-    """Minimal polynomial of alpha^i over GF(2), as a bit mask."""
+def _minimal_poly(exp: list, log: list, coset) -> int:
+    """Minimal polynomial of alpha^i over GF(2), as a bit mask, from the
+    field's zero-sentinel `exp` and `log` tables as Python lists."""
     poly = [1]
     for j in sorted(coset):
-        root = field.pow_alpha(j)
+        # the root is alpha^j, so its log is j
         nxt = [0] * (len(poly) + 1)
         for deg, c in enumerate(poly):
             if c:
                 nxt[deg + 1] ^= c
-                nxt[deg] ^= field.mult(c, root)
+                nxt[deg] ^= exp[log[c] + j]
         poly = nxt
     if any(c not in (0, 1) for c in poly):
         raise AssertionError("minimal polynomial has coefficients outside GF(2)")
@@ -102,7 +116,9 @@ class BchCode:
     `powers[p, j]` = alpha^((2j + 1) p), shape n x t, the contribution of
     a 1 at position p to the odd syndrome s_(2j+1); `ij[j, i]` = i j mod n,
     shape (t + 1) x n, the log of (alpha^i)^j for the Chien search, one
-    contiguous row per locator term (both int16).
+    contiguous row per locator term (both int16). For the encoder and the
+    codeword test: `parity_table[v]` = (v(x) x^(n-k)) mod g for each byte
+    v = 0..255, a tuple of Python ints.
     """
 
     field: GaloisField
@@ -112,6 +128,8 @@ class BchCode:
     generator: int
     powers: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
     ij: np.ndarray = dataclass_field(init=False, repr=False, compare=False)
+    parity_table: tuple = dataclass_field(init=False, repr=False,
+                                          compare=False)
 
     def __post_init__(self):
         if self.n != self.field.order:
@@ -128,6 +146,9 @@ class BchCode:
         for name, table in tables.items():
             table.setflags(write=False)
             object.__setattr__(self, name, table)
+        d = self.n - self.k
+        object.__setattr__(self, "parity_table", tuple(
+            _gf2_poly_mod(v << d, self.generator) for v in range(256)))
 
 
 def bch_generator(m_gf: int, t: int) -> BchCode:
@@ -144,9 +165,10 @@ def bch_generator(m_gf: int, t: int) -> BchCode:
         if c not in seen:
             seen.add(c)
             cosets.append(c)
+    exp, log = field.exp.tolist(), field.log.tolist()
     g = 1
     for c in cosets:
-        g = _gf2_poly_mult(g, _minimal_poly(field, c))
+        g = _gf2_poly_mult(g, _minimal_poly(exp, log, c))
     k = n - (g.bit_length() - 1)
     if k <= 0:
         raise CapacityExceeded(
@@ -162,14 +184,29 @@ def bch_generator(m_gf: int, t: int) -> BchCode:
     return code
 
 
+def _parity(code: BchCode, message: int) -> int:
+    """(m(x) x^(n-k)) mod g for the k-bit message m, read a byte per step
+    from the top (Sarwate's table-driven remainder): with rem the parity of
+    the bytes read so far, x = rem x^8 + byte x^(n-k) has degree below
+    n - k + 8, and x mod g is its low n - k bits XOR the table entry of its
+    top 8, so the walk holds for every n - k >= 1."""
+    d = code.n - code.k
+    mask = (1 << d) - 1
+    table = code.parity_table
+    rem = 0
+    for byte in message.to_bytes((code.k + 7) // 8, "big"):
+        x = (rem << 8) ^ (byte << d)
+        rem = (x & mask) ^ table[x >> d]
+    return rem
+
+
 def bch_encode(code: BchCode, message: np.ndarray) -> np.ndarray:
     """Systematic codeword: message in the top k coefficients, parity below."""
     message = as_bits(message, "message")
     if len(message) != code.k:
         raise ShapeError(f"message must have {code.k} bits, got {len(message)}")
-    shifted = bits_to_int(message) << (code.n - code.k)
-    parity = _gf2_poly_mod(shifted, code.generator)
-    return int_to_bits(shifted | parity, code.n)
+    m = bits_to_int(message)
+    return int_to_bits((m << (code.n - code.k)) | _parity(code, m), code.n)
 
 
 def _syndromes(code: BchCode, positions: np.ndarray) -> np.ndarray:
@@ -236,10 +273,13 @@ def bch_decode(code: BchCode, received: np.ndarray):
     r = as_bits(received, "received word")
     if len(r) != code.n:
         raise ShapeError(f"received word must have {code.n} bits, got {len(r)}")
-    positions = np.nonzero(r)[0].astype(np.int64)
-    s = _syndromes(code, positions)
-    if not np.any(s[1:]):
-        return r[code.n - code.k:], 0
+    # a systematic word is a codeword, so every syndrome vanishes, exactly
+    # when its parity bits are its message bits' parity
+    d = code.n - code.k
+    word = bits_to_int(r)
+    if _parity(code, word >> d) == word & ((1 << d) - 1):
+        return r[d:], 0
+    s = _syndromes(code, np.nonzero(r)[0].astype(np.int64))
     locator = _berlekamp_massey(code, s)
     deg = len(locator) - 1
     if deg > code.t:

@@ -14,7 +14,11 @@ syndromes and Chien search by multiplying exponents and reducing them mod n
 on every call (the package gathers from tables built once per code) are the
 package's former `_syndromes` body and Chien evaluation, moved here
 verbatim, and `bch_decode_by_products` is the package's former
-`bch_decode` built from them and the general Berlekamp-Massey. The t-step
+`bch_decode` built from them and the general Berlekamp-Massey. The
+systematic BCH encoder that divides the shifted message by g one bit per
+step with `_gf2_poly_mod` (the package reads the message a byte per step
+against a 256-entry table of each byte's parity) is the package's former
+`bch_encode`, moved here verbatim as `bch_encode_by_poly_mod`. The t-step
 binary Berlekamp-Massey over Python lists of field elements, with a branch
 per zero coefficient (the package runs each step as a few gathers from
 zero-sentinel log and exp tables on fixed-width numpy registers), is the
@@ -109,6 +113,8 @@ from typing import NamedTuple
 import numpy as np
 
 from pdsemcom.codec import BchCode, bch_encode, decode_or_passthrough
+from pdsemcom.codec.bch import _gf2_poly_mod, bits_to_int, int_to_bits
+from pdsemcom.codec.bitstream import as_bits
 from pdsemcom.errors import (BudgetExceeded, DecodeFailure, EmptyDensity,
                              ShapeError, TrainingDiverged)
 from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
@@ -703,6 +709,16 @@ def bch_decode_by_products(code, received: np.ndarray):
     error_positions = (n - roots) % n
     r[error_positions] ^= 1
     return r[code.n - code.k:], int(deg)
+
+
+def bch_encode_by_poly_mod(code: BchCode, message: np.ndarray) -> np.ndarray:
+    """Systematic codeword: message in the top k coefficients, parity below."""
+    message = as_bits(message, "message")
+    if len(message) != code.k:
+        raise ShapeError(f"message must have {code.k} bits, got {len(message)}")
+    shifted = bits_to_int(message) << (code.n - code.k)
+    parity = _gf2_poly_mod(shifted, code.generator)
+    return int_to_bits(shifted | parity, code.n)
 
 
 def bits_to_int_reversed(bits: np.ndarray) -> int:

@@ -295,6 +295,16 @@ def test_checkpoint_round_trip(tmp_path):
         load_checkpoint(tmp_path / "bad2.bin")
 
 
+def test_checkpoint_round_trip_without_hidden_layer(tmp_path):
+    net = Classifier((4, 3), seed=3)
+    path = tmp_path / "net.bin"
+    save_checkpoint(path, net)
+    back = load_checkpoint(path)
+    assert back.layer_sizes == (4, 3)
+    assert back.params.dtype == net.params.dtype
+    assert back.params.tobytes() == net.params.tobytes()
+
+
 def test_checkpoint_reload_is_bit_identical_and_draws_nothing(tmp_path,
                                                               monkeypatch):
     import pdsemcom.inference as inference

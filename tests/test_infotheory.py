@@ -6,7 +6,7 @@ from pdsemcom.infotheory import (EmpiricalDensity, bottleneck_style_distortion,
                                  cell_probabilities, estimate_density,
                                  mse_distortion, quantizer_entropy,
                                  semantic_rate)
-from pdsemcom.quantizer import QuantizerGrid
+from pdsemcom.quantizer import QuantizerGrid, upper_triangle_cells
 
 
 def _uniform_density(box=16.0, partition=28):
@@ -171,6 +171,16 @@ def test_semantic_rate_cell_counts():
     # entropy cannot exceed log2 of the admissible cell count
     with pytest.raises(ValueError):
         semantic_rate(np.log2(55) + 1e-3, "pd", 10, mean_symbols=1.0)
+
+
+@pytest.mark.parametrize("kind", ["pd", "raw"])
+def test_uniform_entropy_over_every_cell_is_accepted(kind):
+    # the entropy of a uniform vector over all M cells can land a few ulps
+    # above log2(M) (pd m = 7, raw m = 9), which the bound's slack accepts
+    for m in range(1, 41):
+        M = upper_triangle_cells(m) if kind == "pd" else m * m
+        h = quantizer_entropy(np.full(M, 1.0 / M))
+        assert semantic_rate(h, kind, m, 1.0).M == M
 
 
 def test_self_information_identity_on_aligned_grid():

@@ -1,23 +1,24 @@
 """Property tests: the CSV loaders on random rows, the grid-based binning
 against the floor-and-clamp loops it replaced, the Huffman and BCH codecs,
-the table-driven Huffman code against the canonical reassignment and the
-bit walk, the binary Berlekamp-Massey against the general one, the
-table-driven BCH syndromes, Chien search and decoder against the
-multiply-and-mod ones, the bottleneck search against brute-force
-matchings, degree-0 counts of Rips diagrams, the Rips filtration and its
-budget outcome against the lexsorted one, Rips diagrams against the
-triangle-column reduction (on clouds whose spanning tree completes early
-and on clouds of several components too), the point-cloud dedup against
-`np.unique`, the one-pass bottleneck-style distortion against
-the per-object loop, the MLP fit on the columns the training rows fill
-against the fit over every column, the fit on one flat parameter vector
-against the per-array one, bit for bit, the little-endian bit packing
-against the reversed big-endian one, the BCH payload coder against a
-block-by-block loop, the codeword-per-step Huffman decoder against the
-per-bit walk, the parent-pointer Huffman lengths against the leaf-list
-merge, the one-pass tent features against the per-degree ones, and the
-one-pass diagram quantizer and rebuild against the per-degree quantizer
-and the rebuild through cell centers."""
+the table-driven Huffman code against the canonical reassignment and the bit
+walk, the binary Berlekamp-Massey against the general one, the table-driven
+BCH syndromes, Chien search and decoder against the multiply-and-mod ones,
+the byte-table BCH encoder against the bit-per-step division and its
+codeword test against zero syndromes, the bottleneck search against
+brute-force matchings, degree-0 counts of Rips diagrams, the Rips filtration
+and its budget outcome against the lexsorted one, Rips diagrams against the
+triangle-column reduction (on clouds whose spanning tree completes early and
+on clouds of several components too), the point-cloud dedup against
+`np.unique`, the one-pass bottleneck-style distortion against the per-object
+loop, the MLP fit on the columns the training rows fill against the fit over
+every column, the fit on one flat parameter vector against the per-array
+one, bit for bit, the little-endian bit packing against the reversed
+big-endian one, the BCH payload coder against a block-by-block loop, the
+codeword-per-step Huffman decoder against the per-bit walk, the
+parent-pointer Huffman lengths against the leaf-list merge, the one-pass
+tent features against the per-degree ones, and the one-pass diagram
+quantizer and rebuild against the per-degree quantizer and the rebuild
+through cell centers."""
 
 import functools
 
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from brute import (assert_same_diagram, assert_same_filtration,
                    bch_decode_blocks, dedup_by_unique,
                    bch_decode_by_products, bch_encode_blocks,
+                   bch_encode_by_poly_mod,
                    berlekamp_massey_general,
                    berlekamp_massey_lists,
                    bits_to_int_reversed, bottleneck_exhaustive,
@@ -45,7 +47,8 @@ from brute import (assert_same_diagram, assert_same_filtration,
 from pdsemcom.codec import (bch_decode, bch_encode, bch_generator,
                             bits_to_int, build_huffman, decode_or_passthrough,
                             huffman_decode, huffman_encode, int_to_bits)
-from pdsemcom.codec.bch import _berlekamp_massey, _chien_roots, _syndromes
+from pdsemcom.codec.bch import (_berlekamp_massey, _chien_roots, _parity,
+                                _syndromes)
 from pdsemcom.codec.huffman import _codeword_lengths
 from pdsemcom.dataset import PointCloud, load_pointcloud_file
 from pdsemcom.errors import (BudgetExceeded, CapacityExceeded, DecodeFailure,
@@ -487,6 +490,44 @@ def _any_capability_code(draw):
     (n - 1) / 2, the repetition code, where k is still 1."""
     m_gf = draw(st.integers(3, 10))
     return _small_bch(m_gf, draw(st.integers(1, (1 << (m_gf - 1)) - 1)))
+
+
+# every capability, next to the sweep's two codes
+_ENCODER_CODE = st.one_of(_any_capability_code(), st.sampled_from(
+    [115, 170]).map(lambda t: _small_bch(10, t)))
+
+
+@PROPERTY
+@given(code=_ENCODER_CODE, seed=st.integers(0, 2**32 - 1))
+def test_table_encoder_matches_poly_mod(code, seed):
+    message = np.random.default_rng(seed).integers(0, 2, size=code.k,
+                                                   dtype=np.uint8)
+    got = bch_encode(code, message)
+    want = bch_encode_by_poly_mod(code, message)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@PROPERTY
+@given(code=_ENCODER_CODE, kind=st.sampled_from(["codeword", "flipped",
+                                                 "random"]),
+       data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_codeword_test_matches_zero_syndromes(code, kind, data, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        word = rng.integers(0, 2, size=code.n, dtype=np.uint8)
+    else:
+        word = bch_encode(code, rng.integers(0, 2, size=code.k,
+                                             dtype=np.uint8))
+    if kind == "flipped":
+        flips = data.draw(st.integers(1, min(2 * code.t + 3, code.n)))
+        word[rng.choice(code.n, size=flips, replace=False)] ^= 1
+    d = code.n - code.k
+    x = bits_to_int(word)
+    accepted = _parity(code, x >> d) == x & ((1 << d) - 1)
+    zero = not np.any(_syndromes(code, np.nonzero(word)[0])[1:])
+    assert accepted == zero
+    if kind == "codeword":
+        assert accepted
 
 
 def _bch_outcome(decode, code, word):

@@ -212,6 +212,14 @@ def test_symbol_stream_channels_follow_source_kind(tmp_path):
     assert back[3].channel_counts == (2,)
 
 
+def test_symbol_stream_without_grid_row_names_line_2(tmp_path):
+    path = tmp_path / "stream.csv"
+    path.write_text("box_side,n_bins,source_kind\n")
+    with pytest.raises(ParseError, match="missing grid parameters") as err:
+        load_symbol_stream(path)
+    assert err.value.line_number == 2
+
+
 @pytest.mark.parametrize("row", ["3,-1,5", "3,0,0"])
 def test_symbol_stream_reports_bad_values_with_line_numbers(tmp_path, row):
     path = tmp_path / "stream.csv"
