@@ -23,12 +23,12 @@ default dataset's 600 clouds, in interleaved rounds, and the SHA-256 of
 those diagrams (so two files show whether the diagrams are identical), the
 median wall ms of one `train_classifier` fit on the default dataset's pd
 and raw features at the benchmark workloads' fold size (18 rows, 100
-epochs) and at full size (300 rows, 300 epochs) and the SHA-256 of every
-timed fit's weights and biases (so two files show whether the fits are
-bit-identical), the median wall us per block of `bch_encode` and
-`decode_or_passthrough` for both benchmark codes at alpha = 0 and 0.12 and
-the SHA-256 of every decoded block (so two files show whether the decoder's
-output is identical), the tier-1 suite's wall
+epochs) and at full size (300 rows, 300 epochs), the minor page faults of
+each timed fit, and the SHA-256 of every timed fit's weights and biases (so
+two files show whether the fits are bit-identical), the median wall us per
+block of `bch_encode` and `decode_or_passthrough` for both benchmark codes
+at alpha = 0 and 0.12 and the SHA-256 of every decoded block (so two files
+show whether the decoder's output is identical), the tier-1 suite's wall
 time with its ten slowest entries, the default sweep's wall time, its time
 to the first results row (the first progress line), the wall time of
 `run_sweep` on its finished files (a resume, timed inside a fresh
@@ -131,11 +131,12 @@ RESUME_S = (
 # default dataset's pd and raw features: on 6 training rows of each class
 # for 100 epochs (the benchmark workloads' fold size and epochs) and on the
 # whole first training fold (300 rows) for 300 epochs (the default sweep's);
-# and the SHA-256 of every timed fit's weights and biases in checkpoint
-# order (W0, b0, W1, b1, ...), so two files show whether the fits are
-# bit-identical
+# the minor page faults of each timed fit (`resource.getrusage` around the
+# call), in run order; and the SHA-256 of every timed fit's weights and
+# biases in checkpoint order (W0, b0, W1, b1, ...), so two files show
+# whether the fits are bit-identical
 FIT_MS = """
-import hashlib, json, statistics, time
+import hashlib, json, resource, statistics, time
 import numpy as np
 from pdsemcom import (CvSchedule, ExperimentConfig, perslay_vectorize,
                       rasterize_raw, synth_dataset, train_classifier,
@@ -154,7 +155,7 @@ features = {
     "raw": np.array([rasterize_raw(objects[i].points, box_side=cfg.box_raw)
                      for i in train]),
 }
-out = {}
+out, faults = {}, {}
 h = hashlib.sha256()
 for kind, X in features.items():
     for rows, epochs, repeats in ((fold, 100, 9), (np.arange(len(train)),
@@ -162,18 +163,22 @@ for kind, X in features.items():
         args = (X[rows], labels[train][rows])
         train_classifier(*args, hidden_sizes=cfg.hidden, epochs=epochs,
                          seed=cfg.train_seed)
-        times = []
+        name = f"{kind}_{len(rows)}_rows_{epochs}_epochs"
+        times, faults[name] = [], []
         for _ in range(repeats):
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             net = train_classifier(*args, hidden_sizes=cfg.hidden,
                                    epochs=epochs, seed=cfg.train_seed)
             times.append(time.perf_counter() - t0)
+            faults[name].append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
             for W, b in zip(net.weights, net.biases):
                 h.update(np.ascontiguousarray(W, dtype="<f8").tobytes())
                 h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
-        out[f"{kind}_{len(rows)}_rows_{epochs}_epochs"] = round(
-            1e3 * statistics.median(times), 1)
-print(json.dumps({**out, "fits_sha256": h.hexdigest()}))
+        out[name] = round(1e3 * statistics.median(times), 1)
+print(json.dumps({**out, "minor_faults": faults,
+                  "fits_sha256": h.hexdigest()}))
 """
 # prints, as JSON, the median wall us per block of bch_encode and of
 # decode_or_passthrough for the benchmark's two codes, on 200 seeded

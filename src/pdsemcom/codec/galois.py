@@ -69,9 +69,3 @@ class GaloisField:
     def order(self) -> int:
         """Multiplicative group order 2^m - 1."""
         return (1 << self.m) - 1
-
-    def mult(self, a: int, b: int) -> int:
-        return int(self.exp[self.log[a] + self.log[b]])
-
-    def pow_alpha(self, e: int) -> int:
-        return int(self.exp[e % self.order])

@@ -18,7 +18,7 @@ short; a longer one is found by bisecting the limits.
 
 from __future__ import annotations
 
-import heapq
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -130,21 +130,35 @@ class HuffmanCode:
 def _codeword_lengths(p: np.ndarray) -> np.ndarray:
     """Huffman merge with deterministic tie-breaking, returning bit lengths.
 
-    Merge j makes node n + j, the parent of the two nodes it merges; a
-    parent's id exceeds its children's, so one pass down from the root
-    gives every depth.
+    Merge j makes node n + j, the parent of the two least nodes by
+    (probability, node id), so ties go to the older node. The leaves are
+    sorted once; the merged nodes come in the order they are made, with
+    weights that never decrease (each merge adds the two least weights, and
+    rounding is monotone), so the lesser of the two queues' heads is the
+    least node (van Leeuwen, 1976). A parent's id exceeds its children's,
+    so one pass down from the root gives every depth.
     """
     n = len(p)
     if n == 1:
         return np.array([1])
-    # heap entries are (probability, node id); ties go to the older node
-    heap = list(zip(p.tolist(), range(n)))
-    heapq.heapify(heap)
+    weight = p.tolist() + [0.0] * (n - 1)
+    # a stable sort, so leaves of equal probability stay in id order
+    leaves = sorted(range(n), key=weight.__getitem__) + [2 * n - 1]
+    weight.append(math.inf)  # the end of the leaf queue
     parent = [0] * (2 * n - 1)
+    i, j = 0, n
     for node in range(n, 2 * n - 1):
-        pa, a = heapq.heappop(heap)
-        pb, b = heap[0]
-        heapq.heapreplace(heap, (pa + pb, node))
+        pair = []
+        for _ in range(2):
+            # a leaf wins a tie: its id is the smaller
+            if j == node or weight[leaves[i]] <= weight[j]:
+                pair.append(leaves[i])
+                i += 1
+            else:
+                pair.append(j)
+                j += 1
+        a, b = pair
+        weight[node] = weight[a] + weight[b]
         parent[a] = parent[b] = node
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):

@@ -1,7 +1,7 @@
 """Exception types shared across the pipeline, the CSV table reader whose
-every complaint is a ParseError and its writer, the one whole-file writer,
-the input checks whose every complaint is a ValueError, and the one seeded
-substream generator."""
+every complaint is a ParseError and its writer, the one whole-file writer
+(of one file or of a set of files together), the input checks whose every
+complaint is a ValueError, and the one seeded substream generator."""
 
 import csv
 import io
@@ -64,27 +64,47 @@ def write_file(path, data: bytes) -> None:
     """Write `data` to `path` whole or not at all: into a new temporary file
     beside it, which is closed and then renamed onto `path`. On any error
     the temporary file is removed and `path` is left as it was."""
-    path = os.fspath(path)
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "xb")
+    write_files((path, data))
+
+
+def write_files(*pairs) -> None:
+    """Write each (path, data) pair as `write_file` does, as one set: every
+    temporary file is written and closed before the first is renamed onto
+    its path. An error before the renames removes every temporary file and
+    leaves every path as it was; a rename that fails removes the temporary
+    files not yet renamed."""
+    pending = []
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
+        for path, data in pairs:
+            path = os.fspath(path)
+            tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+            fh = open(tmp, "xb")
+            pending.append((tmp, path))
+            with fh:
+                fh.write(data)
+        while pending:
+            os.replace(*pending[0])
+            pending.pop(0)
     except BaseException:
-        os.remove(tmp)
+        for tmp, _ in pending:
+            os.remove(tmp)
         raise
 
 
-def write_table(path, header, rows) -> None:
-    """Write `header`, then `rows`, as a CSV table with LF line ends (the
-    dialect read_table reads, along with CRLF); the rows are all formatted
-    before the file is written."""
+def table_bytes(header, rows) -> bytes:
+    """`header`, then `rows`, as a CSV table with LF line ends (the dialect
+    read_table reads, along with CRLF)."""
     buf = io.StringIO(newline="")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    write_file(path, buf.getvalue().encode())
+    return buf.getvalue().encode()
+
+
+def write_table(path, header, rows) -> None:
+    """Write the `table_bytes` of `header` and `rows`; the rows are all
+    formatted before the file is written."""
+    write_file(path, table_bytes(header, rows))
 
 
 def one_of(convert, allowed, what: str):

@@ -24,7 +24,7 @@ from .codec import (as_bits, bch_encode, bch_generator, build_huffman,
 from .config import SOURCE_KINDS, ExperimentConfig, code_label, number_text
 from .dataset import load_pointcloud_file, synth_dataset
 from .errors import (ParseError, PipelineError, ShapeError, finite,
-                     read_table, write_file, write_table)
+                     read_table, table_bytes, write_files)
 from .homology import read_pd_rows, vr_diagram
 from .infotheory import (bottleneck_style_distortion, cell_probabilities,
                          estimate_density, mse_distortion, quantizer_entropy,
@@ -346,7 +346,8 @@ def _build_prep(ctx, state: _PipelineState, pipeline: str, m: int):
         avg_codeword_len=huffman.expected_length(probs),
         mse=mse_distortion(state.density, grid),
         bottleneck=bottleneck_style_distortion(
-            [state.points[i] for i in ctx.test_multiset], grid))
+            [state.points[i] for i in ctx.unique_test], grid,
+            expand=ctx.test_pos))
     return _CellPrep(grid=grid, streams=streams, bitstream=bitstream,
                      huffman=huffman, shared=shared)
 
@@ -738,6 +739,8 @@ def emit_curves(records, kind: str, out_dir) -> tuple:
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{kind}.csv")
     svg_path = os.path.join(out_dir, f"{kind}.svg")
-    write_table(csv_path, spec.columns, table)
-    write_file(svg_path, chart.encode())
+    # both are written before either is renamed, so a failed write leaves
+    # the earlier pair as it was
+    write_files((csv_path, table_bytes(spec.columns, table)),
+                (svg_path, chart.encode()))
     return csv_path, svg_path

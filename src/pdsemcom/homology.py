@@ -25,7 +25,7 @@ reduction reads, and a filtration is its sorted edges and those facets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -161,12 +161,20 @@ class PersistenceDiagram:
     `essential` marks classes whose death was truncated at the scale cap.
     Births need not precede deaths: a diagram rebuilt from a noisy symbol
     stream can hold decoded cell centers below the diagonal.
+
+    The degree split is worked out once, when the diagram is built:
+    `degree_order` indexes the degree-0 points then the degree-1 points,
+    each in diagram order (a whole slice when the degrees are already in
+    that order, as a computed or a rebuilt diagram's are), and `n0` counts
+    the degree-0 points.
     """
 
     births: np.ndarray
     deaths: np.ndarray
     dims: np.ndarray
     essential: np.ndarray
+    degree_order: object = field(init=False, repr=False)
+    n0: int = field(init=False, repr=False)
 
     def __post_init__(self):
         b = np.asarray(self.births, dtype=float).ravel()
@@ -195,6 +203,10 @@ class PersistenceDiagram:
                           ("essential", es)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        n0 = len(dm) - int(np.count_nonzero(dm))
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "degree_order", np.argsort(
+            dm, kind="stable") if dm[:n0].any() else slice(None))
 
     def __len__(self):
         return len(self.births)
@@ -202,14 +214,8 @@ class PersistenceDiagram:
     def points(self, dim: int | None = None) -> np.ndarray:
         """(n, 2) array of (birth, death) rows of degree `dim`, or of degree
         0 then degree 1 (each in diagram order) if `dim` is None."""
-        rows = self.degree_order()[0] if dim is None else self.dims == dim
+        rows = self.degree_order if dim is None else self.dims == dim
         return np.column_stack([self.births[rows], self.deaths[rows]])
-
-    def degree_order(self) -> tuple:
-        """(order, n0): the indices of the degree-0 points then of the
-        degree-1 points, each in diagram order, and the degree-0 count."""
-        return (np.argsort(self.dims, kind="stable"),
-                len(self.dims) - np.count_nonzero(self.dims))
 
     def count(self, dim: int) -> int:
         return int(np.sum(self.dims == dim))

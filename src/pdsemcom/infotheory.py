@@ -146,11 +146,15 @@ def mse_distortion(density: EmpiricalDensity, grid: QuantizerGrid) -> float:
                  / density.grid.cell_width)
 
 
-def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:
+def bottleneck_style_distortion(point_sets, grid: QuantizerGrid,
+                                expand=None) -> float:
     """Mean over objects of the worst per-point ∞-norm quantization shift.
 
     One pass over the concatenated points: each point's shift, then each
-    object's maximum over its segment; an empty object scores 0.
+    object's maximum over its segment; an empty object scores 0. With
+    `expand`, an index array into `point_sets`, the mean is over the
+    objects point_sets[i] for every i in it, in its order: each object is
+    scored once, and the expanded scores are those of the expanded list.
     """
     sets = [np.asarray(pts, dtype=float).reshape(-1, 2) for pts in point_sets]
     if not sets:
@@ -165,4 +169,4 @@ def bottleneck_style_distortion(point_sets, grid: QuantizerGrid) -> float:
         # a filled object's segment runs to the next filled object's start
         starts = np.cumsum(sizes) - sizes
         worst[filled] = np.maximum.reduceat(shift, starts[filled])
-    return float(np.mean(worst))
+    return float(np.mean(worst if expand is None else worst[expand]))

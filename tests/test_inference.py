@@ -1,4 +1,5 @@
 import hashlib
+import resource
 import struct
 import tracemalloc
 
@@ -272,6 +273,26 @@ def test_divergence_matches_per_array_fit(value):
                 train(X, y, hidden_sizes=(8,), epochs=50, seed=0)
         errors.append((str(err.value), err.value.step))
     assert errors[0] == errors[1]
+
+
+def test_epochs_after_the_first_fault_in_no_pages():
+    # a fit allocates every buffer its epochs write before the first, so a
+    # 300-row fit at the default width takes about as many minor page
+    # faults over 41 epochs as over 1; arrays allocated afresh each epoch
+    # could take a fresh mapping each time, about 240 faults an epoch
+    rng = np.random.default_rng(5)
+    X = rng.uniform(0, 5, (300, 128)) * (rng.random((300, 128)) < 0.5)
+    y = np.arange(300) % 3 + 1
+
+    def faults(epochs):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_classifier(X, y, hidden_sizes=(128, 64), epochs=epochs,
+                         seed=3)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    one = min(faults(1) for _ in range(3))
+    many = min(faults(41) for _ in range(2))
+    assert many - one <= 40
 
 
 def test_checkpoint_round_trip(tmp_path):

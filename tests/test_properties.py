@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from brute import (assert_same_diagram, assert_same_filtration,
@@ -37,7 +37,8 @@ from brute import (assert_same_diagram, assert_same_filtration,
                    bottleneck_style_distortion_loop, canonical_codewords,
                    chien_roots_by_products, codeword_lengths_leaf_lists,
                    density_mass_loop, diagram_from_symbols_via_centers,
-                   filtration_by_lexsort, huffman_decode_bitwalk,
+                   filtration_by_lexsort, forward_allocating,
+                   huffman_decode_bitwalk,
                    huffman_decode_per_bit, int_to_bits_reversed,
                    perslay_vectorize_per_degree,
                    persistence_by_triangle_columns,
@@ -171,6 +172,24 @@ def test_distortion_matches_loop(case):
 
 
 @PROPERTY
+@given(case=_binning_case(), data=st.data())
+def test_expanded_distortion_matches_loop_over_the_multiset(case, data):
+    # as the sweep scores its test multiset: each object once, expanded by
+    # a (folds, objects) array of positions
+    box, m, sets = case
+    grid = QuantizerGrid(box_side=box, n_bins=m)
+    folds = data.draw(st.integers(1, 4))
+    pos = np.array(data.draw(st.lists(
+        st.integers(0, len(sets) - 1), min_size=folds,
+        max_size=folds * 6).map(lambda p: p[:len(p) // folds * folds])))
+    pos = pos.reshape(folds, -1)
+    got = bottleneck_style_distortion(sets, grid, expand=pos)
+    want = bottleneck_style_distortion_loop([sets[i] for i in pos.ravel()],
+                                            grid)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@PROPERTY
 @given(case=_binning_case(), where=st.integers(0, 5),
        axis=st.integers(0, 1),
        bad=st.sampled_from(["below", "above", "far", "nan", "inf", "-inf"]))
@@ -240,13 +259,10 @@ def test_training_matches_all_column_fit(case):
                        rtol=1e-9, atol=1e-12)
 
 
-@PROPERTY
-@given(case=_training_case(
-    st.integers(3, 40), st.lists(st.integers(1, 12), min_size=1,
-                                 max_size=3).map(tuple)))
-def test_flat_fit_matches_per_array_fit(case):
+def _assert_fits_agree(case):
     # the flat ADAM step rounds every element as the per-array one does,
-    # so the fits agree exactly, not within a tolerance
+    # and the buffered pass takes the allocating pass's operands in its
+    # order, so the fits agree byte for byte, not within a tolerance
     X, labels, n_train, hidden, epochs, seed = case
     net = train_classifier(X[:n_train], labels, hidden_sizes=hidden,
                            epochs=epochs, seed=seed)
@@ -254,12 +270,28 @@ def test_flat_fit_matches_per_array_fit(case):
                                       hidden_sizes=hidden, epochs=epochs,
                                       seed=seed)
     assert len(net.loss_history) == len(want.loss_history) == epochs
-    assert net.loss_history == want.loss_history
+    assert (np.array(net.loss_history).tobytes()
+            == np.array(want.loss_history).tobytes())
     assert len(net.weights) == len(want.weights) == len(hidden) + 1
     for got, exp in zip(net.weights + net.biases, want.weights + want.biases):
         assert got.shape == exp.shape
-        assert np.array_equal(got, exp)
-    assert np.array_equal(net.predict_proba(X), want.predict_proba(X))
+    assert net.params.tobytes() == want.params.tobytes()
+    got, exp = net.predict_proba(X), forward_allocating(want, X)[0]
+    assert got.tobytes() == exp.tobytes()
+
+
+@PROPERTY
+@given(case=_training_case(
+    st.integers(3, 40), st.lists(st.integers(1, 12), min_size=1,
+                                 max_size=3).map(tuple)))
+def test_flat_fit_matches_per_array_fit(case):
+    _assert_fits_agree(case)
+
+
+@PROPERTY
+@given(case=_training_case(st.integers(3, 40), st.just(())))
+def test_flat_fit_matches_per_array_fit_without_hidden_layer(case):
+    _assert_fits_agree(case)
 
 
 @st.composite
@@ -345,11 +377,17 @@ def test_huffman_codeword_steps_match_per_bit_walk(case):
 
 @PROPERTY
 @given(p=st.one_of(
-    # small integer weights tie often, and ties decide the merge order
+    # small integer weights tie often, and ties decide the merge order;
+    # equal weights tie at every merge
     st.lists(st.integers(1, 4), min_size=1, max_size=60),
+    st.integers(1, 60).map(lambda n: [1] * n),
     st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=60),
     st.lists(st.integers(0, 60).map(lambda k: 2.0 ** -k), min_size=1,
              max_size=60)))
+@example(p=[1])
+@example(p=[1, 1])
+@example(p=[3, 1])
+@example(p=[1, 3])
 def test_codeword_lengths_match_leaf_lists(p):
     p = np.array(p, dtype=float) / np.sum(p)
     got, want = _codeword_lengths(p), codeword_lengths_leaf_lists(p)

@@ -57,15 +57,21 @@ WRITERS = {
 }
 
 
+# files written as a pair: a failed write of either leaves both as they were
+PAIRED = {"dr.csv": "dr.svg", "dr.svg": "dr.csv"}
+
+
 @pytest.mark.parametrize("writer", sorted(WRITERS))
 def test_a_writer_that_fails_midway_leaves_the_old_file(writer, tmp_path,
                                                         monkeypatch):
     name, write = WRITERS[writer]
+    names = [name, *([PAIRED[name]] if name in PAIRED else [])]
     write(tmp_path)
-    written = (tmp_path / name).read_bytes()
-    assert written
+    written = {n: (tmp_path / n).read_bytes() for n in names}
+    assert all(written.values())
     old = b"an earlier file\n"
-    (tmp_path / name).write_bytes(old)
+    for n in names:
+        (tmp_path / n).write_bytes(old)
     before = sorted(p.name for p in tmp_path.iterdir())
 
     class Full:
@@ -96,11 +102,13 @@ def test_a_writer_that_fails_midway_leaves_the_old_file(writer, tmp_path,
     with pytest.raises(OSError, match="No space"):
         write(tmp_path)
     monkeypatch.undo()
-    assert (tmp_path / name).read_bytes() == old
+    for n in names:
+        assert (tmp_path / n).read_bytes() == old
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     # and the same call, unhindered, writes what it wrote before
     write(tmp_path)
-    assert (tmp_path / name).read_bytes() == written
+    for n in names:
+        assert (tmp_path / n).read_bytes() == written[n]
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
